@@ -17,11 +17,12 @@ flavour holds the full report and parses back to an equal object.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -43,7 +44,7 @@ from .frontier import (
     solve_frontiers,
     work_model,
 )
-from .leadtime import LeadTimeDist, PiecewiseLinearCDF, PointMass, Uniform
+from .leadtime import PiecewiseLinearCDF, PointMass, Uniform
 from .simulator import (
     Condition,
     CountBands,
@@ -105,10 +106,7 @@ def default_seed() -> int:
         raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
 
 
-def parse_config(path: Union[str, "os.PathLike[str]"]) -> ExperimentConfig:
-    """Load and validate a config file.  ParseError carries the YAML
-    location on malformed input; ValidationError names the offending
-    field on schema violations."""
+def _load_yaml(path) -> Dict:
     with open(path, "r") as handle:
         text = handle.read()
     try:
@@ -119,8 +117,22 @@ def parse_config(path: Union[str, "os.PathLike[str]"]) -> ExperimentConfig:
         raise ParseError(f"{path}: invalid YAML{where}: {exc}")
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: top level must be a mapping")
-    return config_from_dict(raw)
+    return raw
 
+
+def parse_config(path: Union[str, "os.PathLike[str]"]) -> ExperimentConfig:
+    """Load and validate a config file.  ParseError carries the YAML
+    location on malformed input; ValidationError names the offending
+    field on schema violations."""
+    return config_from_dict(_load_yaml(path))
+
+
+# -------- codec --------
+#
+# A parser is a function (value, where) -> value that raises
+# ValidationError naming the path ``where`` when the value has the
+# wrong shape.  A record is read through rows (YAML key, attribute,
+# parser, default); MISSING as the default makes the key required.
 
 def _require(mapping: Mapping, key: str, where: str):
     if key not in mapping:
@@ -129,7 +141,7 @@ def _require(mapping: Mapping, key: str, where: str):
 
 
 def _reject_unknown(mapping: Mapping, allowed: Sequence[str], where: str) -> None:
-    unknown = sorted(set(mapping) - set(allowed))
+    unknown = sorted(set(mapping) - set(allowed), key=str)
     if unknown:
         raise ValidationError(f"{where}: unknown fields {unknown}")
 
@@ -146,280 +158,234 @@ def _as_int(value, where: str) -> int:
     return value
 
 
-def _lead_from_dict(d, where: str) -> LeadTimeDist:
-    if not isinstance(d, dict):
-        raise ValidationError(f"{where}: expected a mapping with a 'kind'")
-    kind = _require(d, "kind", where)
-    try:
-        if kind == "point":
-            _reject_unknown(d, ("kind", "value"), where)
-            return PointMass(_as_float(_require(d, "value", where), where))
-        if kind == "uniform":
-            _reject_unknown(d, ("kind", "lo", "hi"), where)
-            return Uniform(_as_float(_require(d, "lo", where), where),
-                           _as_float(_require(d, "hi", where), where))
-        if kind == "piecewise":
-            _reject_unknown(d, ("kind", "knots"), where)
-            knots = _require(d, "knots", where)
-            return PiecewiseLinearCDF([(float(a), float(b)) for a, b in knots])
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"{where}: {exc}")
-    raise ValidationError(f"{where}: unknown lead-time kind {kind!r}")
+def _as_bool(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"{where}: expected true/false, got {value!r}")
+    return value
 
 
-def _lead_to_dict(dist: LeadTimeDist) -> Dict:
-    if isinstance(dist, PointMass):
-        return {"kind": "point", "value": dist.value}
-    if isinstance(dist, Uniform):
-        return {"kind": "uniform", "lo": dist.lo, "hi": dist.hi}
-    if isinstance(dist, PiecewiseLinearCDF):
-        return {"kind": "piecewise", "knots": [list(p) for p in dist.knots]}
-    raise TypeError(f"cannot serialize {type(dist).__name__}")
+def _as_str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}: expected a string, got {value!r}")
+    return value
 
 
-def _law_from_dict(d, where: str) -> dists.SamplingLaw:
-    if not isinstance(d, dict):
-        raise ValidationError(f"{where}: expected a mapping with a 'kind'")
-    kind = _require(d, "kind", where)
-    try:
-        if kind == "exponential":
-            _reject_unknown(d, ("kind", "rate"), where)
-            return dists.Exponential(_as_float(_require(d, "rate", where), where))
-        if kind == "deterministic":
-            _reject_unknown(d, ("kind", "value"), where)
-            return dists.Deterministic(_as_float(_require(d, "value", where), where))
-        if kind == "uniform":
-            _reject_unknown(d, ("kind", "lo", "hi"), where)
-            return dists.Uniform(_as_float(_require(d, "lo", where), where),
-                                 _as_float(_require(d, "hi", where), where))
-        if kind == "sequence":
-            _reject_unknown(d, ("kind", "values", "then"), where)
-            values = [float(v) for v in _require(d, "values", where)]
-            then = _as_float(d["then"], where) if "then" in d else math.inf
-            return dists.Sequence(tuple(values), then)
-    except (ValueError, TypeError) as exc:
-        raise ValidationError(f"{where}: {exc}")
-    raise ValidationError(f"{where}: unknown sampling-law kind {kind!r}")
+def _as_mapping(value, where: str) -> Dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where}: expected a mapping, got {value!r}")
+    return value
 
 
-def _law_to_dict(law: dists.SamplingLaw) -> Dict:
-    if isinstance(law, dists.Exponential):
-        return {"kind": "exponential", "rate": law.rate}
-    if isinstance(law, dists.Deterministic):
-        return {"kind": "deterministic", "value": law.value}
-    if isinstance(law, dists.Uniform):
-        return {"kind": "uniform", "lo": law.lo, "hi": law.hi}
-    if isinstance(law, dists.Sequence):
-        out = {"kind": "sequence", "values": list(law.values)}
-        if math.isfinite(law.then):
-            out["then"] = law.then
+def _list_of(item, length: Optional[int] = None):
+    """Parser for a list (a tuple once read), checking every item."""
+    def parse(value, where):
+        if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+            shape = "a list" if length is None else f"a list of {length}"
+            raise ValidationError(f"{where}: expected {shape}, got {value!r}")
+        return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
+    return parse
+
+
+def _mapping_of(key, item):
+    def parse(value, where):
+        return {key(k, where): item(v, f"{where}[{k}]")
+                for k, v in _as_mapping(value, where).items()}
+    return parse
+
+
+def _checked(parse, ok, problem: str):
+    """``parse``, then fail with ``problem`` unless ``ok`` holds."""
+    def run(value, where):
+        out = parse(value, where)
+        if not ok(out):
+            raise ValidationError(f"{where}: {problem}, got {value!r}")
         return out
-    raise TypeError(f"cannot serialize {type(law).__name__}")
+    return run
 
 
-def _network_from_dict(d, where: str = "network") -> NetworkSpec:
-    if not isinstance(d, dict):
-        raise ValidationError(f"{where}: expected a mapping")
-    _reject_unknown(d, ("stations", "classes"), where)
-    stations = _as_int(_require(d, "stations", where), f"{where}.stations")
-    raw_classes = _require(d, "classes", where)
-    if not isinstance(raw_classes, list) or not raw_classes:
-        raise ValidationError(f"{where}.classes: expected a nonempty list")
-    classes = []
-    for idx, entry in enumerate(raw_classes):
-        cw = f"{where}.classes[{idx}]"
-        if not isinstance(entry, dict):
-            raise ValidationError(f"{cw}: expected a mapping")
-        _reject_unknown(entry, ("id", "route", "arrival_rate", "service_rates",
-                                "lead_time", "interarrival", "service_laws"), cw)
-        cid = _as_int(_require(entry, "id", cw), f"{cw}.id")
-        route = _require(entry, "route", cw)
-        if not isinstance(route, list):
-            raise ValidationError(f"{cw}.route: expected a list of station ids")
-        rate = _as_float(_require(entry, "arrival_rate", cw), f"{cw}.arrival_rate")
-        lead = _lead_from_dict(_require(entry, "lead_time", cw), f"{cw}.lead_time")
-        service = entry.get("service_rates", 1.0)
-        if isinstance(service, dict):
-            service = {_as_int(k, f"{cw}.service_rates"): _as_float(v, f"{cw}.service_rates")
-                       for k, v in service.items()}
+def _rows(cls, fields) -> Tuple:
+    """Rows for a class whose YAML keys are its field names; a
+    dataclass default makes its field optional."""
+    defaults = ({f.name: f.default for f in dataclasses.fields(cls)}
+                if dataclasses.is_dataclass(cls) else {})
+    return tuple((name, name, parse, defaults.get(name, MISSING))
+                 for name, parse in fields)
+
+
+def _read_fields(node, rows, where: str, extra: Sequence[str] = ()) -> Dict:
+    """{attribute: value} for a mapping read through ``rows``."""
+    node = _as_mapping(node, where)
+    _reject_unknown(node, [key for key, *_ in rows] + list(extra), where)
+    out = {}
+    for key, attr, parse, default in rows:
+        if key in node:
+            out[attr] = parse(node[key], f"{where}.{key}")
+        elif default is MISSING:
+            raise ValidationError(f"{where}: missing required field '{key}'")
         else:
-            service = _as_float(service, f"{cw}.service_rates")
-        gap_law = None
-        if "interarrival" in entry:
-            gap_law = _law_from_dict(entry["interarrival"], f"{cw}.interarrival")
-        service_laws = None
-        if "service_laws" in entry:
-            raw = entry["service_laws"]
-            if not isinstance(raw, dict):
-                raise ValidationError(f"{cw}.service_laws: expected a mapping")
-            service_laws = {_as_int(k, f"{cw}.service_laws"):
-                            _law_from_dict(v, f"{cw}.service_laws[{k}]")
-                            for k, v in raw.items()}
-        try:
-            classes.append(ClassSpec(
-                id=cid, route=tuple(int(j) for j in route), arrival_rate=rate,
-                lead_time=lead, service_rates=service,
-                interarrival=gap_law, service_laws=service_laws))
-        except (ValueError, TypeError) as exc:
-            raise ValidationError(f"{cw}: {exc}")
+            out[attr] = default
+    return out
+
+
+def _build(cls, fields: Dict, where: str):
     try:
-        return NetworkSpec(station_count=stations, classes=tuple(classes))
+        return cls(**fields)
     except (ValueError, TypeError) as exc:
         raise ValidationError(f"{where}: {exc}")
 
 
-def _network_to_dict(net: NetworkSpec) -> Dict:
-    classes = []
-    for c in net.classes:
-        entry: Dict = {
-            "id": c.id,
-            "route": list(c.route),
-            "arrival_rate": c.arrival_rate,
-            "lead_time": _lead_to_dict(c.lead_time),
-        }
-        if isinstance(c.service_rates, Mapping):
-            entry["service_rates"] = {int(k): float(v)
-                                      for k, v in sorted(c.service_rates.items())}
-        else:
-            entry["service_rates"] = float(c.service_rates)
-        if c.interarrival is not None:
-            entry["interarrival"] = _law_to_dict(c.interarrival)
-        if c.service_laws is not None:
-            entry["service_laws"] = {int(k): _law_to_dict(v)
-                                     for k, v in sorted(c.service_laws.items())}
-        classes.append(entry)
-    return {"stations": net.station_count, "classes": classes}
+def _record(cls, rows):
+    return lambda node, where: _build(cls, _read_fields(node, rows, where), where)
 
 
-def _condition_from_dict(d, where: str) -> Condition:
-    if not isinstance(d, dict):
-        raise ValidationError(f"{where}: expected a mapping with a 'kind'")
-    kind = _require(d, "kind", where)
-    if kind == "exact":
-        _reject_unknown(d, ("kind", "targets"), where)
-        targets = _require(d, "targets", where)
-        return ExactCounts({_as_int(j, where): tuple(_as_int(v, where) for v in vec)
-                            for j, vec in targets.items()})
-    if kind == "total":
-        _reject_unknown(d, ("kind", "targets"), where)
-        targets = _require(d, "targets", where)
-        return TotalCounts({_as_int(j, where): _as_int(v, where)
-                            for j, v in targets.items()})
-    if kind == "band":
-        _reject_unknown(d, ("kind", "bands"), where)
-        bands = _require(d, "bands", where)
-        out = {}
-        for j, pair in bands.items():
-            lo, hi = (_as_int(v, where) for v in pair)
-            if lo > hi:
-                raise ValidationError(f"{where}: band [{lo}, {hi}] is empty")
-            out[_as_int(j, where)] = (lo, hi)
-        return CountBands(out)
-    raise ValidationError(f"{where}: unknown condition kind {kind!r}")
+def _write_fields(obj, rows) -> Dict:
+    """Inverse of _read_fields: every field that is not None."""
+    out = {}
+    for key, attr, _, _ in rows:
+        value = getattr(obj, attr)
+        if value is not None:
+            out[key] = _plain(value)
+    return out
 
 
-def _condition_to_dict(cond: Condition) -> Dict:
-    if isinstance(cond, ExactCounts):
-        return {"kind": "exact",
-                "targets": {int(j): list(v) for j, v in sorted(cond.targets.items())}}
-    if isinstance(cond, TotalCounts):
-        return {"kind": "total",
-                "targets": {int(j): int(v) for j, v in sorted(cond.targets.items())}}
-    if isinstance(cond, CountBands):
-        return {"kind": "band",
-                "bands": {int(j): list(v) for j, v in sorted(cond.bands.items())}}
-    raise TypeError(f"cannot serialize {type(cond).__name__}")
+def _plain(value):
+    """YAML/JSON form of a value: kind-tagged objects as mappings that
+    leave out fields still at their defaults, tuples as lists, and
+    mappings in key order."""
+    if type(value) in _TAGGED:
+        kind, rows = _TAGGED[type(value)]
+        out = {"kind": kind}
+        for key, attr, _, default in rows:
+            field = getattr(value, attr)
+            if field != default:
+                out[key] = _plain(field)
+        return out
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: _plain(v) for k, v in sorted(value.items())}
+    return value
 
 
-def _grid_from_dict(d, net: NetworkSpec, where: str) -> Tuple[float, ...]:
-    if d is None:
-        hi = max(c.lead_time.upper_support for c in net.classes)
-        return tuple(np.linspace(0.0, 1.05 * hi, 211))
-    if isinstance(d, list):
-        grid = [_as_float(v, where) for v in d]
-    elif isinstance(d, dict):
-        _reject_unknown(d, ("lo", "hi", "points"), where)
-        lo = _as_float(_require(d, "lo", where), where)
-        hi = _as_float(_require(d, "hi", where), where)
-        pts = _as_int(_require(d, "points", where), where)
-        if pts < 2 or not lo < hi:
+def _kind_of(table: Mapping, what: str):
+    """Parser for one kind-tagged family."""
+    def parse(node, where):
+        kind = _require(_as_mapping(node, where), "kind", where)
+        if not isinstance(kind, str) or kind not in table:
+            raise ValidationError(f"{where}: unknown {what} kind {kind!r}")
+        cls = table[kind][0]
+        return _build(cls, _read_fields(node, _TAGGED[cls][1], where, ("kind",)), where)
+    return parse
+
+
+_band = _checked(_list_of(_as_int, 2), lambda b: b[0] <= b[1], "band [lo, hi] is empty")
+
+# kind -> (class, ((field, parser), ...)) for each kind-tagged family
+_LEAD_TIMES = {
+    "point": (PointMass, (("value", _as_float),)),
+    "uniform": (Uniform, (("lo", _as_float), ("hi", _as_float))),
+    "piecewise": (PiecewiseLinearCDF, (("knots", _list_of(_list_of(_as_float, 2))),)),
+}
+_LAWS = {
+    "exponential": (dists.Exponential, (("rate", _as_float),)),
+    "deterministic": (dists.Deterministic, (("value", _as_float),)),
+    "uniform": (dists.Uniform, (("lo", _as_float), ("hi", _as_float))),
+    "sequence": (dists.Sequence, (("values", _list_of(_as_float)), ("then", _as_float))),
+}
+_CONDITIONS = {
+    "exact": (ExactCounts, (("targets", _mapping_of(_as_int, _list_of(_as_int))),)),
+    "total": (TotalCounts, (("targets", _mapping_of(_as_int, _as_int)),)),
+    "band": (CountBands, (("bands", _mapping_of(_as_int, _band)),)),
+}
+_TAGGED = {cls: (kind, _rows(cls, fields))
+           for table in (_LEAD_TIMES, _LAWS, _CONDITIONS)
+           for kind, (cls, fields) in table.items()}
+
+_law = _kind_of(_LAWS, "sampling-law")
+
+
+def _service_rates(value, where: str):
+    if isinstance(value, dict):
+        return _mapping_of(_as_int, _as_float)(value, where)
+    return _as_float(value, where)
+
+
+_CLASS_ROWS = _rows(ClassSpec, (
+    ("id", _as_int),
+    ("route", _list_of(_as_int)),
+    ("arrival_rate", _as_float),
+    ("lead_time", _kind_of(_LEAD_TIMES, "lead-time")),
+    ("service_rates", _service_rates),
+    ("interarrival", _law),
+    ("service_laws", _mapping_of(_as_int, _law)),
+))
+_NETWORK_ROWS = (
+    ("stations", "station_count", _as_int, MISSING),
+    ("classes", "classes",
+     _checked(_list_of(_record(ClassSpec, _CLASS_ROWS)), len, "expected a nonempty list"),
+     MISSING),
+)
+
+
+def _grid(value, where: str) -> Tuple[float, ...]:
+    if isinstance(value, dict):
+        span = _read_fields(value, (("lo", "lo", _as_float, MISSING),
+                                    ("hi", "hi", _as_float, MISSING),
+                                    ("points", "points", _as_int, MISSING)), where)
+        if span["points"] < 2 or not span["lo"] < span["hi"]:
             raise ValidationError(f"{where}: need lo < hi and points >= 2")
-        grid = list(np.linspace(lo, hi, pts))
+        grid = tuple(float(v) for v in np.linspace(span["lo"], span["hi"], span["points"]))
     else:
-        raise ValidationError(f"{where}: expected a list or lo/hi/points mapping")
+        grid = _list_of(_as_float)(value, where)
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"{where}: grid must be strictly increasing, length >= 2")
-    return tuple(float(v) for v in grid)
+    return grid
+
+
+# (YAML key, ExperimentConfig field, parser, default); config_from_dict
+# fills in a seeds or grid default of None
+_EXPERIMENT_ROWS = (
+    ("seeds", "seeds", _checked(_list_of(_as_int), len, "must not be empty"), None),
+    ("condition", "condition", _kind_of(_CONDITIONS, "condition"), None),
+    ("threshold", "threshold",
+     _checked(_as_float, lambda v: v > 0, "must be positive"), 1.0),
+    ("snapshots", "snapshot_count",
+     _checked(_as_int, lambda v: v >= 1, "must be at least 1"), 50),
+    ("horizon_cap", "horizon_cap",
+     _checked(_as_float, lambda v: 0 < v < math.inf, "must be positive and finite"), 1e6),
+    ("preemptive", "preemptive", _as_bool, False),
+)
+_PREDICTION_ROWS = (
+    ("weights", "weight_kind",
+     _checked(_as_str, lambda v: v in ("count", "work"), "expected 'count' or 'work'"),
+     "count"),
+    ("normalize", "normalize", _as_bool, True),
+    ("grid", "grid", _grid, None),
+)
 
 
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
+    raw = _as_mapping(raw, "config")
     _reject_unknown(raw, ("network", "experiment", "prediction"), "config")
-    net = _network_from_dict(_require(raw, "network", "config"))
-
-    exp = raw.get("experiment") or {}
-    if not isinstance(exp, dict):
-        raise ValidationError("experiment: expected a mapping")
-    _reject_unknown(exp, ("seeds", "condition", "threshold", "snapshots",
-                          "horizon_cap", "preemptive"), "experiment")
-    if "seeds" in exp:
-        seeds = tuple(_as_int(s, "experiment.seeds") for s in exp["seeds"])
-        if not seeds:
-            raise ValidationError("experiment.seeds: must not be empty")
-    else:
-        seeds = (default_seed(),)
-    condition = None
-    if "condition" in exp:
-        condition = _condition_from_dict(exp["condition"], "experiment.condition")
-    threshold = _as_float(exp.get("threshold", 1.0), "experiment.threshold")
-    if not threshold > 0:
-        raise ValidationError("experiment.threshold: must be positive")
-    snapshots = _as_int(exp.get("snapshots", 50), "experiment.snapshots")
-    if snapshots < 1:
-        raise ValidationError("experiment.snapshots: must be at least 1")
-    horizon = _as_float(exp.get("horizon_cap", 1e6), "experiment.horizon_cap")
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise ValidationError("experiment.horizon_cap: must be positive and finite")
-    preemptive = exp.get("preemptive", False)
-    if not isinstance(preemptive, bool):
-        raise ValidationError("experiment.preemptive: expected true/false")
-
-    pred = raw.get("prediction") or {}
-    if not isinstance(pred, dict):
-        raise ValidationError("prediction: expected a mapping")
-    _reject_unknown(pred, ("weights", "normalize", "grid"), "prediction")
-    weight_kind = pred.get("weights", "count")
-    if weight_kind not in ("count", "work"):
-        raise ValidationError(f"prediction.weights: expected 'count' or 'work', "
-                              f"got {weight_kind!r}")
-    normalize = pred.get("normalize", True)
-    if not isinstance(normalize, bool):
-        raise ValidationError("prediction.normalize: expected true/false")
-    grid = _grid_from_dict(pred.get("grid"), net, "prediction.grid")
-
-    return ExperimentConfig(
-        network=net, seeds=seeds, condition=condition, threshold=threshold,
-        snapshot_count=snapshots, horizon_cap=horizon, preemptive=preemptive,
-        weight_kind=weight_kind, normalize=normalize, grid=grid)
+    net = _record(NetworkSpec, _NETWORK_ROWS)(_require(raw, "network", "config"), "network")
+    fields = _read_fields(raw.get("experiment") or {}, _EXPERIMENT_ROWS, "experiment")
+    fields.update(_read_fields(raw.get("prediction") or {}, _PREDICTION_ROWS, "prediction"))
+    if fields["seeds"] is None:
+        fields["seeds"] = (default_seed(),)
+    if fields["grid"] is None:
+        hi = max(c.lead_time.upper_support for c in net.classes)
+        fields["grid"] = tuple(np.linspace(0.0, 1.05 * hi, 211))
+    return ExperimentConfig(network=net, **fields)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> Dict:
-    out: Dict = {"network": _network_to_dict(cfg.network)}
-    exp: Dict = {
-        "seeds": list(cfg.seeds),
-        "threshold": cfg.threshold,
-        "snapshots": cfg.snapshot_count,
-        "horizon_cap": cfg.horizon_cap,
-        "preemptive": cfg.preemptive,
+    net = cfg.network
+    return {
+        "network": {"stations": net.station_count,
+                    "classes": [_write_fields(c, _CLASS_ROWS) for c in net.classes]},
+        "experiment": _write_fields(cfg, _EXPERIMENT_ROWS),
+        "prediction": _write_fields(cfg, _PREDICTION_ROWS),
     }
-    if cfg.condition is not None:
-        exp["condition"] = _condition_to_dict(cfg.condition)
-    out["experiment"] = exp
-    out["prediction"] = {
-        "weights": cfg.weight_kind,
-        "normalize": cfg.normalize,
-        "grid": list(cfg.grid),
-    }
-    return out
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -619,68 +585,31 @@ def run_experiment(cfg: ExperimentConfig) -> ProfileReport:
 # -------- export / import --------
 
 def report_to_dict(report: ProfileReport) -> Dict:
-    return {
-        "grid": list(report.grid),
-        "stations": [
-            {
-                "station": sp.station,
-                "emp_min": list(sp.emp_min),
-                "emp_mean": list(sp.emp_mean),
-                "emp_max": list(sp.emp_max),
-                "theory": list(sp.theory),
-                "sup_distance": sp.sup_distance,
-                "l1_distance": sp.l1_distance,
-                "behind_fraction_by_seed": list(sp.behind_fraction_by_seed),
-                "behind_fraction_mean": sp.behind_fraction_mean,
-            }
-            for sp in report.stations
-        ],
-        "loads": list(report.loads),
-        "frontiers": list(report.frontiers),
-        "permutation": list(report.permutation),
-        "weight_kind": report.weight_kind,
-        "normalized": report.normalized,
-        "seeds": list(report.seeds),
-        "snapshot_count": report.snapshot_count,
-        "partial": report.partial,
-        "sim_time": report.sim_time,
-        "config_digest": report.config_digest,
-    }
+    return _plain(dataclasses.asdict(report))
+
+
+# report field annotation -> parser
+_REPORT_TYPES = {
+    "int": _as_int,
+    "float": _as_float,
+    "bool": _as_bool,
+    "str": _as_str,
+    "Tuple[int, ...]": _list_of(_as_int),
+    "Tuple[float, ...]": _list_of(_as_float),
+}
+
+
+def _report_record(cls):
+    return _record(cls, _rows(cls, [(f.name, _REPORT_TYPES[f.type])
+                                    for f in dataclasses.fields(cls)]))
+
+
+_REPORT_TYPES["Tuple[StationProfile, ...]"] = _list_of(_report_record(StationProfile))
+_read_report = _report_record(ProfileReport)
 
 
 def report_from_dict(raw: Mapping) -> ProfileReport:
-    try:
-        stations = tuple(
-            StationProfile(
-                station=int(sp["station"]),
-                emp_min=tuple(float(v) for v in sp["emp_min"]),
-                emp_mean=tuple(float(v) for v in sp["emp_mean"]),
-                emp_max=tuple(float(v) for v in sp["emp_max"]),
-                theory=tuple(float(v) for v in sp["theory"]),
-                sup_distance=float(sp["sup_distance"]),
-                l1_distance=float(sp["l1_distance"]),
-                behind_fraction_by_seed=tuple(float(v)
-                                              for v in sp["behind_fraction_by_seed"]),
-                behind_fraction_mean=float(sp["behind_fraction_mean"]),
-            )
-            for sp in raw["stations"]
-        )
-        return ProfileReport(
-            grid=tuple(float(v) for v in raw["grid"]),
-            stations=stations,
-            loads=tuple(float(v) for v in raw["loads"]),
-            frontiers=tuple(float(v) for v in raw["frontiers"]),
-            permutation=tuple(int(v) for v in raw["permutation"]),
-            weight_kind=str(raw["weight_kind"]),
-            normalized=bool(raw["normalized"]),
-            seeds=tuple(int(v) for v in raw["seeds"]),
-            snapshot_count=int(raw["snapshot_count"]),
-            partial=bool(raw["partial"]),
-            sim_time=float(raw["sim_time"]),
-            config_digest=str(raw["config_digest"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed report: {exc}")
+    return _read_report(raw, "report")
 
 
 def render_report_csv(report: ProfileReport) -> str:
@@ -718,17 +647,7 @@ def export_report(
 
 
 def parse_report(yaml_path: str) -> ProfileReport:
-    with open(yaml_path, "r") as handle:
-        text = handle.read()
-    try:
-        raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        mark = getattr(exc, "problem_mark", None)
-        where = f" at line {mark.line + 1}" if mark is not None else ""
-        raise ParseError(f"{yaml_path}: invalid YAML{where}: {exc}")
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{yaml_path}: top level must be a mapping")
-    return report_from_dict(raw)
+    return report_from_dict(_load_yaml(yaml_path))
 
 
 def read_profile_csv(path: str) -> Tuple[Dict[int, Dict[str, List[float]]], bool]:

@@ -97,6 +97,13 @@ def test_solve_bad_loads(crossing_cfg, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_solve_malformed_config(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text(textwrap.dedent(CROSSING_CONFIG).replace("seeds: [1]", "seeds: 5"))
+    assert main(["solve", "-c", str(path), "--loads", "1"]) == 2
+    assert "experiment.seeds" in capsys.readouterr().err
+
+
 def test_solve_missing_config(capsys):
     assert main(["solve", "-c", "/no/such/file.yaml", "--loads", "1,1"]) == 2
     assert "error:" in capsys.readouterr().err

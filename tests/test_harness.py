@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config handling, bands, reports."""
 
 import math
+import re
 import textwrap
 
 import numpy as np
@@ -217,6 +218,21 @@ def test_unknown_fields_rejected(mutate):
         ({"prediction": {"grid": [1.0]}}, "grid"),
         ({"prediction": {"grid": [2.0, 1.0]}}, "grid"),
         ({"prediction": {"grid": {"lo": 0.0, "hi": 1.0, "points": 1}}}, "grid"),
+        # wrongly shaped values: scalars for lists or mappings, a
+        # non-integer station id, a band that is not [lo, hi]
+        ({"experiment": {"seeds": 5}}, "experiment.seeds"),
+        ({"experiment": {"condition": {"kind": "total", "targets": [1, 2]}}},
+         "experiment.condition.targets"),
+        ({"experiment": {"condition": {"kind": "exact", "targets": {1: 3}}}},
+         "experiment.condition.targets[1]"),
+        ({"experiment": {"condition": {"kind": "band", "bands": {1: [1, 2, 3]}}}},
+         "experiment.condition.bands[1]"),
+        ({"experiment": {"condition": {"kind": "band", "bands": 4}}},
+         "experiment.condition.bands"),
+        ({"network": {"stations": 1, "classes": [
+            {"id": 1, "route": [1.7], "arrival_rate": 0.5,
+             "lead_time": {"kind": "point", "value": 10.0}}]}},
+         "network.classes[0].route"),
     ],
 )
 def test_invalid_fields_rejected(patch, field):
@@ -224,7 +240,7 @@ def test_invalid_fields_rejected(patch, field):
         {"id": 1, "route": [1], "arrival_rate": 0.5,
          "lead_time": {"kind": "point", "value": 10.0}}]}}
     raw.update(patch)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=re.escape(field)):
         config_from_dict(raw)
 
 
