@@ -37,7 +37,7 @@ def _block_sampler(draw_block: Callable[[int], np.ndarray]) -> Callable[[], floa
 
     def draw() -> float:
         nonlocal buf, pos
-        if pos == len(buf):
+        if pos == _BLOCK:
             buf = draw_block(_BLOCK)
             pos = 0
         v = float(buf[pos])

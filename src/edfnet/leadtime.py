@@ -251,7 +251,16 @@ class PiecewiseLinearCDF(LeadTimeDist):
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
         if size is None:
             return self._quantile(rng.random())
-        return np.array([self._quantile(u) for u in rng.random(size)])
+        # _quantile over a whole block, with the same arithmetic
+        ys, gs = np.array(self._ys), np.array(self._gs)
+        u = rng.random(size)
+        i = np.searchsorted(gs, u, side="left")
+        out = np.full(size, ys[0])
+        up = i > 0
+        hi, lo = i[up], i[up] - 1
+        frac = (u[up] - gs[lo]) / (gs[hi] - gs[lo])
+        out[up] = ys[lo] + frac * (ys[hi] - ys[lo])
+        return out
 
     def _quantile(self, u: float) -> float:
         """Smallest lead y with cdf(y) >= u (inverse-CDF sampling)."""

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -36,7 +37,6 @@ import numpy as np
 
 from . import dists
 from .errors import ClassDoesNotVisitStation, EventCapExceeded
-from .leadtime import LeadTimeDist
 from .topology import NetworkSpec, Topology, build_topology
 
 __all__ = [
@@ -159,7 +159,8 @@ class SimState:
         for c in spec.classes:
             gap_law = c.interarrival or dists.Exponential(c.arrival_rate)
             self._draw_gap[c.id] = gap_law.sampler(self._stream(1, c.id, 0))
-            self._draw_lead[c.id] = _lead_sampler(c.lead_time, self._stream(2, c.id, 0))
+            self._draw_lead[c.id] = dists._block_sampler(
+                partial(c.lead_time.sample, self._stream(2, c.id, 0)))
             for j in c.route:
                 law = c.service_law(j) or dists.Exponential(c.service_rate(j))
                 self._draw_service[(c.id, j)] = law.sampler(self._stream(3, c.id, j))
@@ -368,22 +369,6 @@ class CountBands:
 
 
 Condition = Union[ExactCounts, TotalCounts, CountBands]
-
-
-def _lead_sampler(dist: LeadTimeDist, rng: np.random.Generator) -> Callable[[], float]:
-    buf = dist.sample(rng, 512)
-    pos = 0
-
-    def draw() -> float:
-        nonlocal buf, pos
-        if pos == 512:
-            buf = dist.sample(rng, 512)
-            pos = 0
-        v = buf[pos]
-        pos += 1
-        return float(v)
-
-    return draw
 
 
 def _take_snapshot(sim: SimState) -> Snapshot:
