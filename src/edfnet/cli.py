@@ -11,6 +11,7 @@ produced only partial results.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from typing import List, Optional
@@ -41,11 +42,7 @@ def _model_for(cfg, args):
     normalize = cfg.normalize
     if getattr(args, "normalize", None) is not None:
         normalize = args.normalize
-    adjusted = harness.ExperimentConfig(
-        network=cfg.network, seeds=cfg.seeds, condition=cfg.condition,
-        threshold=cfg.threshold, snapshot_count=cfg.snapshot_count,
-        horizon_cap=cfg.horizon_cap, preemptive=cfg.preemptive,
-        weight_kind=weights, normalize=normalize, grid=cfg.grid)
+    adjusted = dataclasses.replace(cfg, weight_kind=weights, normalize=normalize)
     return harness.prediction_model(adjusted), adjusted
 
 
@@ -118,11 +115,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = harness.parse_config(args.config)
     if args.seed is not None:
-        cfg = harness.ExperimentConfig(
-            network=cfg.network, seeds=(args.seed,), condition=cfg.condition,
-            threshold=cfg.threshold, snapshot_count=cfg.snapshot_count,
-            horizon_cap=cfg.horizon_cap, preemptive=cfg.preemptive,
-            weight_kind=cfg.weight_kind, normalize=cfg.normalize, grid=cfg.grid)
+        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
     report = harness.run_experiment(cfg)
     harness.export_report(report, csv_path=args.output, yaml_path=args.structured)
     print(f"snapshots: {report.snapshot_count}"

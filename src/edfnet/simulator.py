@@ -371,18 +371,6 @@ class CountBands:
 Condition = Union[ExactCounts, TotalCounts, CountBands]
 
 
-def _take_snapshot(sim: SimState) -> Snapshot:
-    now = sim.clock
-    stations = {}
-    for st in sim.stations[1:]:
-        pairs = [(c.class_id, c.deadline - now) for _, _, _, c in st.pending]
-        if st.serving is not None:
-            pairs.append((st.serving.class_id, st.serving.deadline - now))
-        pairs.sort(key=lambda p: (p[1], p[0]))
-        stations[st.sid] = tuple(pairs)
-    return Snapshot(time=now, stations=stations)
-
-
 # -------- public operations --------
 
 def new_sim(spec: NetworkSpec, *, seed: int, preemptive: bool = False) -> SimState:
@@ -472,7 +460,7 @@ def conditional_sample(
                 if t_hit <= boundary:
                     sim._advance(t_hit)
                     acc = 0.0
-                    snaps.append(_take_snapshot(sim))
+                    snaps.append(snapshot_profiles(sim))
                 else:
                     acc += boundary - sim.clock
                     break
@@ -487,7 +475,15 @@ def conditional_sample(
 
 def snapshot_profiles(sim: SimState) -> Snapshot:
     """Current per-station (class id, lead time) content."""
-    return _take_snapshot(sim)
+    now = sim.clock
+    stations = {}
+    for st in sim.stations[1:]:
+        pairs = [(c.class_id, c.deadline - now) for _, _, _, c in st.pending]
+        if st.serving is not None:
+            pairs.append((st.serving.class_id, st.serving.deadline - now))
+        pairs.sort(key=lambda p: (p[1], p[0]))
+        stations[st.sid] = tuple(pairs)
+    return Snapshot(time=now, stations=stations)
 
 
 def frontier(sim: SimState, k: int, j: int) -> float:
