@@ -1,6 +1,7 @@
 """Tests for the experiment harness: config handling, bands, reports."""
 
 import math
+import pathlib
 import re
 import textwrap
 
@@ -29,6 +30,7 @@ from edfnet import (
     read_profile_csv,
     run_experiment,
 )
+from edfnet import harness
 from edfnet.harness import SEED_ENV_VAR, config_hash, render_report_csv
 
 FULL_CONFIG = """
@@ -279,6 +281,22 @@ def test_law_kinds_parse():
     entry["interarrival"] = {"kind": "uniform", "lo": 1.0, "hi": 3.0}
     cfg = config_from_dict(raw)
     assert cfg.network.classes[0].interarrival == dists.Uniform(1.0, 3.0)
+
+
+def documented_kinds(heading):
+    """Kinds listed in the first column of a table in config_schema.md."""
+    doc = pathlib.Path(__file__).resolve().parent.parent / "docs" / "config_schema.md"
+    section = doc.read_text().split(f"## {heading}", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(\w+)`", section, re.MULTILINE))
+
+
+@pytest.mark.parametrize("heading,table", [
+    ("Lead-time distributions", harness._LEAD_TIMES),
+    ("Sampling laws", harness._LAWS),
+    ("Conditioning", harness._CONDITIONS),
+])
+def test_schema_doc_lists_every_kind(heading, table):
+    assert documented_kinds(heading) == set(table)
 
 
 def test_config_hash_distinguishes():
