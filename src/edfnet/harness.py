@@ -319,12 +319,12 @@ _CLASS_ROWS = _rows(ClassSpec, (
     ("interarrival", _law),
     ("service_laws", _mapping_of(_as_int, _law)),
 ))
-_NETWORK_ROWS = (
+_network = _record(NetworkSpec, (
     ("stations", "station_count", _as_int, MISSING),
     ("classes", "classes",
      _checked(_list_of(_record(ClassSpec, _CLASS_ROWS)), len, "expected a nonempty list"),
      MISSING),
-)
+))
 
 
 def _grid(value, where: str) -> Tuple[float, ...]:
@@ -367,7 +367,7 @@ _PREDICTION_ROWS = (
 def config_from_dict(raw: Mapping) -> ExperimentConfig:
     raw = _as_mapping(raw, "config")
     _reject_unknown(raw, ("network", "experiment", "prediction"), "config")
-    net = _record(NetworkSpec, _NETWORK_ROWS)(_require(raw, "network", "config"), "network")
+    net = _network(_require(raw, "network", "config"), "network")
     fields = _read_fields(raw.get("experiment") or {}, _EXPERIMENT_ROWS, "experiment")
     fields.update(_read_fields(raw.get("prediction") or {}, _PREDICTION_ROWS, "prediction"))
     if fields["seeds"] is None:

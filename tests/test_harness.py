@@ -31,7 +31,13 @@ from edfnet import (
     run_experiment,
 )
 from edfnet import harness
-from edfnet.harness import SEED_ENV_VAR, config_hash, render_report_csv
+from edfnet.harness import (
+    SEED_ENV_VAR,
+    config_hash,
+    render_report_csv,
+    report_from_dict,
+    report_to_dict,
+)
 
 FULL_CONFIG = """
 network:
@@ -453,6 +459,13 @@ def test_parse_report_rejects_malformed(tmp_path):
     path.write_text("grid: [0.0, 1.0\n")
     with pytest.raises(ParseError):
         parse_report(str(path))
+
+
+def test_report_from_dict_names_the_bad_field():
+    raw = report_to_dict(run_experiment(scripted_config()))
+    raw["stations"][0]["theory"][3] = "x"
+    with pytest.raises(ValidationError, match=re.escape("report.stations[0].theory[3]")):
+        report_from_dict(raw)
 
 
 @pytest.mark.parametrize(
