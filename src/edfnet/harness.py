@@ -250,8 +250,10 @@ def _write_fields(obj, rows) -> Dict:
 
 def _plain(value):
     """YAML/JSON form of a value: kind-tagged objects as mappings that
-    leave out fields still at their defaults, tuples as lists, and
-    mappings in key order."""
+    leave out fields still at their defaults, other dataclasses as
+    mappings of every field, tuples as lists, and mappings in key order."""
+    if isinstance(value, (str, int, float)):
+        return value
     if type(value) in _TAGGED:
         kind, rows = _TAGGED[type(value)]
         out = {"kind": kind}
@@ -260,6 +262,9 @@ def _plain(value):
             if field != default:
                 out[key] = _plain(field)
         return out
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name))
+                for f in sorted(dataclasses.fields(value), key=lambda f: f.name)}
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
     if isinstance(value, Mapping):
@@ -327,7 +332,9 @@ _network = _record(NetworkSpec, (
 ))
 
 
-def _grid(value, where: str) -> Tuple[float, ...]:
+def _grid(value, where: str) -> Optional[Tuple[float, ...]]:
+    if value is None:
+        return None
     if isinstance(value, dict):
         span = _read_fields(value, (("lo", "lo", _as_float, MISSING),
                                     ("hi", "hi", _as_float, MISSING),
@@ -343,7 +350,7 @@ def _grid(value, where: str) -> Tuple[float, ...]:
 
 
 # (YAML key, ExperimentConfig field, parser, default); config_from_dict
-# fills in a seeds or grid default of None
+# fills in a seeds or grid default of None (a null grid counts as absent)
 _EXPERIMENT_ROWS = (
     ("seeds", "seeds", _checked(_list_of(_as_int), len, "must not be empty"), None),
     ("condition", "condition", _kind_of(_CONDITIONS, "condition"), None),
@@ -585,7 +592,7 @@ def run_experiment(cfg: ExperimentConfig) -> ProfileReport:
 # -------- export / import --------
 
 def report_to_dict(report: ProfileReport) -> Dict:
-    return _plain(dataclasses.asdict(report))
+    return _plain(report)
 
 
 # report field annotation -> parser

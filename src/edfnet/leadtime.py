@@ -249,9 +249,9 @@ class PiecewiseLinearCDF(LeadTimeDist):
         return self._ys
 
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
+        """Inverse-CDF draws: the smallest lead y with cdf(y) >= u."""
         if size is None:
-            return self._quantile(rng.random())
-        # _quantile over a whole block, with the same arithmetic
+            return float(self.sample(rng, 1)[0])
         ys, gs = np.array(self._ys), np.array(self._gs)
         u = rng.random(size)
         i = np.searchsorted(gs, u, side="left")
@@ -261,15 +261,6 @@ class PiecewiseLinearCDF(LeadTimeDist):
         frac = (u[up] - gs[lo]) / (gs[hi] - gs[lo])
         out[up] = ys[lo] + frac * (ys[hi] - ys[lo])
         return out
-
-    def _quantile(self, u: float) -> float:
-        """Smallest lead y with cdf(y) >= u (inverse-CDF sampling)."""
-        ys, gs = self._ys, self._gs
-        i = bisect_left(gs, u)
-        if i == 0:
-            return ys[0]
-        frac = (u - gs[i - 1]) / (gs[i] - gs[i - 1])
-        return ys[i - 1] + frac * (ys[i] - ys[i - 1])
 
 
 DistLike = Union[PointMass, Uniform, PiecewiseLinearCDF]

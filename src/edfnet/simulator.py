@@ -335,6 +335,10 @@ class ExactCounts:
 
     targets: Mapping[int, Tuple[int, ...]]
 
+    def __post_init__(self):
+        object.__setattr__(self, "targets", {int(j): tuple(int(n) for n in vec)
+                                             for j, vec in self.targets.items()})
+
     def holds(self, sim: SimState) -> bool:
         for j, vec in self.targets.items():
             if sim.stations[j].class_counts[1:] != list(vec):
@@ -348,6 +352,10 @@ class TotalCounts:
 
     targets: Mapping[int, int]
 
+    def __post_init__(self):
+        object.__setattr__(self, "targets",
+                           {int(j): int(n) for j, n in self.targets.items()})
+
     def holds(self, sim: SimState) -> bool:
         for j, n in self.targets.items():
             if sim.stations[j].present != n:
@@ -360,6 +368,10 @@ class CountBands:
     """Condition: total count within [lo, hi] at each listed station."""
 
     bands: Mapping[int, Tuple[int, int]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "bands", {int(j): (int(lo), int(hi))
+                                           for j, (lo, hi) in self.bands.items()})
 
     def holds(self, sim: SimState) -> bool:
         for j, (lo, hi) in self.bands.items():

@@ -73,6 +73,10 @@ class ClassSpec:
             raise ValueError(f"class id must be a positive integer, got {self.id!r}")
         route = tuple(int(j) for j in self.route)
         object.__setattr__(self, "route", route)
+        rates = self.service_rates
+        object.__setattr__(self, "service_rates",
+                           {int(j): float(mu) for j, mu in rates.items()}
+                           if isinstance(rates, Mapping) else float(rates))
         if len(route) == 0:
             raise ValueError(f"class {self.id}: route must visit at least one station")
         if any(j < 1 for j in route):
@@ -94,10 +98,10 @@ class ClassSpec:
     def service_rate(self, j: int) -> float:
         if isinstance(self.service_rates, Mapping):
             try:
-                return float(self.service_rates[j])
+                return self.service_rates[j]
             except KeyError:
                 raise ValueError(f"class {self.id}: no service rate for station {j}")
-        return float(self.service_rates)
+        return self.service_rates
 
     def service_law(self, j: int) -> Optional[dists.SamplingLaw]:
         if self.service_laws is None:

@@ -8,15 +8,18 @@ fails here, even when the new output is self-consistent from run to
 run (which is all criterion 9 checks).
 """
 
+import dataclasses
 import hashlib
 import pathlib
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import _random_spec
 from edfnet import new_sim, parse_config, run_experiment, run_until, snapshot_profiles
-from edfnet.harness import config_hash, render_report_csv, render_report_yaml
+from edfnet.harness import config_from_dict, config_hash, render_report_csv, render_report_yaml
+from edfnet.simulator import TotalCounts
 from test_harness import scripted_config
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -26,13 +29,36 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+MM1 = "d9c3ee08f1c73c98560e4add89e9e2de9e11b87404c42ecee8fe367e71f80e8b"
+
+
 @pytest.mark.parametrize("name,digest", [
     ("crossing_base", "f1eaed149b76a249320917350e2544dd73dde277693353b748a06e6d0b8f0f18"),
     ("desk_experiment", "f09707816b0510e9a809b98747b218151c42e67f8651f88f2e067926947cce73"),
-    ("mm1", "d9c3ee08f1c73c98560e4add89e9e2de9e11b87404c42ecee8fe367e71f80e8b"),
+    ("mm1", MM1),
 ])
 def test_config_digest(name, digest):
     assert config_hash(parse_config(CONFIGS / f"{name}.yaml")) == digest
+
+
+@pytest.mark.parametrize("rates,digest", [
+    (1, MM1),
+    ({1: 1}, "b17a6e5dc13e3d69ee0a0b3dc71eb44a5955cd177a065205175f2b388810915d"),
+], ids=["scalar", "mapping"])
+def test_config_digest_of_code_built_values(rates, digest):
+    """Integer rates and numpy condition counts hash as their float and int forms."""
+    cfg = parse_config(CONFIGS / "mm1.yaml")
+    cls = dataclasses.replace(cfg.network.classes[0], service_rates=rates)
+    cfg = dataclasses.replace(
+        cfg, network=dataclasses.replace(cfg.network, classes=(cls,)),
+        condition=TotalCounts({np.int64(1): np.int64(2)}))
+    assert config_hash(cfg) == digest
+
+
+def test_config_digest_null_grid():
+    raw = yaml.safe_load((CONFIGS / "mm1.yaml").read_text())
+    raw["prediction"]["grid"] = None
+    assert config_hash(config_from_dict(raw)) == MM1
 
 
 @pytest.mark.parametrize("make_cfg,csv_digest,yaml_digest", [
