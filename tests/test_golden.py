@@ -1,15 +1,22 @@
-"""Golden digests: config hashes, report bytes and the simulator stream.
+"""Golden digests: config hashes, report bytes, the simulator stream
+and frontier predictions.
 
-Every value below was recorded from the code as it stood before the
-config/report codec and the lead-time sampler were rewritten.  A
-refactor that changes a config digest, one byte of a rendered report,
-the layout of a random stream or the order of simultaneous events
-fails here, even when the new output is self-consistent from run to
-run (which is all criterion 9 checks).
+Each value below was recorded from the code as it stood before the
+rewrite it guards.  The config, report and stream digests predate the
+config/report codec and the lead-time sampler rewrite; the prediction
+digests predate the merge of the load map, the staged solver and
+profile prediction into one mass-above-a-level routine.  A refactor
+that changes a config digest, one byte of a rendered report, the
+layout of a random stream, the order of simultaneous events or one bit
+of a solved frontier or predicted CDF fails here, even when the new
+output is self-consistent from run to run (which is all criterion 9
+checks).
 """
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import pathlib
 
 import numpy as np
@@ -17,8 +24,27 @@ import pytest
 import yaml
 
 from conftest import _random_spec
-from edfnet import new_sim, parse_config, run_experiment, run_until, snapshot_profiles
-from edfnet.harness import config_from_dict, config_hash, render_report_csv, render_report_yaml
+from edfnet import (
+    PiecewiseLinearCDF,
+    PointMass,
+    Uniform,
+    build_topology,
+    count_model,
+    new_sim,
+    parse_config,
+    run_experiment,
+    run_until,
+    snapshot_profiles,
+    solve_frontiers,
+)
+from edfnet.cli import main
+from edfnet.harness import (
+    config_from_dict,
+    config_hash,
+    render_report_csv,
+    render_report_yaml,
+    theory_cdf,
+)
 from edfnet.simulator import TotalCounts
 from test_harness import scripted_config
 
@@ -96,3 +122,38 @@ def test_simulator_stream(net_seed, digests, preemptive):
         run_until(sim, float(t))
         h.update(repr((sim.events_processed, snapshot_profiles(sim))).encode())
     assert h.hexdigest() == digests[preemptive]
+
+
+# Random networks with at most 7 classes: the per-class sums then run in
+# ascending class id whether they iterate a frozenset or a sorted list,
+# so the digests pin the arithmetic bit for bit.  Each network carries
+# point, uniform and piecewise lead times.
+PREDICTION_GRID = tuple(float(v) for v in np.linspace(-20.0, 620.0, 161))
+
+
+@pytest.mark.parametrize("net_seed,digest", [
+    (4, "e188bda430cdcaadd59791c9bd113c2b6fb7cb8d65eebda1b431b661abdd1f3f"),
+    (10, "4ff9642401e49e8e851834ae77c8d81d75000062d687360f132dada4a06a53be"),
+    (13, "0e598bd8dcdbe5224cddc08c2cb244567e91105389d2cde646b3a581cbbba64f"),
+])
+def test_prediction_digest(net_seed, digest):
+    rng = np.random.default_rng(net_seed)
+    spec = _random_spec(rng, 4, 7)
+    assert {type(c.lead_time) for c in spec.classes} == {PointMass, Uniform, PiecewiseLinearCDF}
+    model = count_model(build_topology(spec))
+    sol = solve_frontiers(model, rng.uniform(0.0, 40.0, size=spec.station_count))
+    h = hashlib.sha256(repr(sol.frontiers).encode())
+    for j in spec.stations:
+        h.update(theory_cdf(model, sol, j, PREDICTION_GRID).tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("crossing_base", "65dfb06e72c38cc963319acad52870af5bf9b02b117fea85115881ce211f4ce4"),
+    ("desk_experiment", "dbebf2f54c13ac9aa36008df3be4bb1d723d7ae0ff85916730b85931b4b26327"),
+])
+def test_predict_csv_digest(name, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["predict", "-c", str(CONFIGS / f"{name}.yaml"), "--loads", "50,58"]) == 0
+    assert sha256(out.getvalue()) == digest
