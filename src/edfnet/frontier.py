@@ -8,11 +8,13 @@ at station j equals a weighted sum over visiting classes of integrated
 lead-time tails, clipped between the station's own frontier and the
 smallest frontier among the class's upstream stations.
 
-``frontier_loads`` evaluates that map; ``solve_frontiers`` inverts it
-station by station, placing at each stage the station whose stage-local
-inverse is largest.  ``predict_profile`` turns a solved frontier vector
-into the predicted queue mass with lead time above any level, which is
-what the experiment harness compares against simulated profiles.
+That sum is written once: ``_terms`` builds a station's per-class
+table and ``_mass_above`` evaluates it at a lead level.
+``frontier_loads`` evaluates it at each station's own frontier;
+``solve_frontiers`` inverts it station by station, placing at each stage
+the station whose stage-local inverse is largest; ``predict_profile``
+evaluates it above a level, giving the predicted queue mass that the
+experiment harness compares against simulated profiles.
 
 All of this is exact piecewise-polynomial arithmetic: integrated tails
 of the supported lead-time laws are piecewise quadratic, so stage
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -120,19 +122,49 @@ def normalize_by_intensity(model: WeightedModel) -> WeightedModel:
     return WeightedModel(topo, w, kind=model.kind, normalized=True)
 
 
-# -------- the load map --------
+# -------- mass above a level --------
 
-def _upstream_floor(topo: Topology, k: int, j: int, values) -> float:
-    """Smallest frontier among the stations class k clears before j.
+class _Term(NamedTuple):
+    weight: float
+    dist: LeadTimeDist
+    cap: float    # tail already drained by upstream stations
+    cut: float    # lead level above which the term vanishes
 
-    ``values`` is indexed by station-1; an entering class has no
-    upstream stations and the floor is +infinity (whose integrated
-    tail is zero).
-    """
-    ups = topo.upstream[(k, j)]
-    if not ups:
-        return math.inf
-    return min(values[i - 1] for i in ups)
+
+def _terms(model: WeightedModel, j: int, classes: FrozenSet[int],
+           floors: Mapping[int, float]) -> List[_Term]:
+    """Per-class terms at station j in ascending class id.  A class's
+    floor is the smallest of ``floors`` (station -> frontier) over the
+    stations it clears before j, or +inf (tail zero) if it enters here."""
+    topo = model.topology
+    terms = []
+    for k in sorted(classes):
+        dist = topo.lead_dist(k)
+        ups = topo.upstream[(k, j)]
+        floor = min(floors[i] for i in ups) if ups else math.inf
+        terms.append(_Term(
+            weight=model.weights[(k, j)],
+            dist=dist,
+            cap=dist.integrated_tail(floor),
+            cut=min(dist.upper_support, floor),
+        ))
+    return terms
+
+
+def _mass_above(terms: List[_Term], y: float) -> float:
+    """Weighted tail mass above level y, each class clipped at its floor."""
+    total = 0.0
+    for w, dist, cap, cut in terms:
+        if y < cut:
+            total += w * (dist.integrated_tail(y) - cap)
+    return total
+
+
+def _station_frontiers(topo: Topology, y: Sequence[float]) -> Dict[int, float]:
+    vals = [float(v) for v in y]
+    if len(vals) != topo.station_count:
+        raise ValueError(f"expected {topo.station_count} frontier values, got {len(vals)}")
+    return dict(zip(topo.spec.stations, vals))
 
 
 def frontier_loads(model: WeightedModel, y: Sequence[float]) -> np.ndarray:
@@ -145,20 +177,9 @@ def frontier_loads(model: WeightedModel, y: Sequence[float]) -> np.ndarray:
     upstream stations cannot sit here).
     """
     topo = model.topology
-    vals = [float(v) for v in y]
-    if len(vals) != topo.station_count:
-        raise ValueError(f"expected {topo.station_count} frontier values, got {len(vals)}")
-    out = np.zeros(topo.station_count)
-    for j in topo.spec.stations:
-        total = 0.0
-        for k in topo.visiting[j]:
-            dist = topo.lead_dist(k)
-            tail = dist.integrated_tail(vals[j - 1])
-            tail -= dist.integrated_tail(_upstream_floor(topo, k, j, vals))
-            if tail > 0.0:
-                total += model.weights[(k, j)] * tail
-        out[j - 1] = total
-    return out
+    vals = _station_frontiers(topo, y)
+    return np.array([_mass_above(_terms(model, j, topo.visiting[j], vals), vals[j])
+                     for j in topo.spec.stations])
 
 
 # -------- staged inversion --------
@@ -183,39 +204,7 @@ class FrontierSolution:
     loads: Tuple[float, ...]
 
 
-class _StageTerm(NamedTuple):
-    weight: float
-    dist: LeadTimeDist
-    cap: float    # tail already drained by upstream stations
-    cut: float    # lead level above which the term vanishes
-
-
-def _stage_terms(model: WeightedModel, j: int, classes: FrozenSet[int],
-                 assigned: Dict[int, float]) -> List[_StageTerm]:
-    topo = model.topology
-    terms = []
-    for k in sorted(classes):
-        dist = topo.lead_dist(k)
-        ups = topo.upstream[(k, j)]
-        floor = min(assigned[i] for i in ups) if ups else math.inf
-        terms.append(_StageTerm(
-            weight=model.weights[(k, j)],
-            dist=dist,
-            cap=dist.integrated_tail(floor),
-            cut=min(dist.upper_support, floor),
-        ))
-    return terms
-
-
-def _stage_value(terms: List[_StageTerm], y: float) -> float:
-    total = 0.0
-    for w, dist, cap, cut in terms:
-        if y < cut:
-            total += w * (dist.integrated_tail(y) - cap)
-    return total
-
-
-def _stage_inverse(terms: List[_StageTerm], target: float) -> Tuple[float, float]:
+def _stage_inverse(terms: List[_Term], target: float) -> Tuple[float, float]:
     """Solve the stage equation for one station.
 
     The stage function is continuous, zero at the bound (the largest
@@ -237,7 +226,7 @@ def _stage_inverse(terms: List[_StageTerm], target: float) -> Tuple[float, float
 
     hi, val_hi = bound, 0.0
     for p in reversed(points[:-1]):
-        val_p = _stage_value(terms, p)
+        val_p = _mass_above(terms, p)
         if val_p >= target:
             return _solve_segment(terms, p, val_p, hi, val_hi, target), bound
         hi, val_hi = p, val_p
@@ -248,7 +237,7 @@ def _stage_inverse(terms: List[_StageTerm], target: float) -> Tuple[float, float
     return hi - (target - val_hi) / slope, bound
 
 
-def _solve_segment(terms: List[_StageTerm], lo: float, val_lo: float,
+def _solve_segment(terms: List[_Term], lo: float, val_lo: float,
                    hi: float, val_hi: float, target: float) -> float:
     """Root of the stage function on one polynomial piece.
 
@@ -265,7 +254,7 @@ def _solve_segment(terms: List[_StageTerm], lo: float, val_lo: float,
         return hi if abs(val_hi - target) <= abs(val_lo - target) else lo
 
     mid = 0.5 * (lo + hi)
-    val_mid = _stage_value(terms, mid)
+    val_mid = _mass_above(terms, mid)
     d1 = (val_mid - val_lo) / (mid - lo)
     d2 = ((val_hi - val_mid) / (hi - mid) - d1) / (hi - lo)
     # quadratic in d = y - lo:  d2*d^2 + (d1 - d2*(mid-lo))*d + (val_lo - target)
@@ -290,7 +279,7 @@ def _solve_segment(terms: List[_StageTerm], lo: float, val_lo: float,
     for d in candidates:
         if -slack <= d <= width + slack:
             y = min(max(lo + d, lo), hi)
-            err = abs(_stage_value(terms, y) - target)
+            err = abs(_mass_above(terms, y) - target)
             if best is None or err < best[0]:
                 best = (err, y)
     if best is not None and best[0] <= 1e-9 * max(1.0, abs(target)):
@@ -300,14 +289,14 @@ def _solve_segment(terms: List[_StageTerm], lo: float, val_lo: float,
     a_, b_ = lo, hi
     for _ in range(200):
         m = 0.5 * (a_ + b_)
-        if _stage_value(terms, m) >= target:
+        if _mass_above(terms, m) >= target:
             a_ = m
         else:
             b_ = m
         if b_ - a_ <= 1e-13 * max(1.0, abs(m)):
             break
     y = 0.5 * (a_ + b_)
-    if abs(_stage_value(terms, y) - target) > 1e-6 * max(1.0, abs(target)):
+    if abs(_mass_above(terms, y) - target) > 1e-6 * max(1.0, abs(target)):
         raise SolverDivergence(
             f"stage solve failed on [{lo}, {hi}] for target {target}")
     return y
@@ -338,7 +327,7 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
         reach, reachable = reach_sets(topo, order)
         best = None
         for j in sorted(reachable):
-            terms = _stage_terms(model, j, reach[j], assigned)
+            terms = _terms(model, j, reach[j], assigned)
             y_j, b_j = _stage_inverse(terms, vec[j - 1])
             if best is None or y_j > best[1]:
                 best = (j, y_j, b_j)
@@ -369,30 +358,25 @@ def predict_profile(
     model: WeightedModel,
     solution: Union[FrontierSolution, Sequence[float]],
     j: int,
-    y: float,
-) -> float:
+    y: Union[float, Sequence[float]],
+) -> Union[float, np.ndarray]:
     """Predicted queue mass at station j with lead time above y.
 
     Below the station frontier the prediction saturates at the station
     total, so evaluating at -inf (or anything at most the frontier)
-    gives the predicted station load.
+    gives the predicted station load.  ``y`` is one level, which gives
+    a float, or a sequence of levels, which gives an ndarray of the
+    same length; the per-class terms are built once either way.
     """
     topo = model.topology
     fr = solution.frontiers if isinstance(solution, FrontierSolution) else solution
-    vals = [float(v) for v in fr]
-    if len(vals) != topo.station_count:
-        raise ValueError(f"expected {topo.station_count} frontier values, got {len(vals)}")
+    vals = _station_frontiers(topo, fr)
     if j not in topo.visiting:
         raise ValueError(f"station {j} is not in the network")
-    level = max(float(y), vals[j - 1])
-    total = 0.0
-    for k in topo.visiting[j]:
-        dist = topo.lead_dist(k)
-        tail = dist.integrated_tail(level)
-        tail -= dist.integrated_tail(_upstream_floor(topo, k, j, vals))
-        if tail > 0.0:
-            total += model.weights[(k, j)] * tail
-    return total
+    terms = _terms(model, j, topo.visiting[j], vals)
+    if np.ndim(y) == 0:
+        return _mass_above(terms, max(float(y), vals[j]))
+    return np.array([_mass_above(terms, max(float(v), vals[j])) for v in y])
 
 
 # -------- two-station closed forms --------

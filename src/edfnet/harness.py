@@ -485,8 +485,16 @@ class ProfileReport:
         raise KeyError(j)
 
 
-def _conditioning_loads(condition: Condition, station_count: int) -> List[float]:
+def _conditioning_loads(condition: Condition, network: NetworkSpec) -> List[float]:
+    """Per-station totals the condition fixes, checked against the network."""
+    station_count = network.station_count
     if isinstance(condition, ExactCounts):
+        K = len(network.classes)
+        for j, vec in condition.targets.items():
+            if len(vec) != K:
+                raise ValidationError(
+                    f"condition vector at station {j} has {len(vec)} counts; "
+                    f"the network has {K} classes")
         totals = {j: float(sum(vec)) for j, vec in condition.targets.items()}
     elif isinstance(condition, TotalCounts):
         totals = {j: float(v) for j, v in condition.targets.items()}
@@ -494,6 +502,10 @@ def _conditioning_loads(condition: Condition, station_count: int) -> List[float]
         totals = {j: 0.5 * (lo + hi) for j, (lo, hi) in condition.bands.items()}
     else:
         raise ValidationError(f"unsupported condition {type(condition).__name__}")
+    for j in totals:
+        if not 1 <= j <= station_count:
+            raise ValidationError(
+                f"condition names station {j}; stations are 1..{station_count}")
     missing = [j for j in range(1, station_count + 1) if j not in totals]
     if missing:
         raise ValidationError(
@@ -517,11 +529,10 @@ def theory_cdf(model: WeightedModel, solution: FrontierSolution, j: int,
     total, gives the complementary CDF; a station predicted empty gets
     the constant CDF 1, mirroring the empirical convention.
     """
-    total = predict_profile(model, solution, j, -math.inf)
-    if total <= 0.0:
+    masses = predict_profile(model, solution, j, (-math.inf, *grid))
+    if masses[0] <= 0.0:
         return np.ones(len(grid))
-    return np.array([1.0 - predict_profile(model, solution, j, y) / total
-                     for y in grid])
+    return 1.0 - masses[1:] / masses[0]
 
 
 def run_experiment(cfg: ExperimentConfig) -> ProfileReport:
@@ -535,7 +546,7 @@ def run_experiment(cfg: ExperimentConfig) -> ProfileReport:
     if cfg.condition is None:
         raise ValidationError("experiment.condition is required to run an experiment")
     J = cfg.network.station_count
-    loads = _conditioning_loads(cfg.condition, J)
+    loads = _conditioning_loads(cfg.condition, cfg.network)
     quota = -(-cfg.snapshot_count // len(cfg.seeds))  # ceil division
 
     pool: List[Snapshot] = []

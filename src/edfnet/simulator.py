@@ -196,7 +196,8 @@ class SimState:
         """Integrate the time-weighted accumulators up to t."""
         dt = t - self.clock
         if dt <= 0.0:
-            self.clock = t if dt == 0.0 else self.clock
+            if dt < 0.0:
+                raise ValueError(f"cannot advance backwards to {t} from {self.clock}")
             return
         for st in self.stations[1:]:
             if st.serving is None:

@@ -11,7 +11,7 @@ import textwrap
 
 import pytest
 
-from edfnet import parse_report, read_profile_csv
+from edfnet import ValidationError, parse_config, parse_report, read_profile_csv, run_experiment
 from edfnet.cli import main
 
 CROSSING_CONFIG = """
@@ -168,6 +168,21 @@ def test_experiment_seed_flag(scripted_cfg, tmp_path):
     assert main(["experiment", "-c", scripted_cfg, "--seed", "9",
                  "--structured", str(yaml_path)]) == 0
     assert parse_report(str(yaml_path)).seeds == (9,)
+
+
+@pytest.mark.parametrize("condition,named", [
+    ("{kind: total, targets: {1: 1, 2: 1}}", "station 2"),
+    ("{kind: total, targets: {0: 1, 1: 1}}", "station 0"),
+    ("{kind: exact, targets: {1: [1, 0]}}", "vector at station 1"),
+], ids=["station-above-J", "station-zero", "exact-length"])
+def test_experiment_condition_must_fit_network(tmp_path, capsys, condition, named):
+    path = tmp_path / "bad.yaml"
+    path.write_text(textwrap.dedent(SCRIPTED_CONFIG).replace(
+        "{kind: total, targets: {1: 2}}", condition))
+    with pytest.raises(ValidationError, match=named):
+        run_experiment(parse_config(path))
+    assert main(["experiment", "-c", str(path)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_experiment_partial_returns_3(scripted_cfg, tmp_path, capsys):

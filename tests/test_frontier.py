@@ -30,6 +30,7 @@ from edfnet import (
     two_station_closed_form,
     work_model,
 )
+from edfnet.harness import theory_cdf
 
 THIRD = 1.0 / 3.0
 
@@ -217,6 +218,30 @@ def test_predict_profile_is_nonincreasing_in_level():
         levels = np.linspace(-10.0, 420.0, 87)
         masses = [predict_profile(model, sol, j, float(y)) for y in levels]
         assert all(a >= b - 1e-12 for a, b in zip(masses, masses[1:]))
+
+
+def test_load_map_and_prediction_share_one_sum(random_network):
+    """The load map is the prediction at -inf, the sequence form equals
+    the scalar calls bit for bit, and theory_cdf is 1 - mass / total."""
+    rng = np.random.default_rng(24680)
+    levels = tuple(float(v) for v in np.linspace(-20.0, 620.0, 65))
+    for _ in range(30):
+        model = count_model(build_topology(random_network(rng, max_classes=12)))
+        stations = model.topology.spec.stations
+        sol = solve_frontiers(model, rng.uniform(0.0, 40.0, size=len(stations)))
+        y = tuple(float(v) for v in rng.uniform(-50.0, 500.0, size=len(stations)))
+        for fr in (sol.frontiers, y):
+            loads = frontier_loads(model, fr)
+            for j in stations:
+                assert loads[j - 1] == predict_profile(model, fr, j, -math.inf)
+        for j in stations:
+            scalar = [predict_profile(model, sol, j, v) for v in levels]
+            masses = predict_profile(model, sol, j, levels)
+            assert isinstance(masses, np.ndarray) and len(masses) == len(levels)
+            assert masses.tolist() == scalar
+            total = predict_profile(model, sol, j, -math.inf)
+            expected = [1.0 - m / total for m in scalar] if total > 0.0 else [1.0] * len(levels)
+            assert theory_cdf(model, sol, j, levels).tolist() == expected
 
 
 def test_predict_profile_validates_input():

@@ -236,6 +236,16 @@ def test_run_until_float_advances_clock_exactly():
         run_until(sim, 2.0)
 
 
+def test_advance_rejects_a_backwards_step():
+    sim = new_sim(single_class_station(), seed=0)
+    run_until(sim, 2.5)
+    with pytest.raises(ValueError, match=r"to 1\.5 from 2\.5"):
+        sim._advance(sim.clock - 1)
+    assert sim.clock == 2.5
+    sim._advance(sim.clock)
+    assert sim.clock == 2.5
+
+
 def test_run_until_predicate():
     sim = new_sim(single_class_station(), seed=0)
     n = run_until(sim, lambda s: queue_length(s, 1) >= 3)
