@@ -5,12 +5,16 @@ Each value below was recorded from the code as it stood before the
 rewrite it guards.  The config, report and stream digests predate the
 config/report codec and the lead-time sampler rewrite; the prediction
 digests predate the merge of the load map, the staged solver and
-profile prediction into one mass-above-a-level routine.  A refactor
-that changes a config digest, one byte of a rendered report, the
-layout of a random stream, the order of simultaneous events or one bit
-of a solved frontier or predicted CDF fails here, even when the new
-output is self-consistent from run to run (which is all criterion 9
-checks).
+profile prediction into one mass-above-a-level routine.  The scripted
+tie stream and the 6-8 station streams predate the simulator's
+per-class rows and its single queue/vacate path: they pin the order of
+simultaneous events (event sequence numbers), the preemption path and
+the pending and behind-frontier accounting, the scripted one event by
+event.  A refactor that changes a config digest, one byte of a
+rendered report, the layout of a random stream, the order of
+simultaneous events or one bit of a solved frontier or predicted CDF
+fails here, even when the new output is self-consistent from run to
+run (which is all criterion 9 checks).
 """
 
 import contextlib
@@ -25,17 +29,22 @@ import yaml
 
 from conftest import _random_spec
 from edfnet import (
+    ClassSpec,
+    NetworkSpec,
     PiecewiseLinearCDF,
     PointMass,
     Uniform,
+    behind_frontier_stats,
     build_topology,
     count_model,
+    dists,
     new_sim,
     parse_config,
     run_experiment,
     run_until,
     snapshot_profiles,
     solve_frontiers,
+    workload,
 )
 from edfnet.cli import main
 from edfnet.harness import (
@@ -121,6 +130,73 @@ def test_simulator_stream(net_seed, digests, preemptive):
     for t in range(300, 2401, 300):
         run_until(sim, float(t))
         h.update(repr((sim.events_processed, snapshot_profiles(sim))).encode())
+    assert h.hexdigest() == digests[preemptive]
+
+
+def _station_state(sim):
+    """Snapshot plus each station's residual and behind-frontier work."""
+    return (sim.clock, sim.events_processed, snapshot_profiles(sim),
+            tuple((workload(sim, j), behind_frontier_stats(sim, j))
+                  for j in sim.spec.stations))
+
+
+def _scripted_ties():
+    """Three scripted classes, listed as ids 3, 1, 2.
+
+    At t=1 classes 3 and 1 both arrive at station 1 (class 3 is pushed
+    first, so it is served first unless class 1 preempts it) and class
+    2 arrives at station 2.  Class 2's departure from station 2 at t=4
+    coincides with its own next arrival there, and class 3's departure
+    from station 1 at t=5 (non-preemptive) with class 1's next arrival.
+    Under preempt-resume, class 1 suspends class 3 at t=1, and the
+    departure that suspension superseded still counts as an event.
+    """
+    def scripted(cid, route, gaps, services, lead):
+        return ClassSpec(
+            id=cid, route=route, arrival_rate=1.0, lead_time=PointMass(lead),
+            interarrival=dists.Sequence(gaps),
+            service_laws={j: dists.Sequence(seq) for j, seq in services.items()})
+
+    return NetworkSpec(2, (
+        scripted(3, (1, 2), [1.0, 2.0, 3.0, 1.0],
+                 {1: [4.0, 1.0, 2.0, 0.5], 2: [2.0, 3.0, 1.0, 1.0]}, 30.0),
+        scripted(1, (1,), [1.0, 4.0, 0.5, 2.5], {1: [2.0, 1.5, 1.0, 3.0]}, 8.0),
+        scripted(2, (2, 1), [1.0, 3.0, 2.0], {2: [3.0, 1.0, 2.0], 1: [1.0, 2.0, 1.5]}, 12.0),
+    ))
+
+
+@pytest.mark.parametrize("preemptive,digest", [
+    (False, "f5efb37fe811a8a4b09bc0d9a89b99d7b03e20ef8422e88b046323bca75f0765"),
+    (True, "df3b172dc8fe236cfa8c70a4b3752c9f3480a54be33d32eb9072a110279bc13e"),
+], ids=["nonpreemptive", "preemptive"])
+def test_scripted_tie_stream(preemptive, digest):
+    sim = new_sim(_scripted_ties(), seed=0, preemptive=preemptive)
+    h = hashlib.sha256()
+    record = lambda s: h.update(repr(_station_state(s)).encode())
+    record(sim)
+    run_until(sim, 30.0, on_event=record)
+    record(sim)
+    assert h.hexdigest() == digest
+
+
+# Random networks with 6-8 stations and 6-8 classes, each carrying
+# point, uniform and piecewise lead times.  Both are overloaded, so
+# queues grow long and many customers sit behind the frontiers.
+@pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
+@pytest.mark.parametrize("net_seed,digests", [
+    (7, ("7c50012811d80510a56b6a8ed197a68ebfc949ce1b84c689dd894847e3c36f55",
+         "8cad227a9956610bd4df4509a27f0670004c046083e9341bb1a3c2200021e575")),
+    (10, ("a2baf44ecb65be7925e95153c2451748fb9e1c6f37bf957be8a81227e7743ccf",
+          "c784874721596e052e62cb19b0522ba34f697e86e107a1d6dbeed9302febe43d")),
+])
+def test_large_network_stream(net_seed, digests, preemptive):
+    spec = _random_spec(np.random.default_rng(net_seed), 8, 8)
+    assert 6 <= spec.station_count <= 8 and 6 <= len(spec.classes) <= 8
+    sim = new_sim(spec, seed=net_seed, preemptive=preemptive)
+    h = hashlib.sha256()
+    for t in range(200, 1601, 200):
+        run_until(sim, float(t))
+        h.update(repr(_station_state(sim)).encode())
     assert h.hexdigest() == digests[preemptive]
 
 
