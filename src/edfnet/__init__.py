@@ -25,7 +25,6 @@ from .errors import (
     GridMismatch,
     NegativeTail,
     NegativeWorkload,
-    NetworkTooLarge,
     NoConsistentRegion,
     NoSnapshots,
     ParseError,
@@ -90,7 +89,6 @@ from .topology import (
     ClassSpec,
     NetworkSpec,
     Topology,
-    admissible_permutations,
     build_topology,
     in_frontier_domain,
     reach_sets,

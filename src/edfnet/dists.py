@@ -16,7 +16,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["SamplingLaw", "Exponential", "Deterministic", "Uniform", "Sequence"]
+__all__ = ["SamplingLaw", "Exponential", "Deterministic", "UniformLaw", "Sequence"]
 
 _BLOCK = 1024
 
@@ -82,7 +82,7 @@ class Deterministic(SamplingLaw):
 
 
 @dataclass(frozen=True)
-class Uniform(SamplingLaw):
+class UniformLaw(SamplingLaw):
     lo: float
     hi: float
 

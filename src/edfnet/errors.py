@@ -28,10 +28,6 @@ class ClassDoesNotVisitStation(EdfnetError):
     """A (class, station) query for a pair that is not on the route."""
 
 
-class NetworkTooLarge(EdfnetError):
-    """Permutation enumeration refused because the network is too big."""
-
-
 # -------- lead-time distributions --------
 
 class NegativeTail(EdfnetError):

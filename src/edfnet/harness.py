@@ -294,7 +294,7 @@ _LEAD_TIMES = {
 _LAWS = {
     "exponential": (dists.Exponential, (("rate", _as_float),)),
     "deterministic": (dists.Deterministic, (("value", _as_float),)),
-    "uniform": (dists.Uniform, (("lo", _as_float), ("hi", _as_float))),
+    "uniform": (dists.UniformLaw, (("lo", _as_float), ("hi", _as_float))),
     "sequence": (dists.Sequence, (("values", _list_of(_as_float)), ("then", _as_float))),
 }
 _CONDITIONS = {

@@ -23,6 +23,14 @@ Everything is deterministic given the seed: every (class, purpose)
 pair draws from its own generator derived from the seed, and
 simultaneous events are ordered departures-first, then by station id,
 then by scheduling order.
+
+An arrival reads one row per class id, built once: the route, the
+interarrival and lead-time draws, and the service draws in route
+order.  A customer carries its EDF key (deadline, arrival index, class
+id), and pending heaps hold (key, customer) pairs.  ``_queue`` is the
+one push onto a pending heap and keeps its work and behind counts;
+``_vacate`` is the one release of a server (departure or preemption)
+and bumps the token that voids the released job's departure event.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -68,22 +76,17 @@ _ARRIVE = 1
 
 
 class _Customer:
-    __slots__ = ("class_id", "arrival_index", "arrival_time", "deadline",
-                 "route", "route_pos", "service_times", "remaining")
+    __slots__ = ("class_id", "deadline", "key", "route", "route_pos",
+                 "service_times", "remaining")
 
-    def __init__(self, class_id, arrival_index, arrival_time, deadline,
-                 route, service_times):
+    def __init__(self, class_id, arrival_index, deadline, route, service_times):
         self.class_id = class_id
-        self.arrival_index = arrival_index
-        self.arrival_time = arrival_time
         self.deadline = deadline
+        self.key = (deadline, arrival_index, class_id)
         self.route = route
         self.route_pos = 0
         self.service_times = service_times
         self.remaining = service_times[0]
-
-    def key(self):
-        return (self.deadline, self.arrival_index, self.class_id)
 
 
 class _Station:
@@ -91,10 +94,9 @@ class _Station:
                  "pending_behind_work", "serving", "serving_dep",
                  "serving_behind", "token", "max_by_class", "max_admitted",
                  "class_counts", "present", "busy_time", "idle_time",
-                 "arrived_work", "arrivals_by_class", "departures_by_class",
-                 "int_present", "int_behind", "int_behind_work")
+                 "arrived_work", "int_present", "int_behind", "int_behind_work")
 
-    def __init__(self, sid: int, n_classes: int):
+    def __init__(self, sid: int, class_count: int):
         self.sid = sid
         self.pending: List[tuple] = []
         self.pending_work = 0.0
@@ -104,15 +106,13 @@ class _Station:
         self.serving_dep = math.inf
         self.serving_behind = False
         self.token = 0
-        self.max_by_class = [-math.inf] * (n_classes + 1)
+        self.max_by_class = [-math.inf] * (class_count + 1)
         self.max_admitted = -math.inf
-        self.class_counts = [0] * (n_classes + 1)
+        self.class_counts = [0] * (class_count + 1)
         self.present = 0
         self.busy_time = 0.0
         self.idle_time = 0.0
         self.arrived_work = 0.0
-        self.arrivals_by_class = [0] * (n_classes + 1)
-        self.departures_by_class = [0] * (n_classes + 1)
         self.int_present = 0.0
         self.int_behind = 0.0
         self.int_behind_work = 0.0
@@ -125,7 +125,12 @@ class _Station:
 
 
 class SimState:
-    """One simulation run; construct through new_sim()."""
+    """One simulation run; construct through new_sim().
+
+    ``events_processed`` counts every event popped from the event queue,
+    including a departure that a preemption superseded: such an event is
+    popped and dropped by the station, but it still counts.
+    """
 
     def __init__(self, spec: NetworkSpec, *, seed: int, preemptive: bool = False):
         if not isinstance(seed, int) or seed < 0:
@@ -140,33 +145,31 @@ class SimState:
         self._seq = 0
         self._arrival_counter = 0
         K = len(spec.classes)
-        self.n_classes = K
         self.stations: List[Optional[_Station]] = [None] + [
             _Station(j, K) for j in spec.stations]
         for c in spec.classes:
-            st_ids = c.route
-            for j in st_ids:
+            for j in c.route:
                 self.stations[j].max_by_class[c.id] = c.lead_time.upper_support
         for j in spec.stations:
             st = self.stations[j]
             st.max_admitted = max(st.max_by_class[1:])
 
-        # one independent generator per (class, purpose); purposes are
-        # 1=interarrival, 2=lead time, 3=service at a given station
-        self._draw_gap: Dict[int, Callable[[], float]] = {}
-        self._draw_lead: Dict[int, Callable[[], float]] = {}
-        self._draw_service: Dict[Tuple[int, int], Callable[[], float]] = {}
+        # one row per class id: (route, draw_gap, draw_lead, draw_services).
+        # One independent generator per (class, purpose); purposes are
+        # 1=interarrival, 2=lead time, 3=service at a given station.  First
+        # arrivals are pushed in spec.classes order, which breaks their ties.
+        self._rows: List[Optional[tuple]] = [None] * (K + 1)
         for c in spec.classes:
             gap_law = c.interarrival or dists.Exponential(c.arrival_rate)
-            self._draw_gap[c.id] = gap_law.sampler(self._stream(1, c.id, 0))
-            self._draw_lead[c.id] = dists._block_sampler(
-                partial(c.lead_time.sample, self._stream(2, c.id, 0)))
-            for j in c.route:
-                law = c.service_law(j) or dists.Exponential(c.service_rate(j))
-                self._draw_service[(c.id, j)] = law.sampler(self._stream(3, c.id, j))
-
-        for c in spec.classes:
-            first = self._draw_gap[c.id]()
+            draw_gap = gap_law.sampler(self._stream(1, c.id, 0))
+            self._rows[c.id] = (
+                c.route,
+                draw_gap,
+                dists._block_sampler(partial(c.lead_time.sample, self._stream(2, c.id, 0))),
+                tuple((c.service_law(j) or dists.Exponential(c.service_rate(j)))
+                      .sampler(self._stream(3, c.id, j)) for j in c.route),
+            )
+            first = draw_gap()
             if math.isfinite(first):
                 self._push(first, _ARRIVE, c.route[0], c.id)
 
@@ -217,31 +220,26 @@ class SimState:
     # -------- event handlers --------
 
     def _handle_arrival(self, class_id: int) -> None:
-        cspec = self.spec.class_by_id(class_id)
+        route, draw_gap, draw_lead, draw_services = self._rows[class_id]
         self._arrival_counter += 1
-        lead = self._draw_lead[class_id]()
-        services = tuple(self._draw_service[(class_id, j)]() for j in cspec.route)
-        cust = _Customer(class_id, self._arrival_counter, self.clock,
-                         self.clock + lead, cspec.route, services)
-        gap = self._draw_gap[class_id]()
+        lead = draw_lead()
+        services = tuple(draw() for draw in draw_services)
+        cust = _Customer(class_id, self._arrival_counter, self.clock + lead,
+                         route, services)
+        gap = draw_gap()
         if math.isfinite(gap):
-            self._push(self.clock + gap, _ARRIVE, cspec.route[0], class_id)
-        self._enter_station(cust, cspec.route[0])
+            self._push(self.clock + gap, _ARRIVE, route[0], class_id)
+        self._enter_station(cust, route[0])
 
     def _handle_departure(self, sid: int, token: int) -> None:
         st = self.stations[sid]
         if token != st.token:
             return  # superseded by a preemption
-        cust = st.serving
-        st.serving = None
-        st.serving_behind = False
-        st.serving_dep = math.inf
-        st.token += 1
+        cust = _vacate(st)
         st.class_counts[cust.class_id] -= 1
         st.present -= 1
-        st.departures_by_class[cust.class_id] += 1
         if st.pending:
-            _, _, _, nxt = heappop(st.pending)
+            _, nxt = heappop(st.pending)
             st.pending_work -= nxt.remaining
             if nxt.deadline < st.max_admitted:
                 st.pending_behind -= 1
@@ -257,19 +255,14 @@ class SimState:
         st.arrived_work += cust.remaining
         st.class_counts[cust.class_id] += 1
         st.present += 1
-        st.arrivals_by_class[cust.class_id] += 1
         if st.serving is None:
             self._start_service(st, cust)
-        elif self.preemptive and cust.key() < st.serving.key():
-            self._suspend(st)
+        elif self.preemptive and cust.key < st.serving.key:
+            st.serving.remaining = st.serving_dep - self.clock
+            _queue(st, _vacate(st))
             self._start_service(st, cust)
         else:
-            heappush(st.pending, (cust.deadline, cust.arrival_index,
-                                  cust.class_id, cust))
-            st.pending_work += cust.remaining
-            if cust.deadline < st.max_admitted:
-                st.pending_behind += 1
-                st.pending_behind_work += cust.remaining
+            _queue(st, cust)
 
     def _start_service(self, st: _Station, cust: _Customer) -> None:
         st.serving = cust
@@ -285,19 +278,24 @@ class SimState:
                 st.max_admitted = cust.deadline
         self._push(st.serving_dep, _DEPART, st.sid, st.token)
 
-    def _suspend(self, st: _Station) -> None:
-        cust = st.serving
-        cust.remaining = st.serving_dep - self.clock
-        st.serving = None
-        st.serving_behind = False
-        st.serving_dep = math.inf
-        st.token += 1  # invalidates the scheduled departure
-        heappush(st.pending, (cust.deadline, cust.arrival_index,
-                              cust.class_id, cust))
-        st.pending_work += cust.remaining
-        if cust.deadline < st.max_admitted:
-            st.pending_behind += 1
-            st.pending_behind_work += cust.remaining
+
+def _queue(st: _Station, cust: _Customer) -> None:
+    """Push a customer onto the pending heap and count its work."""
+    heappush(st.pending, (cust.key, cust))
+    st.pending_work += cust.remaining
+    if cust.deadline < st.max_admitted:
+        st.pending_behind += 1
+        st.pending_behind_work += cust.remaining
+
+
+def _vacate(st: _Station) -> _Customer:
+    """Clear the server, void its departure event, return who held it."""
+    cust = st.serving
+    st.serving = None
+    st.serving_behind = False
+    st.serving_dep = math.inf
+    st.token += 1
+    return cust
 
 
 # -------- snapshots and sampling --------
@@ -406,7 +404,8 @@ def run_until(
     it returns True the run stops at the current event's time.
     ``max_events`` bounds the number of events processed in this call
     and raises EventCapExceeded beyond it.  Returns the number of
-    events processed.
+    events processed.  Both counts include departures that a
+    preemption superseded (see SimState).
     """
     done = 0
     if callable(until):
@@ -491,7 +490,7 @@ def snapshot_profiles(sim: SimState) -> Snapshot:
     now = sim.clock
     stations = {}
     for st in sim.stations[1:]:
-        pairs = [(c.class_id, c.deadline - now) for _, _, _, c in st.pending]
+        pairs = [(c.class_id, c.deadline - now) for _, c in st.pending]
         if st.serving is not None:
             pairs.append((st.serving.class_id, st.serving.deadline - now))
         pairs.sort(key=lambda p: (p[1], p[0]))

@@ -10,14 +10,16 @@ station.
 
 The solver visits stations in an order it discovers stage by stage; a
 station is *reachable* at a stage when at least one class reaches it
-using only already-ordered stations.  Orders built this way are the
-admissible permutations, and each one carves out a piece of the domain
-on which the frontier map is invertible.
+using only already-ordered stations.  Each order built this way carves
+out a piece of the domain on which the frontier map is invertible, and
+membership in the domain is shown by a witness order found by a
+depth-first search over these stages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import dists
@@ -25,7 +27,6 @@ from .errors import (
     ClassDoesNotVisitStation,
     DisconnectedNetwork,
     EmptyStation,
-    NetworkTooLarge,
     RouteRepeatsStation,
 )
 from .leadtime import LeadTimeDist
@@ -37,14 +38,9 @@ __all__ = [
     "build_topology",
     "upstream_set",
     "reach_sets",
-    "admissible_permutations",
     "in_frontier_domain",
     "traffic_intensity",
 ]
-
-# enumeration of admissible permutations is factorial in the worst
-# case; refuse outright rather than hang on big networks
-MAX_ENUMERABLE_STATIONS = 10
 
 
 @dataclass(frozen=True)
@@ -131,16 +127,16 @@ class NetworkSpec:
         ids = [c.id for c in self.classes]
         if sorted(ids) != list(range(1, len(ids) + 1)):
             raise ValueError(f"class ids must be 1..K without gaps, got {sorted(ids)}")
+        # not a field: equality, hashing, replace() and digests ignore it
+        object.__setattr__(self, "_by_id", {c.id: c for c in self.classes})
 
     @property
     def stations(self) -> range:
         return range(1, self.station_count + 1)
 
     def class_by_id(self, k: int) -> ClassSpec:
-        for c in self.classes:
-            if c.id == k:
-                return c
-        raise KeyError(k)
+        """The class with id k; KeyError for an unknown id."""
+        return self._by_id[k]
 
 
 @dataclass(frozen=True)
@@ -266,35 +262,6 @@ def reach_sets(
     return reach, reachable
 
 
-def admissible_permutations(topo: Topology) -> List[Tuple[int, ...]]:
-    """All station orders the staged solver could produce.
-
-    A permutation is admissible when every position is reachable given
-    the stations placed before it.  Enumeration is exhaustive and
-    factorial in the worst case, so networks with more than
-    MAX_ENUMERABLE_STATIONS stations are refused.
-    """
-    J = topo.station_count
-    if J > MAX_ENUMERABLE_STATIONS:
-        raise NetworkTooLarge(
-            f"refusing to enumerate permutations of {J} stations "
-            f"(limit {MAX_ENUMERABLE_STATIONS})")
-    out: List[Tuple[int, ...]] = []
-
-    def extend(prefix: List[int]) -> None:
-        if len(prefix) == J:
-            out.append(tuple(prefix))
-            return
-        _, reachable = reach_sets(topo, prefix)
-        for j in sorted(reachable):
-            prefix.append(j)
-            extend(prefix)
-            prefix.pop()
-
-    extend([])
-    return out
-
-
 def in_frontier_domain(
     topo: Topology,
     y: Sequence[float],
@@ -305,38 +272,42 @@ def in_frontier_domain(
     """Witness permutation if the vector lies in the invertible domain.
 
     ``y`` lists one frontier value per station (position i is station
-    i+1).  A permutation witnesses membership when the values are
-    nonincreasing along it and each value is at most the largest lead
-    upper support among the classes reaching that station through the
-    earlier ones.  With ``perm`` given, only that order is checked.
-    Returns the witnessing permutation, or None.  Comparisons allow a
-    slack of ``atol`` so that solver output on a piece boundary is not
-    rejected for roundoff.
+    i+1).  A permutation witnesses membership when each station in it
+    is reachable through the earlier ones, the values are nonincreasing
+    along it, and each value is at most the largest lead upper support
+    among the classes reaching that station through the earlier ones.
+    Without ``perm``, orders are searched depth first in lexicographic
+    order, extending a prefix only with a station that passes those
+    checks, and the first complete order is returned; with ``perm``
+    given, only that order is checked.  Returns the witnessing
+    permutation, or None.  Comparisons allow a slack of ``atol`` so that
+    solver output on a piece boundary is not rejected for roundoff.
     """
     if len(y) != topo.station_count:
         raise ValueError(f"expected {topo.station_count} values, got {len(y)}")
-    candidates = [tuple(perm)] if perm is not None else admissible_permutations(topo)
-    for pi in candidates:
-        if _in_piece(topo, y, pi, atol):
-            return pi
-    return None
+    if perm is not None and sorted(perm) != list(topo.spec.stations):
+        raise ValueError(f"{tuple(perm)} is not a permutation of the stations")
+    order: List[int] = []
 
-
-def _in_piece(topo: Topology, y: Sequence[float], pi: Tuple[int, ...],
-              atol: float) -> bool:
-    if sorted(pi) != list(topo.spec.stations):
-        raise ValueError(f"{pi} is not a permutation of the stations")
-    vals = [y[j - 1] for j in pi]
-    if any(a < b - atol for a, b in zip(vals, vals[1:])):
-        return False
-    for m, j in enumerate(pi):
-        reach, reachable = reach_sets(topo, pi[:m])
-        if j not in reachable:
-            return False
+    def fits(j: int, prev: float, reach: Mapping[int, FrozenSet[int]]) -> bool:
         bound = max(topo.lead_dist(k).upper_support for k in reach[j])
-        if y[j - 1] > bound + atol:
-            return False
-    return True
+        return not (prev < y[j - 1] - atol or y[j - 1] > bound + atol)
+
+    def extend(prev: float) -> bool:
+        if len(order) == topo.station_count:
+            return True
+        reach, reachable = reach_sets(topo, order)
+        ahead = sorted(reachable) if perm is None else [perm[len(order)]]
+        steps = [j for j in ahead if j in reachable and fits(j, prev, reach)]
+        del reach  # one prefix's table at a time, not one per recursion level
+        for j in steps:
+            order.append(j)
+            if extend(y[j - 1]):
+                return True
+            order.pop()
+        return False
+
+    return tuple(order) if extend(math.inf) else None
 
 
 def traffic_intensity(topo: Topology, j: int) -> float:
@@ -344,6 +315,5 @@ def traffic_intensity(topo: Topology, j: int) -> float:
     arrival rate divided by service rate there."""
     if j not in topo.visiting:
         raise ValueError(f"station {j} is not in the network")
-    spec = topo.spec
-    return sum(spec.class_by_id(k).arrival_rate / spec.class_by_id(k).service_rate(j)
-               for k in topo.visiting[j])
+    classes = (topo.spec.class_by_id(k) for k in topo.visiting[j])
+    return sum(c.arrival_rate / c.service_rate(j) for c in classes)

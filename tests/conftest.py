@@ -1,4 +1,5 @@
-"""Shared fixtures: random network generation and acceptance reporting."""
+"""Shared fixtures: random network generation, the exhaustive
+admissible-order oracle, and acceptance reporting."""
 
 import math
 
@@ -11,7 +12,6 @@ from edfnet import (
     PiecewiseLinearCDF,
     PointMass,
     Uniform,
-    admissible_permutations,
     build_topology,
     reach_sets,
 )
@@ -71,6 +71,48 @@ def random_network():
         raise RuntimeError("random network generation kept failing")
 
     return make
+
+
+def admissible_permutations(topo):
+    """All station orders the staged solver could produce, in
+    lexicographic order.
+
+    A permutation is admissible when every position is reachable given
+    the stations placed before it.  The enumeration is exhaustive and
+    factorial in the worst case; it is the reference that
+    ``in_frontier_domain``'s witness search is checked against.
+    """
+    J = topo.station_count
+    out = []
+
+    def extend(prefix):
+        if len(prefix) == J:
+            out.append(tuple(prefix))
+            return
+        _, reachable = reach_sets(topo, prefix)
+        for j in sorted(reachable):
+            prefix.append(j)
+            extend(prefix)
+            prefix.pop()
+
+    extend([])
+    return out
+
+
+def in_piece(topo, y, pi, atol=1e-9):
+    """Whether ``y`` lies in the domain piece of the admissible order pi:
+    nonincreasing along pi and each value within its stage's bound."""
+    vals = [y[j - 1] for j in pi]
+    if any(a < b - atol for a, b in zip(vals, vals[1:])):
+        return False
+    for m, j in enumerate(pi):
+        reach, reachable = reach_sets(topo, pi[:m])
+        if j not in reachable:
+            return False
+        bound = max(topo.lead_dist(k).upper_support for k in reach[j])
+        if y[j - 1] > bound + atol:
+            return False
+    return True
 
 
 def _random_domain_vector(topo, rng):

@@ -286,7 +286,7 @@ def test_law_kinds_parse():
     assert cfg.network.classes[0].interarrival == dists.Sequence((1.0, 2.0), 9.0)
     entry["interarrival"] = {"kind": "uniform", "lo": 1.0, "hi": 3.0}
     cfg = config_from_dict(raw)
-    assert cfg.network.classes[0].interarrival == dists.Uniform(1.0, 3.0)
+    assert cfg.network.classes[0].interarrival == dists.UniformLaw(1.0, 3.0)
 
 
 def documented_kinds(heading):

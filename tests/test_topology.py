@@ -1,5 +1,6 @@
 """Tests for network validation and route combinatorics."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -11,11 +12,9 @@ from edfnet import (
     DisconnectedNetwork,
     EmptyStation,
     NetworkSpec,
-    NetworkTooLarge,
     PointMass,
     RouteRepeatsStation,
     Uniform,
-    admissible_permutations,
     build_topology,
     dists,
     in_frontier_domain,
@@ -23,6 +22,7 @@ from edfnet import (
     traffic_intensity,
     upstream_set,
 )
+from conftest import admissible_permutations, in_piece
 
 
 def crossing(deadlines=(400.0, 300.0, 200.0, 100.0), lam=0.32, mu=1.0):
@@ -170,15 +170,19 @@ def test_route_out_of_range_rejected():
         build_topology(spec)
 
 
-def test_permutation_enumeration_refuses_large_networks():
-    J = 11
+def test_domain_witness_on_large_chain():
+    """A 12-station chain gets its single order as the witness; values
+    that rise along the chain get none."""
+    J = 12
     spec = NetworkSpec(J, (
         ClassSpec(id=1, route=tuple(range(1, J + 1)), arrival_rate=0.5,
                   lead_time=PointMass(5.0)),
     ))
     topo = build_topology(spec)
-    with pytest.raises(NetworkTooLarge):
-        admissible_permutations(topo)
+    y = tuple(5.0 - 0.25 * m for m in range(J))
+    assert in_frontier_domain(topo, y) == tuple(range(1, J + 1))
+    assert in_frontier_domain(topo, y, perm=tuple(range(1, J + 1))) == tuple(range(1, J + 1))
+    assert in_frontier_domain(topo, y[::-1]) is None
 
 
 def test_class_spec_validation():
@@ -218,6 +222,19 @@ def test_network_spec_requires_contiguous_ids():
         NetworkSpec(0, ())
 
 
+def test_class_by_id_lookup():
+    c1 = ClassSpec(id=1, route=(1,), arrival_rate=0.5, lead_time=PointMass(5.0))
+    c2 = ClassSpec(id=2, route=(1,), arrival_rate=0.3, lead_time=PointMass(7.0))
+    spec = NetworkSpec(1, (c2, c1))
+    assert spec.class_by_id(1) is c1 and spec.class_by_id(2) is c2
+    with pytest.raises(KeyError):
+        spec.class_by_id(3)
+    # the lookup is not a field: equality, hashing and replace() ignore it
+    assert spec == NetworkSpec(1, (c2, c1)) and hash(spec) == hash(NetworkSpec(1, (c2, c1)))
+    assert dataclasses.replace(spec, classes=(c1,)).class_by_id(1) is c1
+    assert [f.name for f in dataclasses.fields(spec)] == ["station_count", "classes"]
+
+
 def test_domain_membership_crossing():
     topo = build_topology(crossing())
     assert in_frontier_domain(topo, (400.0, 400.0)) == (1, 2)
@@ -248,6 +265,32 @@ def test_domain_membership_validates_input():
         in_frontier_domain(topo, (1.0, 2.0, 3.0))
     with pytest.raises(ValueError):
         in_frontier_domain(topo, (1.0, 1.0), perm=(1, 1))
+
+
+def test_domain_witness_matches_oracle(random_network, domain_vector):
+    """The witness search returns the exhaustive oracle's first passing
+    order on domain vectors, uniform random vectors and near-tie
+    vectors (values 0.6e-9 apart, at a random level or at a class's
+    upper support), and checks a given order exactly as the oracle does."""
+    rng = np.random.default_rng(20261018)
+    found = {True: 0, False: 0}
+    for _ in range(50):
+        topo = build_topology(random_network(rng, max_stations=6, max_classes=6))
+        J = topo.station_count
+        supports = [c.lead_time.upper_support for c in topo.spec.classes]
+        orders = admissible_permutations(topo)
+        for _ in range(10):
+            level = float(rng.choice([rng.uniform(0.0, max(supports)), rng.choice(supports)]))
+            ties = level + 0.6e-9 * rng.integers(-1, 2, size=J)
+            for y in (domain_vector(topo, rng), tuple(rng.uniform(0.0, max(supports), J)),
+                      tuple(ties)):
+                want = next((pi for pi in orders if in_piece(topo, y, pi)), None)
+                assert in_frontier_domain(topo, y) == want, (topo.spec, y)
+                found[want is not None] += 1
+                pi = orders[int(rng.integers(0, len(orders)))]
+                assert in_frontier_domain(topo, y, perm=pi) == (
+                    pi if in_piece(topo, y, pi) else None)
+    assert min(found.values()) > 300, found
 
 
 def test_traffic_intensity():
