@@ -67,13 +67,10 @@ def _cmd_predict(args) -> int:
     if args.grid:
         try:
             lo, hi, n = args.grid.split(":")
-            lo, hi, n = float(lo), float(hi), int(n)
+            span = {"lo": float(lo), "hi": float(hi), "points": int(n)}
         except ValueError:
             raise EdfnetError(f"--grid: expected lo:hi:points, got {args.grid!r}")
-        if n < 2 or not lo < hi:
-            raise EdfnetError("--grid: need lo < hi and points >= 2")
-        step = (hi - lo) / (n - 1)
-        grid = tuple(lo + i * step for i in range(n))
+        grid = harness._grid(span, "--grid")
     lines = ["station,y,theory"]
     for j in range(1, cfg.network.station_count + 1):
         curve = harness.theory_cdf(model, sol, j, grid)

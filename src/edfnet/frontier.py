@@ -16,8 +16,9 @@ the station whose stage-local inverse is largest; ``predict_profile``
 evaluates it above a level, giving the predicted queue mass that the
 experiment harness compares against simulated profiles.
 
-All of this is exact piecewise-polynomial arithmetic: integrated tails
-of the supported lead-time laws are piecewise quadratic, so stage
+All of this is exact piecewise-polynomial arithmetic: every lead-time
+law is a piecewise-linear CDF, whose integrated tail is piecewise
+quadratic, so stage
 inverses are found by a breakpoint scan plus a closed-form segment
 solve, with bisection only as a guarded fallback.
 """

@@ -51,6 +51,7 @@ from .simulator import (
     ExactCounts,
     Snapshot,
     TotalCounts,
+    _check_condition,
     behind_frontier_stats,
     conditional_sample,
     new_sim,
@@ -375,6 +376,10 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     raw = _as_mapping(raw, "config")
     _reject_unknown(raw, ("network", "experiment", "prediction"), "config")
     net = _network(_require(raw, "network", "config"), "network")
+    try:
+        build_topology(net)
+    except ValueError as exc:
+        raise ValidationError(f"network: {exc}")
     fields = _read_fields(raw.get("experiment") or {}, _EXPERIMENT_ROWS, "experiment")
     fields.update(_read_fields(raw.get("prediction") or {}, _PREDICTION_ROWS, "prediction"))
     if fields["seeds"] is None:
@@ -487,25 +492,14 @@ class ProfileReport:
 
 def _conditioning_loads(condition: Condition, network: NetworkSpec) -> List[float]:
     """Per-station totals the condition fixes, checked against the network."""
-    station_count = network.station_count
+    _check_condition(condition, network)
     if isinstance(condition, ExactCounts):
-        K = len(network.classes)
-        for j, vec in condition.targets.items():
-            if len(vec) != K:
-                raise ValidationError(
-                    f"condition vector at station {j} has {len(vec)} counts; "
-                    f"the network has {K} classes")
         totals = {j: float(sum(vec)) for j, vec in condition.targets.items()}
     elif isinstance(condition, TotalCounts):
         totals = {j: float(v) for j, v in condition.targets.items()}
-    elif isinstance(condition, CountBands):
-        totals = {j: 0.5 * (lo + hi) for j, (lo, hi) in condition.bands.items()}
     else:
-        raise ValidationError(f"unsupported condition {type(condition).__name__}")
-    for j in totals:
-        if not 1 <= j <= station_count:
-            raise ValidationError(
-                f"condition names station {j}; stations are 1..{station_count}")
+        totals = {j: 0.5 * (lo + hi) for j, (lo, hi) in condition.bands.items()}
+    station_count = network.station_count
     missing = [j for j in range(1, station_count + 1) if j not in totals]
     if missing:
         raise ValidationError(

@@ -1,8 +1,12 @@
-"""Initial lead-time distributions.
+"""Initial lead-time laws.
 
-A lead-time distribution describes the time-to-deadline a customer is
-born with.  Every variant here has bounded upper support: there is a
-finite largest lead ``upper_support`` beyond which the CDF is 1.
+A lead-time law describes the time-to-deadline a customer is born
+with.  There is one implementation: a CDF given by linear
+interpolation between knots, ``PiecewiseLinearCDF``.  ``PointMass`` and
+``Uniform`` are its one- and two-knot cases; they only check their
+arguments, name their parameters and keep their own config kinds
+(``point``, ``uniform``).  Every law has bounded upper support: there
+is a finite largest lead ``upper_support`` beyond which the CDF is 1.
 
 The quantity the frontier machinery actually consumes is the
 *integrated tail*
@@ -12,15 +16,16 @@ The quantity the frontier machinery actually consumes is the
 which is finite for all y, convex, strictly decreasing up to
 ``upper_support``, and identically zero afterwards.  Its inverse maps a
 nonnegative mass back to the unique lead level carrying that much tail
-mass.  Both directions are evaluated in closed form per polynomial
-piece; no numerical integration is involved.
+mass.  Between knots the CDF is linear and the tail quadratic, so both
+directions are evaluated in closed form; no numerical integration is
+involved.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -29,131 +34,18 @@ from .errors import NegativeTail
 __all__ = ["LeadTimeDist", "PointMass", "Uniform", "PiecewiseLinearCDF"]
 
 
-class LeadTimeDist:
-    """Common interface for initial lead-time laws."""
-
-    #: largest value the lead time can take (finite for all variants)
-    upper_support: float
-
-    def cdf(self, y: float) -> float:
-        """P(lead <= y), right-continuous."""
-        raise NotImplementedError
-
-    def integrated_tail(self, y: float) -> float:
-        """Integral of the survival function over (y, infinity)."""
-        raise NotImplementedError
-
-    def integrated_tail_inverse(self, h: float) -> float:
-        """The unique y <= upper_support with integrated_tail(y) == h.
-
-        h == 0 maps to the upper support itself; negative h is a caller
-        bug and raises NegativeTail.
-        """
-        raise NotImplementedError
-
-    def breakpoints(self) -> Tuple[float, ...]:
-        """Ascending lead levels where the tail integral changes
-        polynomial piece.  Below the first breakpoint the integrated
-        tail is linear with slope -1; above the last it is zero."""
-        raise NotImplementedError
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Draw lead times (scalar when size is None)."""
-        raise NotImplementedError
-
-    def _check_tail_arg(self, h: float) -> None:
-        if h < 0:
-            raise NegativeTail(f"integrated tail inverse queried at {h!r}")
-
-
-@dataclass(frozen=True)
-class PointMass(LeadTimeDist):
-    """All customers are born with the same lead time."""
-
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError("point mass location must be finite")
-
-    @property
-    def upper_support(self) -> float:
-        return self.value
-
-    def cdf(self, y: float) -> float:
-        return 1.0 if y >= self.value else 0.0
-
-    def integrated_tail(self, y: float) -> float:
-        return max(self.value - y, 0.0)
-
-    def integrated_tail_inverse(self, h: float) -> float:
-        self._check_tail_arg(h)
-        return self.value - h
-
-    def breakpoints(self) -> Tuple[float, ...]:
-        return (self.value,)
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        if size is None:
-            return self.value
-        return np.full(size, self.value)
-
-
-@dataclass(frozen=True)
-class Uniform(LeadTimeDist):
-    """Lead times uniform on [lo, hi]."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
-            raise ValueError("uniform bounds must be finite")
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def upper_support(self) -> float:
-        return self.hi
-
-    def cdf(self, y: float) -> float:
-        if y < self.lo:
-            return 0.0
-        if y >= self.hi:
-            return 1.0
-        return (y - self.lo) / (self.hi - self.lo)
-
-    def integrated_tail(self, y: float) -> float:
-        if y >= self.hi:
-            return 0.0
-        if y <= self.lo:
-            return (self.lo - y) + 0.5 * (self.hi - self.lo)
-        return 0.5 * (self.hi - y) ** 2 / (self.hi - self.lo)
-
-    def integrated_tail_inverse(self, h: float) -> float:
-        self._check_tail_arg(h)
-        half_width = 0.5 * (self.hi - self.lo)
-        if h <= half_width:
-            return self.hi - np.sqrt(2.0 * (self.hi - self.lo) * h)
-        return self.lo - (h - half_width)
-
-    def breakpoints(self) -> Tuple[float, ...]:
-        return (self.lo, self.hi)
-
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        if size is None:
-            return rng.uniform(self.lo, self.hi)
-        return rng.uniform(self.lo, self.hi, size)
-
-
-class PiecewiseLinearCDF(LeadTimeDist):
-    """CDF given by linear interpolation between knots.
+class PiecewiseLinearCDF:
+    """Lead-time law whose CDF interpolates linearly between knots.
 
     ``knots`` is a sequence of (lead, cdf value) pairs with strictly
     increasing leads and nondecreasing values in [0, 1]; the final value
     must be exactly 1.  The CDF is zero below the first knot, so a
     first knot with positive value is an atom there.  Knots past the
     first value equal to 1 are redundant and dropped.
+
+    Equality holds between laws of the same class with the same knots,
+    so ``PointMass(5.0)`` differs from ``PiecewiseLinearCDF([(5.0, 1.0)])``:
+    the two are written to configs under different kinds.
     """
 
     def __init__(self, knots: Sequence[Tuple[float, float]]):
@@ -161,7 +53,7 @@ class PiecewiseLinearCDF(LeadTimeDist):
             raise ValueError("need at least one knot")
         ys = [float(y) for y, _ in knots]
         gs = [float(g) for _, g in knots]
-        if any(not np.isfinite(v) for v in ys + gs):
+        if not all(map(math.isfinite, ys + gs)):
             raise ValueError("knots must be finite")
         if any(b <= a for a, b in zip(ys, ys[1:])):
             raise ValueError("knot leads must be strictly increasing")
@@ -188,7 +80,7 @@ class PiecewiseLinearCDF(LeadTimeDist):
         return f"PiecewiseLinearCDF([{pairs}])"
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, PiecewiseLinearCDF):
+        if type(other) is not type(self):
             return NotImplemented
         return self._ys == other._ys and self._gs == other._gs
 
@@ -201,9 +93,11 @@ class PiecewiseLinearCDF(LeadTimeDist):
 
     @property
     def upper_support(self) -> float:
+        """Largest value the lead time can take."""
         return self._ys[-1]
 
     def cdf(self, y: float) -> float:
+        """P(lead <= y), right-continuous."""
         ys, gs = self._ys, self._gs
         if y < ys[0]:
             return 0.0
@@ -214,6 +108,7 @@ class PiecewiseLinearCDF(LeadTimeDist):
         return gs[i] + frac * (gs[i + 1] - gs[i])
 
     def integrated_tail(self, y: float) -> float:
+        """Integral of the survival function over (y, infinity)."""
         ys, gs, tails = self._ys, self._gs, self._tails
         if y >= ys[-1]:
             return 0.0
@@ -225,7 +120,13 @@ class PiecewiseLinearCDF(LeadTimeDist):
         return tails[i + 1] + (1.0 - gs[i + 1]) * gap + 0.5 * slope * gap * gap
 
     def integrated_tail_inverse(self, h: float) -> float:
-        self._check_tail_arg(h)
+        """The unique y <= upper_support with integrated_tail(y) == h.
+
+        h == 0 maps to the upper support itself; negative h is a caller
+        bug and raises NegativeTail.
+        """
+        if h < 0:
+            raise NegativeTail(f"integrated tail inverse queried at {h!r}")
         ys, gs, tails = self._ys, self._gs, self._tails
         if h == 0.0:
             return ys[-1]
@@ -246,12 +147,15 @@ class PiecewiseLinearCDF(LeadTimeDist):
         return ys[i + 1] - gap
 
     def breakpoints(self) -> Tuple[float, ...]:
+        """Ascending lead levels where the tail integral changes
+        polynomial piece (the knots).  Below the first breakpoint the
+        integrated tail is linear with slope -1; above the last it is
+        zero."""
         return self._ys
 
-    def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Inverse-CDF draws: the smallest lead y with cdf(y) >= u."""
-        if size is None:
-            return float(self.sample(rng, 1)[0])
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """``size`` inverse-CDF draws: for each u from ``rng.random``,
+        the smallest lead y with cdf(y) >= u."""
         ys, gs = np.array(self._ys), np.array(self._gs)
         u = rng.random(size)
         i = np.searchsorted(gs, u, side="left")
@@ -263,4 +167,46 @@ class PiecewiseLinearCDF(LeadTimeDist):
         return out
 
 
-DistLike = Union[PointMass, Uniform, PiecewiseLinearCDF]
+#: the type of every lead-time law, for annotations
+LeadTimeDist = PiecewiseLinearCDF
+
+
+class PointMass(PiecewiseLinearCDF):
+    """All customers are born with the same lead time: one knot,
+    (value, 1)."""
+
+    def __init__(self, value: float):
+        if not math.isfinite(value):
+            raise ValueError("point mass location must be finite")
+        super().__init__([(value, 1.0)])
+
+    def __repr__(self) -> str:
+        return f"PointMass(value={self.value!r})"
+
+    @property
+    def value(self) -> float:
+        return self._ys[0]
+
+
+class Uniform(PiecewiseLinearCDF):
+    """Lead times uniform on [lo, hi]: two knots, (lo, 0) and (hi, 1).
+
+    A draw is lo + u * (hi - lo), bit for bit ``rng.uniform(lo, hi)``."""
+
+    def __init__(self, lo: float, hi: float):
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("uniform bounds must be finite")
+        if not lo < hi:
+            raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+        super().__init__([(lo, 0.0), (hi, 1.0)])
+
+    def __repr__(self) -> str:
+        return f"Uniform(lo={self.lo!r}, hi={self.hi!r})"
+
+    @property
+    def lo(self) -> float:
+        return self._ys[0]
+
+    @property
+    def hi(self) -> float:
+        return self._ys[1]

@@ -44,7 +44,7 @@ from typing import Callable, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import dists
-from .errors import ClassDoesNotVisitStation, EventCapExceeded
+from .errors import ClassDoesNotVisitStation, EventCapExceeded, ValidationError
 from .topology import NetworkSpec, Topology, build_topology
 
 __all__ = [
@@ -93,7 +93,7 @@ class _Station:
     __slots__ = ("sid", "pending", "pending_work", "pending_behind",
                  "pending_behind_work", "serving", "serving_dep",
                  "serving_behind", "token", "max_by_class", "max_admitted",
-                 "class_counts", "present", "busy_time", "idle_time",
+                 "class_counts", "present", "idle_time",
                  "arrived_work", "int_present", "int_behind", "int_behind_work")
 
     def __init__(self, sid: int, class_count: int):
@@ -110,7 +110,6 @@ class _Station:
         self.max_admitted = -math.inf
         self.class_counts = [0] * (class_count + 1)
         self.present = 0
-        self.busy_time = 0.0
         self.idle_time = 0.0
         self.arrived_work = 0.0
         self.int_present = 0.0
@@ -206,7 +205,6 @@ class SimState:
             if st.serving is None:
                 st.idle_time += dt
                 continue
-            st.busy_time += dt
             st.int_present += st.present * dt
             behind = st.pending_behind
             work = st.pending_behind_work * dt
@@ -382,6 +380,29 @@ class CountBands:
 Condition = Union[ExactCounts, TotalCounts, CountBands]
 
 
+def _check_condition(condition: Condition, spec: NetworkSpec) -> None:
+    """Raise ValidationError unless the condition fits the network:
+    station ids in 1..J and, for exact counts, one count per class."""
+    if isinstance(condition, ExactCounts):
+        K = len(spec.classes)
+        for j, vec in condition.targets.items():
+            if len(vec) != K:
+                raise ValidationError(
+                    f"condition vector at station {j} has {len(vec)} counts; "
+                    f"the network has {K} classes")
+        stations = condition.targets
+    elif isinstance(condition, TotalCounts):
+        stations = condition.targets
+    elif isinstance(condition, CountBands):
+        stations = condition.bands
+    else:
+        raise ValidationError(f"unsupported condition {type(condition).__name__}")
+    for j in stations:
+        if not 1 <= j <= spec.station_count:
+            raise ValidationError(
+                f"condition names station {j}; stations are 1..{spec.station_count}")
+
+
 # -------- public operations --------
 
 def new_sim(spec: NetworkSpec, *, seed: int, preemptive: bool = False) -> SimState:
@@ -452,8 +473,11 @@ def conditional_sample(
     ``threshold`` a snapshot of every station's (class, lead) content
     is recorded and the accumulator resets.  The run never passes
     ``horizon_cap``; if the quota of ``count`` snapshots is not met by
-    then, the partial list is returned with ``exhausted=True``.
+    then, the partial list is returned with ``exhausted=True``.  A
+    condition that does not fit the network raises ValidationError
+    before any event is processed.
     """
+    _check_condition(condition, sim.spec)
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold!r}")
     if count < 1:
@@ -527,7 +551,8 @@ def idleness(sim: SimState, j: int) -> float:
 
 
 def utilization(sim: SimState, j: int) -> float:
-    return sim.stations[j].busy_time / sim.clock if sim.clock > 0 else 0.0
+    """Share of elapsed time station j was busy (idle time's complement)."""
+    return 1.0 - sim.stations[j].idle_time / sim.clock if sim.clock > 0 else 0.0
 
 
 def queue_length(sim: SimState, j: int) -> int:

@@ -278,16 +278,22 @@ def in_frontier_domain(
     among the classes reaching that station through the earlier ones.
     Without ``perm``, orders are searched depth first in lexicographic
     order, extending a prefix only with a station that passes those
-    checks, and the first complete order is returned; with ``perm``
-    given, only that order is checked.  Returns the witnessing
-    permutation, or None.  Comparisons allow a slack of ``atol`` so that
-    solver output on a piece boundary is not rejected for roundoff.
+    checks and skipping a (placed set, last station) state already
+    found to have no completion, and the first complete order is
+    returned; with ``perm`` given, only that order is checked.  Returns
+    the witnessing permutation, or None.  Comparisons allow a slack of
+    ``atol`` so that solver output on a piece boundary is not rejected
+    for roundoff.
     """
     if len(y) != topo.station_count:
         raise ValueError(f"expected {topo.station_count} values, got {len(y)}")
     if perm is not None and sorted(perm) != list(topo.spec.stations):
         raise ValueError(f"{tuple(perm)} is not a permutation of the stations")
     order: List[int] = []
+    # (placed stations, last station) states with no completion: what
+    # can follow depends only on these, so tied values that reach one
+    # state through many orders search it once
+    dead = set()
 
     def fits(j: int, prev: float, reach: Mapping[int, FrozenSet[int]]) -> bool:
         bound = max(topo.lead_dist(k).upper_support for k in reach[j])
@@ -296,6 +302,9 @@ def in_frontier_domain(
     def extend(prev: float) -> bool:
         if len(order) == topo.station_count:
             return True
+        state = (frozenset(order), order[-1] if order else 0)
+        if state in dead:
+            return False
         reach, reachable = reach_sets(topo, order)
         ahead = sorted(reachable) if perm is None else [perm[len(order)]]
         steps = [j for j in ahead if j in reachable and fits(j, prev, reach)]
@@ -305,6 +314,7 @@ def in_frontier_domain(
             if extend(y[j - 1]):
                 return True
             order.pop()
+        dead.add(state)
         return False
 
     return tuple(order) if extend(math.inf) else None

@@ -104,6 +104,16 @@ def test_solve_malformed_config(tmp_path, capsys):
     assert "experiment.seeds" in capsys.readouterr().err
 
 
+def test_solve_route_outside_network(tmp_path, capsys):
+    """A route naming a station the network lacks fails at parse time."""
+    path = tmp_path / "bad.yaml"
+    path.write_text(CROSSING_CONFIG.replace("route: [1, 2]", "route: [1, 3]"))
+    with pytest.raises(ValidationError, match="network"):
+        parse_config(path)
+    assert main(["solve", "-c", str(path), "--loads", "1,1"]) == 2
+    assert "station 3" in capsys.readouterr().err
+
+
 def test_solve_missing_config(capsys):
     assert main(["solve", "-c", "/no/such/file.yaml", "--loads", "1,1"]) == 2
     assert "error:" in capsys.readouterr().err

@@ -76,14 +76,17 @@ def test_config_digest(name, digest):
     assert config_hash(parse_config(CONFIGS / f"{name}.yaml")) == digest
 
 
-@pytest.mark.parametrize("rates,digest", [
-    (1, MM1),
-    ({1: 1}, "b17a6e5dc13e3d69ee0a0b3dc71eb44a5955cd177a065205175f2b388810915d"),
-], ids=["scalar", "mapping"])
-def test_config_digest_of_code_built_values(rates, digest):
-    """Integer rates and numpy condition counts hash as their float and int forms."""
+@pytest.mark.parametrize("changes,digest", [
+    ({"service_rates": 1}, MM1),
+    ({"service_rates": {1: 1}},
+     "b17a6e5dc13e3d69ee0a0b3dc71eb44a5955cd177a065205175f2b388810915d"),
+    ({"lead_time": PointMass(1)}, MM1),
+], ids=["scalar", "mapping", "integer-lead"])
+def test_config_digest_of_code_built_values(changes, digest):
+    """Integer rates and leads and numpy condition counts hash as their
+    float and int forms."""
     cfg = parse_config(CONFIGS / "mm1.yaml")
-    cls = dataclasses.replace(cfg.network.classes[0], service_rates=rates)
+    cls = dataclasses.replace(cfg.network.classes[0], **changes)
     cfg = dataclasses.replace(
         cfg, network=dataclasses.replace(cfg.network, classes=(cls,)),
         condition=TotalCounts({np.int64(1): np.int64(2)}))

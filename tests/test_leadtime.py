@@ -8,6 +8,7 @@ sit exactly on breakpoints).
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -160,6 +161,51 @@ def test_uniform_rejects_bad_bounds():
 def test_point_mass_rejects_nonfinite():
     with pytest.raises(ValueError):
         PointMass(float("inf"))
+
+
+NAMED = [
+    (PointMass(400.0), [(400.0, 1.0)]),
+    (PointMass(2.5), [(2.5, 1.0)]),
+    (Uniform(0.0, 2.0), [(0.0, 0.0), (2.0, 1.0)]),
+    (Uniform(100.0, 300.0), [(100.0, 0.0), (300.0, 1.0)]),
+]
+
+
+@pytest.mark.parametrize("dist,knots", NAMED, ids=[repr(d) for d, _ in NAMED])
+def test_named_laws_are_their_knots(dist, knots):
+    """A point mass is one knot and a uniform law two: every evaluation
+    equals the plain piecewise law's, yet the two compare unequal."""
+    plain = PiecewiseLinearCDF(knots)
+    assert dist.upper_support == plain.upper_support
+    assert dist.breakpoints() == plain.breakpoints()
+    lo = plain.breakpoints()[0]
+    for y in np.linspace(lo - 3.0, plain.upper_support + 1.0, 37):
+        assert dist.cdf(float(y)) == plain.cdf(float(y))
+        assert dist.integrated_tail(float(y)) == plain.integrated_tail(float(y))
+    for h in np.linspace(0.0, plain.integrated_tail(lo) + 2.0, 29):
+        assert dist.integrated_tail_inverse(float(h)) == plain.integrated_tail_inverse(float(h))
+    assert dist != plain and plain != dist
+
+
+@pytest.mark.parametrize("lo,hi", [(0.0, 2.0), (100.0, 300.0), (-7.25, 1e-3)])
+def test_uniform_draws_equal_rng_uniform(lo, hi):
+    draws = Uniform(lo, hi).sample(np.random.default_rng(11), 4096)
+    want = np.random.default_rng(11).uniform(lo, hi, 4096)
+    assert draws.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dist", DISTS, ids=repr)
+def test_pickle_round_trip(dist):
+    back = pickle.loads(pickle.dumps(dist))
+    assert type(back) is type(dist) and back == dist and repr(back) == repr(dist)
+
+
+def test_named_parameters_are_read_only_floats():
+    d = PointMass(400)
+    assert d.value == 400.0 and isinstance(d.value, float)
+    assert repr(Uniform(0, 2)) == "Uniform(lo=0.0, hi=2.0)"
+    with pytest.raises(AttributeError):
+        d.value = 1.0
 
 
 def test_piecewise_equality_and_hash():

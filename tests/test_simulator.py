@@ -18,6 +18,7 @@ from edfnet import (
     NetworkSpec,
     PointMass,
     TotalCounts,
+    ValidationError,
     behind_frontier_stats,
     class_counts,
     conditional_sample,
@@ -422,6 +423,22 @@ def test_conditional_sample_validates_arguments():
     run_until(sim, 5.0)
     with pytest.raises(ValueError):
         conditional_sample(sim, cond, threshold=1.0, count=1, horizon_cap=4.0)
+
+
+@pytest.mark.parametrize("condition,named", [
+    (TotalCounts({2: 1}), "station 2"),
+    (TotalCounts({0: 1}), "station 0"),
+    (ExactCounts({1: (1, 1)}), "vector at station 1"),
+], ids=["station-above-J", "station-zero", "exact-length"])
+def test_conditional_sample_checks_condition_against_network(condition, named):
+    """One station and one class: each condition names something the
+    network lacks and fails before any event is processed."""
+    sim = new_sim(NetworkSpec(1, (
+        ClassSpec(id=1, route=(1,), arrival_rate=0.5, lead_time=PointMass(1.0)),
+    )), seed=1)
+    with pytest.raises(ValidationError, match=named):
+        conditional_sample(sim, condition, threshold=1.0, count=1, horizon_cap=100.0)
+    assert sim.events_processed == 0
 
 
 # -------- construction and lookups --------

@@ -22,6 +22,7 @@ from edfnet import (
     traffic_intensity,
     upstream_set,
 )
+from edfnet import topology
 from conftest import admissible_permutations, in_piece
 
 
@@ -183,6 +184,28 @@ def test_domain_witness_on_large_chain():
     assert in_frontier_domain(topo, y) == tuple(range(1, J + 1))
     assert in_frontier_domain(topo, y, perm=tuple(range(1, J + 1))) == tuple(range(1, J + 1))
     assert in_frontier_domain(topo, y[::-1]) is None
+
+
+def test_domain_search_skips_dead_states(monkeypatch):
+    """Station 1 feeds ten leaves and every value is 50, but the last
+    leaf's lead is 10: no order fits.  The tied leaves reach each
+    (placed set, last station) state through many orders, and the
+    search expands each state at most once."""
+    n = 10
+    spec = NetworkSpec(n + 1, tuple(
+        ClassSpec(id=k, route=(1, k + 1), arrival_rate=0.5,
+                  lead_time=PointMass(10.0 if k == n else 100.0))
+        for k in range(1, n + 1)))
+    topo = build_topology(spec)
+    calls = []
+
+    def counting(topo, prefix):
+        calls.append(prefix)
+        return reach_sets(topo, prefix)
+
+    monkeypatch.setattr(topology, "reach_sets", counting)
+    assert in_frontier_domain(topo, (50.0,) * (n + 1)) is None
+    assert len(calls) <= 2 ** (n - 1) * n
 
 
 def test_class_spec_validation():
