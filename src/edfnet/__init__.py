@@ -72,8 +72,8 @@ from .simulator import (
     TotalCounts,
     behind_frontier_stats,
     class_counts,
+    class_frontier,
     conditional_sample,
-    frontier,
     idleness,
     mean_queue_length,
     netput,

@@ -37,6 +37,15 @@ def _parse_floats(text: str, what: str) -> List[float]:
         raise EdfnetError(f"{what}: expected comma-separated numbers, got {text!r}")
 
 
+def _solve(model, text: str):
+    """Solve for the --loads value, which must give one load per station."""
+    loads = _parse_floats(text, "--loads")
+    count = model.topology.station_count
+    if len(loads) != count:
+        raise EdfnetError(f"--loads: expected {count} values, got {len(loads)}")
+    return solve_frontiers(model, loads)
+
+
 def _model_for(cfg, args):
     weights = getattr(args, "weights", None) or cfg.weight_kind
     normalize = cfg.normalize
@@ -49,8 +58,7 @@ def _model_for(cfg, args):
 def _cmd_solve(args) -> int:
     cfg = harness.parse_config(args.config)
     model, _ = _model_for(cfg, args)
-    loads = _parse_floats(args.loads, "--loads")
-    sol = solve_frontiers(model, loads)
+    sol = _solve(model, args.loads)
     for j, f in enumerate(sol.frontiers, start=1):
         print(f"station {j}: frontier {f!r}")
     print("order: " + " ".join(str(j) for j in sol.permutation))
@@ -61,8 +69,7 @@ def _cmd_solve(args) -> int:
 def _cmd_predict(args) -> int:
     cfg = harness.parse_config(args.config)
     model, adjusted = _model_for(cfg, args)
-    loads = _parse_floats(args.loads, "--loads")
-    sol = solve_frontiers(model, loads)
+    sol = _solve(model, args.loads)
     grid = adjusted.grid
     if args.grid:
         try:
@@ -87,12 +94,12 @@ def _cmd_predict(args) -> int:
 
 def _cmd_simulate(args) -> int:
     cfg = harness.parse_config(args.config)
-    seed = args.seed if args.seed is not None else cfg.seeds[0]
-    sim = new_sim(cfg.network, seed=seed, preemptive=cfg.preemptive)
+    seed = cfg.seeds[0] if args.seed is None else harness._as_seed(args.seed, "--seed")
     horizon = args.horizon
-    every = args.every if args.every else horizon / 10.0
-    if not (horizon > 0 and every > 0):
-        raise EdfnetError("--horizon and --every must be positive")
+    every = horizon / 10.0 if args.every is None else args.every
+    if not (0 < horizon < math.inf and every > 0):
+        raise EdfnetError("--horizon must be positive and finite, --every positive")
+    sim = new_sim(cfg.network, seed=seed, preemptive=cfg.preemptive)
     t = 0.0
     while t < horizon:
         t = min(t + every, horizon)
@@ -112,7 +119,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = harness.parse_config(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seeds=(args.seed,))
+        cfg = dataclasses.replace(cfg, seeds=(harness._as_seed(args.seed, "--seed"),))
     report = harness.run_experiment(cfg)
     harness.export_report(report, csv_path=args.output, yaml_path=args.structured)
     print(f"snapshots: {report.snapshot_count}"

@@ -45,7 +45,8 @@ class ZeroIntensity(EdfnetError):
 
 
 class SolverDivergence(EdfnetError):
-    """The scalar stage solver failed to bracket or refine a root."""
+    """A stage solve found no root that reproduces its load, or the
+    staged solution failed its residual or domain check."""
 
 
 class NoConsistentRegion(EdfnetError):
@@ -55,7 +56,8 @@ class NoConsistentRegion(EdfnetError):
 # -------- simulation --------
 
 class EventCapExceeded(EdfnetError):
-    """run_until(predicate) processed more events than allowed."""
+    """run_until hit its max_events cap, or its event queue ran dry
+    before the predicate held."""
 
 
 # -------- harness --------

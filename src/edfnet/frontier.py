@@ -18,9 +18,8 @@ experiment harness compares against simulated profiles.
 
 All of this is exact piecewise-polynomial arithmetic: every lead-time
 law is a piecewise-linear CDF, whose integrated tail is piecewise
-quadratic, so stage
-inverses are found by a breakpoint scan plus a closed-form segment
-solve, with bisection only as a guarded fallback.
+quadratic, so each stage inverse is a breakpoint scan plus a
+closed-form quadratic solve on the bracketing piece.
 """
 
 from __future__ import annotations
@@ -210,8 +209,13 @@ def _stage_inverse(terms: List[_Term], target: float) -> Tuple[float, float]:
 
     The stage function is continuous, zero at the bound (the largest
     cut), and strictly increasing as the lead level moves down, so the
-    preimage of any nonnegative target is a single point.  Returns
-    (solution, bound).
+    preimage of any nonnegative target is a single point.  Between
+    neighbouring breakpoints it is an exact quadratic: a scan down the
+    breakpoints finds the piece that brackets the target, and the
+    quadratic through the piece's ends and midpoint is solved in closed
+    form.  Returns (solution, bound).  Raises SolverDivergence when no
+    root of that quadratic reproduces the target, as for a law whose
+    integrated tail is not quadratic between its breakpoints.
     """
     bound = max(t.cut for t in terms)
     if target == 0.0:
@@ -223,36 +227,26 @@ def _stage_inverse(terms: List[_Term], target: float) -> Tuple[float, float]:
         for b in t.dist.breakpoints():
             if b < t.cut:
                 points.add(b)
-    points = sorted(p for p in points if p <= bound)
+    points = sorted(points)
 
     hi, val_hi = bound, 0.0
-    for p in reversed(points[:-1]):
-        val_p = _mass_above(terms, p)
-        if val_p >= target:
-            return _solve_segment(terms, p, val_p, hi, val_hi, target), bound
-        hi, val_hi = p, val_p
+    for lo in reversed(points[:-1]):
+        val_lo = _mass_above(terms, lo)
+        if val_lo >= target:
+            break
+        hi, val_hi = lo, val_lo
+    else:
+        # below the lowest breakpoint every term is active and every
+        # integrated tail has slope -1, so the stage function is linear
+        slope = sum(t.weight for t in terms)
+        return hi - (target - val_hi) / slope, bound
 
-    # below the lowest breakpoint every term is active and every
-    # integrated tail has slope -1, so the stage function is linear
-    slope = sum(t.weight for t in terms)
-    return hi - (target - val_hi) / slope, bound
-
-
-def _solve_segment(terms: List[_Term], lo: float, val_lo: float,
-                   hi: float, val_hi: float, target: float) -> float:
-    """Root of the stage function on one polynomial piece.
-
-    On a piece the function is an exact quadratic, so fitting it
-    through three points and solving is exact up to roundoff; a
-    bisection fallback guards the degenerate cases.
-    """
+    # the scan stopped at the piece [lo, hi] with val_hi < target <= val_lo
     if val_lo == target:
-        return lo
-    if val_hi == target:
-        return hi
+        return lo, bound
     width = hi - lo
     if width <= 1e-12:
-        return hi if abs(val_hi - target) <= abs(val_lo - target) else lo
+        return (hi if abs(val_hi - target) <= abs(val_lo - target) else lo), bound
 
     mid = 0.5 * (lo + hi)
     val_mid = _mass_above(terms, mid)
@@ -284,23 +278,8 @@ def _solve_segment(terms: List[_Term], lo: float, val_lo: float,
             if best is None or err < best[0]:
                 best = (err, y)
     if best is not None and best[0] <= 1e-9 * max(1.0, abs(target)):
-        return best[1]
-
-    # fallback: plain bisection on the bracket
-    a_, b_ = lo, hi
-    for _ in range(200):
-        m = 0.5 * (a_ + b_)
-        if _mass_above(terms, m) >= target:
-            a_ = m
-        else:
-            b_ = m
-        if b_ - a_ <= 1e-13 * max(1.0, abs(m)):
-            break
-    y = 0.5 * (a_ + b_)
-    if abs(_mass_above(terms, y) - target) > 1e-6 * max(1.0, abs(target)):
-        raise SolverDivergence(
-            f"stage solve failed on [{lo}, {hi}] for target {target}")
-    return y
+        return best[1], bound
+    raise SolverDivergence(f"stage solve failed on [{lo}, {hi}] for target {target}")
 
 
 def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSolution:

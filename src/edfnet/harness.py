@@ -102,9 +102,10 @@ def default_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
+    return _as_seed(seed, SEED_ENV_VAR)
 
 
 def _load_yaml(path) -> Dict:
@@ -284,6 +285,7 @@ def _kind_of(table: Mapping, what: str):
     return parse
 
 
+_as_seed = _checked(_as_int, lambda v: v >= 0, "must be nonnegative")
 _band = _checked(_list_of(_as_int, 2), lambda b: b[0] <= b[1], "band [lo, hi] is empty")
 
 # kind -> (class, ((field, parser), ...)) for each kind-tagged family
@@ -353,7 +355,7 @@ def _grid(value, where: str) -> Optional[Tuple[float, ...]]:
 # (YAML key, ExperimentConfig field, parser, default); config_from_dict
 # fills in a seeds or grid default of None (a null grid counts as absent)
 _EXPERIMENT_ROWS = (
-    ("seeds", "seeds", _checked(_list_of(_as_int), len, "must not be empty"), None),
+    ("seeds", "seeds", _checked(_list_of(_as_seed), len, "must not be empty"), None),
     ("condition", "condition", _kind_of(_CONDITIONS, "condition"), None),
     ("threshold", "threshold",
      _checked(_as_float, lambda v: v > 0, "must be positive"), 1.0),

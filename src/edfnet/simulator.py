@@ -59,7 +59,7 @@ __all__ = [
     "run_until",
     "conditional_sample",
     "snapshot_profiles",
-    "frontier",
+    "class_frontier",
     "station_frontier",
     "workload",
     "netput",
@@ -522,7 +522,7 @@ def snapshot_profiles(sim: SimState) -> Snapshot:
     return Snapshot(time=now, stations=stations)
 
 
-def frontier(sim: SimState, k: int, j: int) -> float:
+def class_frontier(sim: SimState, k: int, j: int) -> float:
     """Lead-time frontier of class k at station j right now."""
     st = sim.stations[j] if 1 <= j < len(sim.stations) else None
     if st is None or k not in sim.topology.visiting[j]:

@@ -95,6 +95,10 @@ def test_solve_no_normalize(crossing_cfg, capsys):
 def test_solve_bad_loads(crossing_cfg, capsys):
     assert main(["solve", "-c", crossing_cfg, "--loads", "50,oops"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # one load for two stations
+    for command in ("solve", "predict"):
+        assert main([command, "-c", crossing_cfg, "--loads", "50"]) == 2
+        assert capsys.readouterr().err.startswith("error: --loads: expected 2 values")
 
 
 def test_solve_malformed_config(tmp_path, capsys):
@@ -153,8 +157,14 @@ def test_simulate_prints_progress(crossing_cfg, capsys):
     assert out[1].startswith("t=200.0")
 
 
-def test_simulate_rejects_bad_horizon(crossing_cfg):
+def test_simulate_rejects_bad_horizon(crossing_cfg, capsys):
     assert main(["simulate", "-c", crossing_cfg, "--horizon", "-5"]) == 2
+    # an interval of 0 is not a request for the default, and an
+    # infinite horizon would never finish
+    assert main(["simulate", "-c", crossing_cfg, "--every", "0"]) == 2
+    assert main(["simulate", "-c", crossing_cfg, "--horizon", "inf"]) == 2
+    assert main(["simulate", "-c", crossing_cfg, "--seed", "-1"]) == 2
+    assert "--seed: must be nonnegative" in capsys.readouterr().err
 
 
 def test_experiment_end_to_end(scripted_cfg, tmp_path, capsys):
@@ -178,6 +188,7 @@ def test_experiment_seed_flag(scripted_cfg, tmp_path):
     assert main(["experiment", "-c", scripted_cfg, "--seed", "9",
                  "--structured", str(yaml_path)]) == 0
     assert parse_report(str(yaml_path)).seeds == (9,)
+    assert main(["experiment", "-c", scripted_cfg, "--seed", "-1"]) == 2
 
 
 @pytest.mark.parametrize("condition,named", [
@@ -224,6 +235,10 @@ def test_compare_grid_mismatch(scripted_cfg, tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(a), str(b)]) == 2
     assert "error:" in capsys.readouterr().err
+    c = tmp_path / "c.csv"
+    c.write_text(re.sub(r"(?m)^1,", "2,", a.read_text()))
+    assert main(["compare", str(a), str(c)]) == 2
+    assert "station sets differ: [1] vs [2]" in capsys.readouterr().err
 
 
 def test_compare_default_columns(scripted_cfg, tmp_path, capsys):

@@ -18,6 +18,7 @@ from edfnet import (
     NetworkSpec,
     NoConsistentRegion,
     PointMass,
+    SolverDivergence,
     WeightedModel,
     ZeroIntensity,
     build_topology,
@@ -30,6 +31,7 @@ from edfnet import (
     two_station_closed_form,
     work_model,
 )
+from edfnet.frontier import _stage_inverse, _Term
 from edfnet.harness import theory_cdf
 
 THIRD = 1.0 / 3.0
@@ -174,6 +176,32 @@ def test_solve_validates_loads():
         solve_frontiers(model, (math.inf, 5.0))
     with pytest.raises(ValueError):
         solve_frontiers(model, (1.0, 2.0, 3.0))
+
+
+def test_package_attribute_is_the_solver_module():
+    """``edfnet.frontier`` is the module, not a re-exported function."""
+    import edfnet.frontier as fr
+
+    assert fr.solve_frontiers is solve_frontiers
+
+
+class _CubicTail:
+    """A stub law whose integrated tail, (2 - y)^3 on its one piece
+    [0, 2], is cubic where a piecewise-linear CDF's is quadratic."""
+
+    def integrated_tail(self, y):
+        return (2.0 - min(max(y, 0.0), 2.0)) ** 3
+
+    def breakpoints(self):
+        return (0.0, 2.0)
+
+
+def test_stage_inverse_rejects_a_tail_it_cannot_solve_exactly():
+    """The quadratic through the piece's ends and midpoint misses the
+    cubic's root, and the stage solve says so instead of searching."""
+    terms = [_Term(weight=1.0, dist=_CubicTail(), cap=0.0, cut=2.0)]
+    with pytest.raises(SolverDivergence, match=r"\[0\.0, 2\.0\]"):
+        _stage_inverse(terms, 4.0)
 
 
 # -------- round trip on random networks --------

@@ -1,5 +1,6 @@
 """Tests for the experiment harness: config handling, bands, reports."""
 
+import dataclasses
 import math
 import pathlib
 import re
@@ -168,6 +169,9 @@ def test_seed_env_override(monkeypatch):
     monkeypatch.setenv(SEED_ENV_VAR, "junk")
     with pytest.raises(ValidationError):
         config_from_dict(raw)
+    monkeypatch.setenv(SEED_ENV_VAR, "-1")
+    with pytest.raises(ValidationError, match=SEED_ENV_VAR):
+        config_from_dict(raw)
 
 
 def test_parse_error_carries_line(tmp_path):
@@ -241,6 +245,8 @@ def test_unknown_fields_rejected(mutate):
             {"id": 1, "route": [1.7], "arrival_rate": 0.5,
              "lead_time": {"kind": "point", "value": 10.0}}]}},
          "network.classes[0].route"),
+        # a seed new_sim would refuse fails where it is written
+        ({"experiment": {"seeds": [-3]}}, "experiment.seeds[0]"),
     ],
 )
 def test_invalid_fields_rejected(patch, field):
@@ -403,6 +409,16 @@ def test_run_experiment_condition_must_cover_stations():
     cfg = scripted_config(network=net, condition=TotalCounts({1: 2}))
     with pytest.raises(ValidationError):
         run_experiment(cfg)
+
+
+def test_run_experiment_exact_condition():
+    """With one class, the exact vector (2,) fixes the same station
+    total as TotalCounts({1: 2}), so only the config digest differs."""
+    exact = run_experiment(scripted_config(condition=ExactCounts({1: (2,)})))
+    total = run_experiment(scripted_config())
+    assert exact.loads == (2.0,)
+    assert exact.config_digest != total.config_digest
+    assert dataclasses.replace(exact, config_digest=total.config_digest) == total
 
 
 def test_run_experiment_no_snapshots():

@@ -21,9 +21,9 @@ from edfnet import (
     ValidationError,
     behind_frontier_stats,
     class_counts,
+    class_frontier,
     conditional_sample,
     dists,
-    frontier,
     idleness,
     mean_queue_length,
     netput,
@@ -87,17 +87,17 @@ def test_scripted_order_and_snapshot():
 def test_scripted_frontiers():
     sim = new_sim(two_class_station(), seed=0)
     # phantom frontiers at time zero equal the largest possible leads
-    assert frontier(sim, 1, 1) == 100.0
-    assert frontier(sim, 2, 1) == 10.0
+    assert class_frontier(sim, 1, 1) == 100.0
+    assert class_frontier(sim, 2, 1) == 10.0
     assert station_frontier(sim, 1) == 100.0
     run_until(sim, 3.0)
     # class 1 entered service at t=1 with deadline 101
-    assert frontier(sim, 1, 1) == pytest.approx(98.0)
-    assert frontier(sim, 2, 1) == pytest.approx(7.0)  # still the phantom
+    assert class_frontier(sim, 1, 1) == pytest.approx(98.0)
+    assert class_frontier(sim, 2, 1) == pytest.approx(7.0)  # still the phantom
     assert station_frontier(sim, 1) == pytest.approx(98.0)
     run_until(sim, 7.0)
     # class 2 (deadline 12) entered service at t=6
-    assert frontier(sim, 2, 1) == pytest.approx(5.0)
+    assert class_frontier(sim, 2, 1) == pytest.approx(5.0)
     assert station_frontier(sim, 1) == pytest.approx(101.0 - 7.0)
 
 
@@ -274,7 +274,7 @@ def test_run_until_on_empty_timeline():
     sim = new_sim(spec, seed=0)
     assert run_until(sim, 5.0) == 0
     assert sim.clock == 5.0
-    assert frontier(sim, 1, 1) == pytest.approx(5.0)  # phantom decays
+    assert class_frontier(sim, 1, 1) == pytest.approx(5.0)  # phantom decays
     assert workload(sim, 1) == 0.0
     assert netput(sim, 1) == pytest.approx(-5.0)
     assert idleness(sim, 1) == pytest.approx(5.0)
@@ -318,10 +318,10 @@ def test_frontier_monotone_along_route_and_in_time():
     for t in range(50, 3001, 50):
         run_until(sim, float(t))
         # a class's downstream frontier can never pass its upstream one
-        assert frontier(sim, 1, 1) >= frontier(sim, 1, 2) - 1e-9
-        assert frontier(sim, 2, 2) >= frontier(sim, 2, 1) - 1e-9
+        assert class_frontier(sim, 1, 1) >= class_frontier(sim, 1, 2) - 1e-9
+        assert class_frontier(sim, 2, 2) >= class_frontier(sim, 2, 1) - 1e-9
         for key in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (4, 2)]:
-            absolute = frontier(sim, *key) + sim.clock
+            absolute = class_frontier(sim, *key) + sim.clock
             assert absolute >= last_abs.get(key, -math.inf) - 1e-9
             last_abs[key] = absolute
 
@@ -354,6 +354,28 @@ def test_mm1_sanity():
     run_until(sim, 2e4)
     assert utilization(sim, 1) == pytest.approx(0.5, abs=0.05)
     assert mean_queue_length(sim, 1) == pytest.approx(1.0, abs=0.35)
+
+
+def test_deterministic_gaps_and_uniform_services():
+    """Deterministic(2) arrivals at t = 2, 4, ... each bring one
+    UniformLaw(0.5, 1.5) service, which ends before the next arrival:
+    just after each arrival the workload is that customer's draw."""
+    spec = NetworkSpec(1, (
+        ClassSpec(id=1, route=(1,), arrival_rate=0.5, lead_time=PointMass(10.0),
+                  interarrival=dists.Deterministic(2.0),
+                  service_laws={1: dists.UniformLaw(0.5, 1.5)}),
+    ))
+    sim = new_sim(spec, seed=3)
+    draws = []
+    for k in range(1, 51):
+        run_until(sim, 2.0 * k)
+        assert queue_length(sim, 1) == 1
+        draws.append(workload(sim, 1))
+    assert all(0.5 <= d <= 1.5 for d in draws)
+    assert len(set(draws)) == 50
+    run_until(sim, 101.9)
+    assert queue_length(sim, 1) == 0
+    assert idleness(sim, 1) == pytest.approx(101.9 - sum(draws), abs=1e-9)
 
 
 # -------- conditional sampling --------
@@ -453,6 +475,6 @@ def test_seed_validation():
 def test_frontier_lookup_validation():
     sim = new_sim(crossing_spec(), seed=0)
     with pytest.raises(ClassDoesNotVisitStation):
-        frontier(sim, 3, 2)
+        class_frontier(sim, 3, 2)
     with pytest.raises(ClassDoesNotVisitStation):
-        frontier(sim, 1, 5)
+        class_frontier(sim, 1, 5)
