@@ -21,7 +21,6 @@ from .errors import (
     DisconnectedNetwork,
     EdfnetError,
     EmptyStation,
-    EventCapExceeded,
     GridMismatch,
     NegativeTail,
     NegativeWorkload,
@@ -93,7 +92,6 @@ from .topology import (
     in_frontier_domain,
     reach_sets,
     traffic_intensity,
-    upstream_set,
 )
 
 __version__ = "0.1.0"

@@ -103,7 +103,8 @@ class Sequence(SamplingLaw):
     """Scripted draws: the listed values in order, then ``then`` forever.
 
     Meant for constructing exact scenarios in tests; it has no mean, so
-    rate consistency checks do not apply.
+    rate consistency checks do not apply.  ``then`` must be positive: a
+    zero tail would replay simultaneous events without end.
     """
 
     values: Tuple[float, ...]
@@ -113,6 +114,8 @@ class Sequence(SamplingLaw):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if any(v < 0 for v in self.values):
             raise ValueError("scripted draws must be nonnegative")
+        if not self.then > 0.0:
+            raise ValueError(f"then must be positive, got {self.then!r}")
 
     @property
     def mean(self) -> None:

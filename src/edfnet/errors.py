@@ -1,8 +1,11 @@
 """Exception types raised across the package.
 
-Everything derives from EdfnetError so callers can catch package
-failures with a single except clause; the CLI maps these to exit
-code 2.
+Every package-specific failure derives from EdfnetError, so callers
+can catch them with a single except clause; the CLI maps these to exit
+code 2.  A bad argument to a library call, such as a run time that is
+not finite or lies before the clock, raises a plain ValueError instead;
+the config parser reports such values as ValidationError naming their
+path.
 """
 
 
@@ -51,13 +54,6 @@ class SolverDivergence(EdfnetError):
 
 class NoConsistentRegion(EdfnetError):
     """No closed-form region reproduces the observed queue lengths."""
-
-
-# -------- simulation --------
-
-class EventCapExceeded(EdfnetError):
-    """run_until hit its max_events cap, or its event queue ran dry
-    before the predicate held."""
 
 
 # -------- harness --------

@@ -69,15 +69,11 @@ class WeightedModel:
 
     With weights equal to arrival rates the frontier map returns
     customer counts; with arrival rate over service rate it returns
-    workloads.  ``normalized`` records whether station weights have
-    been divided by the station's traffic intensity (the finite-load
-    correction used on prediction paths).
+    workloads.  Any other positive weights are accepted as well.
     """
 
     topology: Topology
     weights: Mapping[Tuple[int, int], float]
-    kind: str = "custom"
-    normalized: bool = False
 
     def __post_init__(self):
         topo = self.topology
@@ -96,14 +92,14 @@ class WeightedModel:
 def count_model(topo: Topology) -> WeightedModel:
     """Weights = arrival rates: the map returns queue counts."""
     w = {(c.id, j): c.arrival_rate for c in topo.spec.classes for j in c.route}
-    return WeightedModel(topo, w, kind="count")
+    return WeightedModel(topo, w)
 
 
 def work_model(topo: Topology) -> WeightedModel:
     """Weights = arrival rate / service rate: the map returns workloads."""
     w = {(c.id, j): c.arrival_rate / c.service_rate(j)
          for c in topo.spec.classes for j in c.route}
-    return WeightedModel(topo, w, kind="work")
+    return WeightedModel(topo, w)
 
 
 def normalize_by_intensity(model: WeightedModel) -> WeightedModel:
@@ -119,7 +115,7 @@ def normalize_by_intensity(model: WeightedModel) -> WeightedModel:
         if not r > 0.0:
             raise ZeroIntensity(f"station {j} has zero offered load")
     w = {(k, j): wv / rho[j] for (k, j), wv in model.weights.items()}
-    return WeightedModel(topo, w, kind=model.kind, normalized=True)
+    return WeightedModel(topo, w)
 
 
 # -------- mass above a level --------
@@ -305,16 +301,16 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
     bounds: List[float] = []
     for _ in range(topo.station_count):
         reach, reachable = reach_sets(topo, order)
-        best = None
-        for j in sorted(reachable):
-            terms = _terms(model, j, reach[j], assigned)
-            y_j, b_j = _stage_inverse(terms, vec[j - 1])
-            if best is None or y_j > best[1]:
-                best = (j, y_j, b_j)
-        assert best is not None, "connected network must stay extendable"
-        order.append(best[0])
-        assigned[best[0]] = best[1]
-        bounds.append(best[2])
+        # never empty: every station is on a route, and the first
+        # unplaced station on a route is reachable.  max keeps the
+        # first of tied values, so ties go to the smallest id
+        j, y_j, b_j = max(
+            ((j, *_stage_inverse(_terms(model, j, reach[j], assigned), vec[j - 1]))
+             for j in sorted(reachable)),
+            key=lambda stage: stage[1])
+        order.append(j)
+        assigned[j] = y_j
+        bounds.append(b_j)
 
     y = tuple(assigned[j] for j in topo.spec.stations)
     residual = float(np.max(np.abs(frontier_loads(model, y) - np.array(vec))))

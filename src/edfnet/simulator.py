@@ -44,7 +44,7 @@ from typing import Callable, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import dists
-from .errors import ClassDoesNotVisitStation, EventCapExceeded, ValidationError
+from .errors import ClassDoesNotVisitStation, ValidationError
 from .topology import NetworkSpec, Topology, build_topology
 
 __all__ = [
@@ -116,12 +116,6 @@ class _Station:
         self.int_behind = 0.0
         self.int_behind_work = 0.0
 
-    def current_workload(self, now: float) -> float:
-        w = self.pending_work
-        if self.serving is not None:
-            w += self.serving_dep - now
-        return w
-
 
 class SimState:
     """One simulation run; construct through new_sim().
@@ -180,9 +174,6 @@ class SimState:
     def _push(self, time: float, kind: int, station: int, payload: int) -> None:
         self._seq += 1
         heappush(self._heap, (time, kind, station, self._seq, payload))
-
-    def _next_time(self) -> float:
-        return self._heap[0][0] if self._heap else math.inf
 
     def _step(self) -> None:
         """Pop and process one event, advancing the clock to it."""
@@ -271,8 +262,7 @@ class SimState:
             st.max_by_class[cust.class_id] = cust.deadline
             if cust.deadline > st.max_admitted:
                 # the frontier only moves when everything more urgent
-                # has already cleared, so nothing can be behind it now
-                assert st.pending_behind == 0
+                # has already cleared, so no behind count needs updating
                 st.max_admitted = cust.deadline
         self._push(st.serving_dep, _DEPART, st.sid, st.token)
 
@@ -412,43 +402,25 @@ def new_sim(spec: NetworkSpec, *, seed: int, preemptive: bool = False) -> SimSta
 
 def run_until(
     sim: SimState,
-    until: Union[float, Callable[[SimState], bool]],
+    until: float,
     *,
-    max_events: Optional[int] = None,
     on_event: Optional[Callable[[SimState], None]] = None,
 ) -> int:
-    """Advance the simulation to a time, or until a predicate holds.
+    """Advance the simulation to a finite time.
 
-    With a float, every event at or before that time is processed and
-    the clock then advances to exactly that time.  With a callable, the
-    predicate is evaluated after each event (and once up front); when
-    it returns True the run stops at the current event's time.
-    ``max_events`` bounds the number of events processed in this call
-    and raises EventCapExceeded beyond it.  Returns the number of
-    events processed.  Both counts include departures that a
-    preemption superseded (see SimState).
+    Every event at or before ``until`` is processed, ``on_event`` (if
+    given) is called after each one, and the clock then advances to
+    exactly ``until``.  A time that is not finite or lies before the
+    clock raises ValueError before any event is processed.  Returns the
+    number of events processed, including departures that a preemption
+    superseded (see SimState).
     """
-    done = 0
-    if callable(until):
-        if until(sim):
-            return 0
-        while True:
-            if not sim._heap:
-                raise EventCapExceeded("event queue ran dry before the predicate held")
-            if max_events is not None and done >= max_events:
-                raise EventCapExceeded(f"predicate still false after {done} events")
-            sim._step()
-            done += 1
-            if on_event is not None:
-                on_event(sim)
-            if until(sim):
-                return done
     t = float(until)
-    if t < sim.clock:
-        raise ValueError(f"cannot run backwards to {t} from {sim.clock}")
+    if not (math.isfinite(t) and t >= sim.clock):
+        raise ValueError(f"cannot run to {t} from {sim.clock}: the time must "
+                         f"be finite and not before the clock")
+    done = 0
     while sim._heap and sim._heap[0][0] <= t:
-        if max_events is not None and done >= max_events:
-            raise EventCapExceeded(f"more than {done} events before time {t}")
         sim._step()
         done += 1
         if on_event is not None:
@@ -488,7 +460,7 @@ def conditional_sample(
     snaps: List[Snapshot] = []
     acc = 0.0
     while True:
-        t_next = sim._next_time()
+        t_next = sim._heap[0][0] if sim._heap else math.inf
         boundary = min(t_next, horizon_cap)
         if boundary > sim.clock and condition.holds(sim):
             while len(snaps) < count:
@@ -537,7 +509,10 @@ def station_frontier(sim: SimState, j: int) -> float:
 
 def workload(sim: SimState, j: int) -> float:
     """Residual work sitting at station j (pending plus in service)."""
-    return sim.stations[j].current_workload(sim.clock)
+    st = sim.stations[j]
+    if st.serving is None:
+        return st.pending_work
+    return st.pending_work + (st.serving_dep - sim.clock)
 
 
 def netput(sim: SimState, j: int) -> float:

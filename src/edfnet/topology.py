@@ -4,9 +4,8 @@ A network is a set of stations 1..J and a set of customer classes
 1..K.  Each class follows a fixed acyclic route (no station is visited
 twice) and carries an initial lead-time distribution.  From the routes
 we derive the station-level sets that every other module consumes:
-which classes visit a station, which of them enter the network there,
-and which stations a class has already cleared when it reaches a given
-station.
+which classes visit a station, and which stations a class has already
+cleared when it reaches a given station.
 
 The solver visits stations in an order it discovers stage by stage; a
 station is *reachable* at a stage when at least one class reaches it
@@ -23,12 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import dists
-from .errors import (
-    ClassDoesNotVisitStation,
-    DisconnectedNetwork,
-    EmptyStation,
-    RouteRepeatsStation,
-)
+from .errors import DisconnectedNetwork, EmptyStation, RouteRepeatsStation
 from .leadtime import LeadTimeDist
 
 __all__ = [
@@ -36,7 +30,6 @@ __all__ = [
     "NetworkSpec",
     "Topology",
     "build_topology",
-    "upstream_set",
     "reach_sets",
     "in_frontier_domain",
     "traffic_intensity",
@@ -141,26 +134,20 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class Topology:
-    """Validated network with all derived route sets.
+    """Validated network with its derived route sets.
 
     visiting[j]      classes whose route passes through station j
-    entry_classes[j] classes whose route *starts* at station j
-    entry_stations   stations where at least one class enters
-    upstream[(k, j)] stations class k clears before reaching j
+    upstream[(k, j)] stations class k clears before reaching j; only
+                     pairs with j on the route of k are keys
     """
 
     spec: NetworkSpec
     visiting: Mapping[int, FrozenSet[int]]
-    entry_classes: Mapping[int, FrozenSet[int]]
-    entry_stations: FrozenSet[int]
     upstream: Mapping[Tuple[int, int], FrozenSet[int]]
 
     @property
     def station_count(self) -> int:
         return self.spec.station_count
-
-    def route(self, k: int) -> Tuple[int, ...]:
-        return self.spec.class_by_id(k).route
 
     def lead_dist(self, k: int) -> LeadTimeDist:
         return self.spec.class_by_id(k).lead_time
@@ -184,10 +171,8 @@ def build_topology(spec: NetworkSpec) -> Topology:
                                  f"but the network has only {J}")
 
     visiting: Dict[int, set] = {j: set() for j in spec.stations}
-    entry: Dict[int, set] = {j: set() for j in spec.stations}
     upstream: Dict[Tuple[int, int], FrozenSet[int]] = {}
     for c in spec.classes:
-        entry[c.route[0]].add(c.id)
         for pos, j in enumerate(c.route):
             visiting[j].add(c.id)
             upstream[(c.id, j)] = frozenset(c.route[:pos])
@@ -216,22 +201,8 @@ def build_topology(spec: NetworkSpec) -> Topology:
     return Topology(
         spec=spec,
         visiting={j: frozenset(v) for j, v in visiting.items()},
-        entry_classes={j: frozenset(v) for j, v in entry.items()},
-        entry_stations=frozenset(j for j in spec.stations if entry[j]),
         upstream=upstream,
     )
-
-
-def upstream_set(topo: Topology, k: int, j: int) -> FrozenSet[int]:
-    """Stations class k passes through strictly before station j.
-
-    Empty for a class entering at j; ClassDoesNotVisitStation if j is
-    not on the route of k at all.
-    """
-    try:
-        return topo.upstream[(k, j)]
-    except KeyError:
-        raise ClassDoesNotVisitStation(f"class {k} does not visit station {j}")
 
 
 def reach_sets(

@@ -80,11 +80,9 @@ def test_count_and_work_model_weights():
     ))
     topo = build_topology(spec)
     cm = count_model(topo)
-    assert cm.kind == "count" and not cm.normalized
     assert cm.weights[(1, 1)] == pytest.approx(0.4)
     assert cm.weights[(1, 2)] == pytest.approx(0.4)
     wm = work_model(topo)
-    assert wm.kind == "work"
     assert wm.weights[(1, 1)] == pytest.approx(0.2)
     assert wm.weights[(1, 2)] == pytest.approx(0.8)
     assert wm.weights[(2, 2)] == pytest.approx(0.3)
@@ -93,7 +91,6 @@ def test_count_and_work_model_weights():
 def test_normalize_by_intensity():
     model = crossing_model((400.0, 300.0, 200.0, 100.0), lam=0.32)
     normed = normalize_by_intensity(model)
-    assert normed.normalized and normed.kind == "count"
     # each station's intensity is 3 * 0.32 = 0.96
     assert normed.weights[(1, 1)] == pytest.approx(THIRD)
     assert normed.weights[(4, 2)] == pytest.approx(THIRD)
@@ -329,7 +326,6 @@ def test_closed_form_agrees_with_staged_solver():
         model = WeightedModel(
             model.topology,
             {(k, j): rates[k - 1] for (k, j) in model.weights},
-            kind="count",
         )
         top = max(deadlines) * sum(rates)
         for _ in range(80):

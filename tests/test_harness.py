@@ -247,6 +247,12 @@ def test_unknown_fields_rejected(mutate):
          "network.classes[0].route"),
         # a seed new_sim would refuse fails where it is written
         ({"experiment": {"seeds": [-3]}}, "experiment.seeds[0]"),
+        # a zero tail would replay simultaneous arrivals without end
+        ({"network": {"stations": 1, "classes": [
+            {"id": 1, "route": [1], "arrival_rate": 0.5,
+             "lead_time": {"kind": "point", "value": 10.0},
+             "interarrival": {"kind": "sequence", "values": [1.0], "then": 0.0}}]}},
+         "network.classes[0].interarrival"),
     ],
 )
 def test_invalid_fields_rejected(patch, field):

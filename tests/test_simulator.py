@@ -7,13 +7,13 @@ assertion is plain arithmetic done by hand.
 
 import math
 
+import numpy as np
 import pytest
 
 from edfnet import (
     ClassDoesNotVisitStation,
     ClassSpec,
     CountBands,
-    EventCapExceeded,
     ExactCounts,
     NetworkSpec,
     PointMass,
@@ -235,6 +235,12 @@ def test_run_until_float_advances_clock_exactly():
     assert n == 2 and sim.clock == 2.5
     with pytest.raises(ValueError):
         run_until(sim, 2.0)
+    # a time that is not finite fails, naming it, before any event runs
+    for bad, named in ((math.nan, "nan"), (math.inf, "inf")):
+        with pytest.raises(ValueError, match=rf"to {named} from 2\.5"):
+            run_until(sim, bad)
+        assert sim.clock == 2.5 and sim.events_processed == 2
+    assert idleness(sim, 1) == 1.0
 
 
 def test_advance_rejects_a_backwards_step():
@@ -245,26 +251,6 @@ def test_advance_rejects_a_backwards_step():
     assert sim.clock == 2.5
     sim._advance(sim.clock)
     assert sim.clock == 2.5
-
-
-def test_run_until_predicate():
-    sim = new_sim(single_class_station(), seed=0)
-    n = run_until(sim, lambda s: queue_length(s, 1) >= 3)
-    assert n == 3 and sim.clock == 3.0
-    assert run_until(sim, lambda s: queue_length(s, 1) >= 3) == 0
-
-
-def test_run_until_event_caps():
-    sim = new_sim(single_class_station(), seed=0)
-    with pytest.raises(EventCapExceeded):
-        run_until(sim, lambda s: queue_length(s, 1) >= 3, max_events=2)
-    sim = new_sim(single_class_station(), seed=0)
-    with pytest.raises(EventCapExceeded):
-        run_until(sim, 100.0, max_events=3)
-    # a predicate that can never hold exhausts the finite event script
-    sim = new_sim(single_class_station(), seed=0)
-    with pytest.raises(EventCapExceeded):
-        run_until(sim, lambda s: queue_length(s, 1) >= 4)
 
 
 def test_run_until_on_empty_timeline():
@@ -310,6 +296,45 @@ def test_workload_identity_at_every_event():
 
     run_until(sim, 5000.0, on_event=check)
     check(sim)
+
+
+@pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
+def test_station_counters_match_a_recount(random_network, preemptive):
+    """After every event, each station's running counters equal a
+    recount from its pending heap and server, and its frontier never
+    moves back."""
+    rng = np.random.default_rng(2026 + preemptive)
+    behind_seen = 0
+    for _ in range(6):
+        sim = new_sim(random_network(rng), seed=int(rng.integers(0, 1000)),
+                      preemptive=preemptive)
+        last_max = [-math.inf] * len(sim.stations)
+
+        def recount(s):
+            nonlocal behind_seen
+            for st in s.stations[1:]:
+                held = [c for _, c in st.pending]
+                behind = [c for c in held if c.deadline < st.max_admitted]
+                present = held if st.serving is None else held + [st.serving]
+                counts = [0] * len(st.class_counts)
+                for c in present:
+                    counts[c.class_id] += 1
+                assert math.isclose(st.pending_work, sum(c.remaining for c in held),
+                                    rel_tol=1e-9, abs_tol=1e-9)
+                assert st.pending_behind == len(behind)
+                assert math.isclose(st.pending_behind_work,
+                                    sum(c.remaining for c in behind),
+                                    rel_tol=1e-9, abs_tol=1e-9)
+                assert st.present == len(present)
+                assert st.class_counts == counts
+                assert st.serving_behind == (st.serving is not None and
+                                             st.serving.deadline < st.max_admitted)
+                assert st.max_admitted >= last_max[st.sid]
+                last_max[st.sid] = st.max_admitted
+                behind_seen += len(behind)
+
+        run_until(sim, 300.0, on_event=recount)
+    assert behind_seen > 0  # the behind counters were exercised
 
 
 def test_frontier_monotone_along_route_and_in_time():

@@ -2,12 +2,12 @@
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from edfnet import (
-    ClassDoesNotVisitStation,
     ClassSpec,
     DisconnectedNetwork,
     EmptyStation,
@@ -20,7 +20,6 @@ from edfnet import (
     in_frontier_domain,
     reach_sets,
     traffic_intensity,
-    upstream_set,
 )
 from edfnet import topology
 from conftest import admissible_permutations, in_piece
@@ -41,19 +40,11 @@ def test_crossing_sets():
     topo = build_topology(crossing())
     assert topo.visiting[1] == frozenset({1, 2, 3})
     assert topo.visiting[2] == frozenset({1, 2, 4})
-    assert topo.entry_classes[1] == frozenset({1, 3})
-    assert topo.entry_classes[2] == frozenset({2, 4})
-    assert topo.entry_stations == frozenset({1, 2})
-    assert upstream_set(topo, 1, 1) == frozenset()
-    assert upstream_set(topo, 1, 2) == frozenset({1})
-    assert upstream_set(topo, 2, 1) == frozenset({2})
-    assert upstream_set(topo, 4, 2) == frozenset()
-
-
-def test_upstream_requires_visit():
-    topo = build_topology(crossing())
-    with pytest.raises(ClassDoesNotVisitStation):
-        upstream_set(topo, 3, 2)
+    assert topo.upstream[(1, 1)] == frozenset()
+    assert topo.upstream[(1, 2)] == frozenset({1})
+    assert topo.upstream[(2, 1)] == frozenset({2})
+    assert topo.upstream[(4, 2)] == frozenset()
+    assert (3, 2) not in topo.upstream
 
 
 def test_reach_sets_empty_prefix():
@@ -236,6 +227,13 @@ def test_class_spec_law_mean_must_match_rate():
               interarrival=dists.Sequence([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("then", [0.0, -1.0, math.nan])
+def test_sequence_tail_must_be_positive(then):
+    """A zero tail would replay simultaneous events without end."""
+    with pytest.raises(ValueError, match="then must be positive"):
+        dists.Sequence([1.0], then)
+
+
 def test_network_spec_requires_contiguous_ids():
     c1 = ClassSpec(id=1, route=(1,), arrival_rate=0.5, lead_time=PointMass(5.0))
     c3 = ClassSpec(id=3, route=(1,), arrival_rate=0.5, lead_time=PointMass(5.0))
@@ -337,5 +335,4 @@ def test_service_rate_lookup():
     assert c.service_rate(1) == 2.0
     assert c.service_rate(2) == 1.5
     topo = build_topology(NetworkSpec(2, (c,)))
-    assert topo.route(1) == (1, 2)
     assert topo.lead_dist(1) == PointMass(9.0)
