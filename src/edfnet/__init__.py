@@ -22,7 +22,6 @@ from .errors import (
     EdfnetError,
     EmptyStation,
     GridMismatch,
-    NegativeTail,
     NegativeWorkload,
     NoConsistentRegion,
     NoSnapshots,

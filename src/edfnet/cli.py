@@ -47,11 +47,9 @@ def _solve(model, text: str):
 
 
 def _model_for(cfg, args):
-    weights = getattr(args, "weights", None) or cfg.weight_kind
-    normalize = cfg.normalize
-    if getattr(args, "normalize", None) is not None:
-        normalize = args.normalize
-    adjusted = dataclasses.replace(cfg, weight_kind=weights, normalize=normalize)
+    normalize = cfg.normalize if args.normalize is None else args.normalize
+    adjusted = dataclasses.replace(cfg, weight_kind=args.weights or cfg.weight_kind,
+                                   normalize=normalize)
     return harness.prediction_model(adjusted), adjusted
 
 
@@ -210,10 +208,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except EdfnetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (EdfnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -52,8 +52,8 @@ class Exponential(SamplingLaw):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0.0:
-            raise ValueError(f"rate must be positive, got {self.rate!r}")
+        if not 0.0 < self.rate < math.inf:
+            raise ValueError(f"rate must be positive and finite, got {self.rate!r}")
 
     @property
     def mean(self) -> float:
@@ -103,8 +103,10 @@ class Sequence(SamplingLaw):
     """Scripted draws: the listed values in order, then ``then`` forever.
 
     Meant for constructing exact scenarios in tests; it has no mean, so
-    rate consistency checks do not apply.  ``then`` must be positive: a
-    zero tail would replay simultaneous events without end.
+    rate consistency checks do not apply.  Values are >= 0 and not NaN,
+    which would break the event order; an infinite value means no
+    further draw.  ``then`` must be positive: a zero tail would replay
+    simultaneous events without end.
     """
 
     values: Tuple[float, ...]
@@ -112,8 +114,8 @@ class Sequence(SamplingLaw):
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if any(v < 0 for v in self.values):
-            raise ValueError("scripted draws must be nonnegative")
+        if not all(v >= 0.0 for v in self.values):
+            raise ValueError(f"scripted draws must be >= 0, got {self.values!r}")
         if not self.then > 0.0:
             raise ValueError(f"then must be positive, got {self.then!r}")
 

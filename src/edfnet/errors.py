@@ -31,12 +31,6 @@ class ClassDoesNotVisitStation(EdfnetError):
     """A (class, station) query for a pair that is not on the route."""
 
 
-# -------- lead-time distributions --------
-
-class NegativeTail(EdfnetError):
-    """An integrated-tail inverse was queried at a negative value."""
-
-
 # -------- frontier solving --------
 
 class NegativeWorkload(EdfnetError):

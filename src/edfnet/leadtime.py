@@ -14,26 +14,26 @@ The quantity the frontier machinery actually consumes is the
     integrated_tail(y) = integral over (y, infinity) of (1 - cdf(x)) dx,
 
 which is finite for all y, convex, strictly decreasing up to
-``upper_support``, and identically zero afterwards.  Its inverse maps a
-nonnegative mass back to the unique lead level carrying that much tail
-mass.  Between knots the CDF is linear and the tail quadratic, so both
-directions are evaluated in closed form; no numerical integration is
-involved.
+``upper_support``, and identically zero afterwards.  Between knots the
+CDF is linear and the tail quadratic, so the tail is evaluated in
+closed form, with no numerical integration.  The solver inverts weighted
+sums of these tails stage by stage (``frontier.solve_frontiers``); a
+one-term sum is the inverse of a single law's tail.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from typing import Sequence, Tuple
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
-
-from .errors import NegativeTail
 
 __all__ = ["LeadTimeDist", "PointMass", "Uniform", "PiecewiseLinearCDF"]
 
 
+@dataclass(frozen=True)
 class PiecewiseLinearCDF:
     """Lead-time law whose CDF interpolates linearly between knots.
 
@@ -48,11 +48,13 @@ class PiecewiseLinearCDF:
     the two are written to configs under different kinds.
     """
 
-    def __init__(self, knots: Sequence[Tuple[float, float]]):
-        if len(knots) == 0:
+    knots: Tuple[Tuple[float, float], ...]
+
+    def __post_init__(self):
+        if len(self.knots) == 0:
             raise ValueError("need at least one knot")
-        ys = [float(y) for y, _ in knots]
-        gs = [float(g) for _, g in knots]
+        ys = [float(y) for y, _ in self.knots]
+        gs = [float(g) for _, g in self.knots]
         if not all(map(math.isfinite, ys + gs)):
             raise ValueError("knots must be finite")
         if any(b <= a for a, b in zip(ys, ys[1:])):
@@ -62,34 +64,19 @@ class PiecewiseLinearCDF:
         if gs[0] < 0.0 or gs[-1] != 1.0:
             raise ValueError("knot values must lie in [0, 1] and end at 1")
         # truncate at the first knot reaching 1: that is the upper support
-        top = gs.index(1.0)
-        self._ys: Tuple[float, ...] = tuple(ys[: top + 1])
-        self._gs: Tuple[float, ...] = tuple(gs[: top + 1])
+        n = gs.index(1.0) + 1
+        ys, gs = tuple(ys[:n]), tuple(gs[:n])
         # integrated tail at each knot, accumulated right to left;
         # each segment contributes the trapezoid of the survival function
-        n = len(self._ys)
         tails = [0.0] * n
         for i in range(n - 2, -1, -1):
-            width = self._ys[i + 1] - self._ys[i]
-            surv = (1.0 - self._gs[i]) + (1.0 - self._gs[i + 1])
+            width = ys[i + 1] - ys[i]
+            surv = (1.0 - gs[i]) + (1.0 - gs[i + 1])
             tails[i] = tails[i + 1] + 0.5 * width * surv
-        self._tails: Tuple[float, ...] = tuple(tails)
-
-    def __repr__(self) -> str:
-        pairs = ", ".join(f"({y!r}, {g!r})" for y, g in zip(self._ys, self._gs))
-        return f"PiecewiseLinearCDF([{pairs}])"
-
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._ys == other._ys and self._gs == other._gs
-
-    def __hash__(self) -> int:
-        return hash((self._ys, self._gs))
-
-    @property
-    def knots(self) -> Tuple[Tuple[float, float], ...]:
-        return tuple(zip(self._ys, self._gs))
+        object.__setattr__(self, "knots", tuple(zip(ys, gs)))
+        object.__setattr__(self, "_ys", ys)
+        object.__setattr__(self, "_gs", gs)
+        object.__setattr__(self, "_tails", tuple(tails))
 
     @property
     def upper_support(self) -> float:
@@ -118,33 +105,6 @@ class PiecewiseLinearCDF:
         gap = ys[i + 1] - y
         slope = (gs[i + 1] - gs[i]) / (ys[i + 1] - ys[i])
         return tails[i + 1] + (1.0 - gs[i + 1]) * gap + 0.5 * slope * gap * gap
-
-    def integrated_tail_inverse(self, h: float) -> float:
-        """The unique y <= upper_support with integrated_tail(y) == h.
-
-        h == 0 maps to the upper support itself; negative h is a caller
-        bug and raises NegativeTail.
-        """
-        if h < 0:
-            raise NegativeTail(f"integrated tail inverse queried at {h!r}")
-        ys, gs, tails = self._ys, self._gs, self._tails
-        if h == 0.0:
-            return ys[-1]
-        if h >= tails[0]:
-            return ys[0] - (h - tails[0])
-        # tails are descending; locate the segment with
-        # tails[i+1] < h <= tails[i] by bisecting the reversed list
-        rev = self._tails[::-1]
-        i = len(ys) - 1 - bisect_left(rev, h)
-        excess = h - tails[i + 1]
-        surv = 1.0 - gs[i + 1]
-        slope = (gs[i + 1] - gs[i]) / (ys[i + 1] - ys[i])
-        if slope == 0.0:
-            gap = excess / surv
-        else:
-            gap = (np.sqrt(surv * surv + 2.0 * slope * excess) - surv) / slope
-        gap = min(gap, ys[i + 1] - ys[i])
-        return ys[i + 1] - gap
 
     def breakpoints(self) -> Tuple[float, ...]:
         """Ascending lead levels where the tail integral changes

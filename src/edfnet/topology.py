@@ -70,16 +70,17 @@ class ClassSpec:
             raise ValueError(f"class {self.id}: route must visit at least one station")
         if any(j < 1 for j in route):
             raise ValueError(f"class {self.id}: station ids must be positive")
-        if not self.arrival_rate > 0.0:
-            raise ValueError(f"class {self.id}: arrival rate must be positive")
+        if not 0.0 < self.arrival_rate < math.inf:
+            raise ValueError(f"class {self.id}: arrival rate must be positive and "
+                             f"finite, got {self.arrival_rate!r}")
         if self.interarrival is not None:
             _check_rate(self.interarrival, self.arrival_rate,
                         f"class {self.id} interarrival")
         for j in route:
             mu = self.service_rate(j)
-            if not mu > 0.0:
+            if not 0.0 < mu < math.inf:
                 raise ValueError(f"class {self.id}: service rate at station {j} "
-                                 f"must be positive, got {mu!r}")
+                                 f"must be positive and finite, got {mu!r}")
             law = self.service_law(j)
             if law is not None:
                 _check_rate(law, mu, f"class {self.id} service at station {j}")

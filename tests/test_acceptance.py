@@ -133,6 +133,7 @@ def test_criterion_4_round_trip_random_networks(
                     f"{worst:.3g}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_criterion_5_closed_form_matches_staged_solver(acceptance_note):
     rng = np.random.default_rng(20260302)
     seen = set()
@@ -161,6 +162,7 @@ def test_criterion_5_closed_form_matches_staged_solver(acceptance_note):
                     f"worst gap {worst:.3g}")
 
 
+@pytest.mark.slow
 def test_criterion_6_experiment_matches_prediction(acceptance_note):
     start = time.perf_counter()
     cfg = parse_config(str(CONFIG_DIR / "desk_experiment.yaml"))
@@ -179,6 +181,7 @@ def test_criterion_6_experiment_matches_prediction(acceptance_note):
     acceptance_note(f"experiment: {levels}, {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_behind_fraction_shrinks_with_load(acceptance_note):
     levels = {}
     for rho in (0.80, 0.90, 0.96):

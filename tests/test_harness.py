@@ -253,6 +253,25 @@ def test_unknown_fields_rejected(mutate):
              "lead_time": {"kind": "point", "value": 10.0},
              "interarrival": {"kind": "sequence", "values": [1.0], "then": 0.0}}]}},
          "network.classes[0].interarrival"),
+        # rates are finite, and a NaN draw would break the event order
+        ({"network": {"stations": 1, "classes": [
+            {"id": 1, "route": [1], "arrival_rate": math.inf,
+             "lead_time": {"kind": "point", "value": 10.0}}]}},
+         "network.classes[0]: class 1: arrival rate"),
+        ({"network": {"stations": 1, "classes": [
+            {"id": 1, "route": [1], "arrival_rate": 0.5, "service_rates": math.inf,
+             "lead_time": {"kind": "point", "value": 10.0}}]}},
+         "network.classes[0]: class 1: service rate"),
+        ({"network": {"stations": 1, "classes": [
+            {"id": 1, "route": [1], "arrival_rate": 0.5,
+             "lead_time": {"kind": "point", "value": 10.0},
+             "interarrival": {"kind": "exponential", "rate": math.inf}}]}},
+         "network.classes[0].interarrival"),
+        ({"network": {"stations": 1, "classes": [
+            {"id": 1, "route": [1], "arrival_rate": 0.5,
+             "lead_time": {"kind": "point", "value": 10.0},
+             "service_laws": {1: {"kind": "sequence", "values": [math.nan]}}}]}},
+         "network.classes[0].service_laws[1]"),
     ],
 )
 def test_invalid_fields_rejected(patch, field):

@@ -301,17 +301,21 @@ def test_workload_identity_at_every_event():
 @pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
 def test_station_counters_match_a_recount(random_network, preemptive):
     """After every event, each station's running counters equal a
-    recount from its pending heap and server, and its frontier never
-    moves back."""
+    recount from its pending heap and server, its frontier never moves
+    back, its workload equals netput plus idleness, and its server holds
+    the smallest key: since service started (non-preemptive) or right
+    now (preempt-resume)."""
     rng = np.random.default_rng(2026 + preemptive)
     behind_seen = 0
+    order_checks = 0
     for _ in range(6):
         sim = new_sim(random_network(rng), seed=int(rng.integers(0, 1000)),
                       preemptive=preemptive)
         last_max = [-math.inf] * len(sim.stations)
+        last_token = [st and st.token for st in sim.stations]
 
         def recount(s):
-            nonlocal behind_seen
+            nonlocal behind_seen, order_checks
             for st in s.stations[1:]:
                 held = [c for _, c in st.pending]
                 behind = [c for c in held if c.deadline < st.max_admitted]
@@ -333,8 +337,19 @@ def test_station_counters_match_a_recount(random_network, preemptive):
                 last_max[st.sid] = st.max_admitted
                 behind_seen += len(behind)
 
+                j = st.sid
+                drift = workload(s, j) - netput(s, j) - idleness(s, j)
+                assert abs(drift) <= 1e-9 * max(1.0, s.clock)
+
+                started = st.token != last_token[j]
+                last_token[j] = st.token
+                if st.serving is not None and (preemptive or started):
+                    assert all(st.serving.key <= c.key for c in held)
+                    order_checks += bool(held)
+
         run_until(sim, 300.0, on_event=recount)
     assert behind_seen > 0  # the behind counters were exercised
+    assert order_checks > 0  # and so was the order check
 
 
 def test_frontier_monotone_along_route_and_in_time():

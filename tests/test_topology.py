@@ -234,6 +234,42 @@ def test_sequence_tail_must_be_positive(then):
         dists.Sequence([1.0], then)
 
 
+def one_class(**fields):
+    return ClassSpec(**{"id": 1, "route": (1,), "arrival_rate": 0.5,
+                        "lead_time": PointMass(5.0), **fields})
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: dists.Exponential(0.0), id="exponential-zero"),
+    pytest.param(lambda: dists.Exponential(-1.0), id="exponential-negative"),
+    pytest.param(lambda: dists.Exponential(math.inf), id="exponential-inf"),
+    pytest.param(lambda: dists.Exponential(math.nan), id="exponential-nan"),
+    pytest.param(lambda: dists.Deterministic(0.0), id="deterministic-zero"),
+    pytest.param(lambda: dists.Deterministic(math.inf), id="deterministic-inf"),
+    pytest.param(lambda: dists.UniformLaw(-1.0, 1.0), id="uniform-negative"),
+    pytest.param(lambda: dists.UniformLaw(2.0, 1.0), id="uniform-empty"),
+    pytest.param(lambda: dists.UniformLaw(0.0, math.inf), id="uniform-inf"),
+    pytest.param(lambda: dists.Sequence([1.0, -1.0]), id="sequence-negative"),
+    pytest.param(lambda: dists.Sequence([1.0, math.nan]), id="sequence-nan"),
+    pytest.param(lambda: one_class(arrival_rate=math.inf), id="arrival-inf"),
+    pytest.param(lambda: one_class(arrival_rate=math.nan), id="arrival-nan"),
+    pytest.param(lambda: one_class(service_rates=math.inf), id="service-inf"),
+    pytest.param(lambda: one_class(service_rates={1: math.inf}), id="service-map-inf"),
+    pytest.param(lambda: one_class(service_rates=math.nan), id="service-nan"),
+])
+def test_bad_law_parameters_rejected(make):
+    """Rates are finite and positive, and scripted draws are >= 0 and
+    not NaN: an infinite rate draws zero gaps forever, and a NaN time
+    breaks the event order."""
+    with pytest.raises(ValueError):
+        make()
+
+
+def test_sequence_infinite_draw_means_no_further_draw():
+    draw = dists.Sequence([1.0, math.inf]).sampler(np.random.default_rng(0))
+    assert [draw(), draw(), draw()] == [1.0, math.inf, math.inf]
+
+
 def test_network_spec_requires_contiguous_ids():
     c1 = ClassSpec(id=1, route=(1,), arrival_rate=0.5, lead_time=PointMass(5.0))
     c3 = ClassSpec(id=3, route=(1,), arrival_rate=0.5, lead_time=PointMass(5.0))
