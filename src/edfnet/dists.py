@@ -40,6 +40,7 @@ def _block_sampler(draw_block: Callable[[int], np.ndarray]) -> Callable[[], floa
         if pos == _BLOCK:
             buf = draw_block(_BLOCK)
             pos = 0
+        # a list block would draw faster but holds 1024 boxed floats per sampler
         v = float(buf[pos])
         pos += 1
         return v

@@ -31,6 +31,14 @@ id), and pending heaps hold (key, customer) pairs.  ``_queue`` is the
 one push onto a pending heap and keeps its work and behind counts;
 ``_vacate`` is the one release of a server (departure or preemption)
 and bumps the token that voids the released job's departure event.
+
+Time integrals (idle time, present count, behind count and behind
+work) are kept per station and brought up to date lazily: a station
+integrates from its own ``last_t`` only when its state is about to
+change, that is, when a customer enters it or its server departs.
+Advancing the clock touches no station, so an event costs the same
+whatever the number of stations.  The accessors compute the integrals
+up to the clock without writing them back.
 """
 
 from __future__ import annotations
@@ -93,7 +101,7 @@ class _Station:
     __slots__ = ("sid", "pending", "pending_work", "pending_behind",
                  "pending_behind_work", "serving", "serving_dep",
                  "serving_behind", "token", "max_by_class", "max_admitted",
-                 "class_counts", "present", "idle_time",
+                 "class_counts", "present", "last_t", "idle_time",
                  "arrived_work", "int_present", "int_behind", "int_behind_work")
 
     def __init__(self, sid: int, class_count: int):
@@ -110,6 +118,7 @@ class _Station:
         self.max_admitted = -math.inf
         self.class_counts = [0] * (class_count + 1)
         self.present = 0
+        self.last_t = 0.0
         self.idle_time = 0.0
         self.arrived_work = 0.0
         self.int_present = 0.0
@@ -122,7 +131,9 @@ class SimState:
 
     ``events_processed`` counts every event popped from the event queue,
     including a departure that a preemption superseded: such an event is
-    popped and dropped by the station, but it still counts.
+    popped and dropped by the station, but it still counts.  It only
+    moves the clock: each station integrates lazily from its own
+    ``last_t``, and that departure changes no station.
     """
 
     def __init__(self, spec: NetworkSpec, *, seed: int, preemptive: bool = False):
@@ -186,24 +197,9 @@ class SimState:
         self.events_processed += 1
 
     def _advance(self, t: float) -> None:
-        """Integrate the time-weighted accumulators up to t."""
-        dt = t - self.clock
-        if dt <= 0.0:
-            if dt < 0.0:
-                raise ValueError(f"cannot advance backwards to {t} from {self.clock}")
-            return
-        for st in self.stations[1:]:
-            if st.serving is None:
-                st.idle_time += dt
-                continue
-            st.int_present += st.present * dt
-            behind = st.pending_behind
-            work = st.pending_behind_work * dt
-            if st.serving_behind:
-                behind += 1
-                work += (st.serving_dep - self.clock) * dt - 0.5 * dt * dt
-            st.int_behind += behind * dt
-            st.int_behind_work += work
+        """Move the clock to t; stations integrate up to it lazily."""
+        if t < self.clock:
+            raise ValueError(f"cannot advance backwards to {t} from {self.clock}")
         self.clock = t
 
     # -------- event handlers --------
@@ -224,6 +220,7 @@ class SimState:
         st = self.stations[sid]
         if token != st.token:
             return  # superseded by a preemption
+        _settle(st, self.clock)
         cust = _vacate(st)
         st.class_counts[cust.class_id] -= 1
         st.present -= 1
@@ -241,6 +238,7 @@ class SimState:
 
     def _enter_station(self, cust: _Customer, sid: int) -> None:
         st = self.stations[sid]
+        _settle(st, self.clock)
         st.arrived_work += cust.remaining
         st.class_counts[cust.class_id] += 1
         st.present += 1
@@ -265,6 +263,27 @@ class SimState:
                 # has already cleared, so no behind count needs updating
                 st.max_admitted = cust.deadline
         self._push(st.serving_dep, _DEPART, st.sid, st.token)
+
+
+def _integrals(st: _Station, now: float) -> Tuple[float, float, float, float]:
+    """Station st's idle, present, behind and behind-work integrals up
+    to now, given that its state has not changed since st.last_t."""
+    dt = now - st.last_t
+    if st.serving is None:
+        return st.idle_time + dt, st.int_present, st.int_behind, st.int_behind_work
+    behind = st.pending_behind
+    work = st.pending_behind_work * dt
+    if st.serving_behind:
+        behind += 1
+        work += (st.serving_dep - st.last_t) * dt - 0.5 * dt * dt
+    return (st.idle_time, st.int_present + st.present * dt,
+            st.int_behind + behind * dt, st.int_behind_work + work)
+
+
+def _settle(st: _Station, now: float) -> None:
+    """Integrate station st up to now, before its state changes."""
+    st.idle_time, st.int_present, st.int_behind, st.int_behind_work = _integrals(st, now)
+    st.last_t = now
 
 
 def _queue(st: _Station, cust: _Customer) -> None:
@@ -522,12 +541,12 @@ def netput(sim: SimState, j: int) -> float:
 
 
 def idleness(sim: SimState, j: int) -> float:
-    return sim.stations[j].idle_time
+    return _integrals(sim.stations[j], sim.clock)[0]
 
 
 def utilization(sim: SimState, j: int) -> float:
     """Share of elapsed time station j was busy (idle time's complement)."""
-    return 1.0 - sim.stations[j].idle_time / sim.clock if sim.clock > 0 else 0.0
+    return 1.0 - idleness(sim, j) / sim.clock if sim.clock > 0 else 0.0
 
 
 def queue_length(sim: SimState, j: int) -> int:
@@ -541,7 +560,8 @@ def class_counts(sim: SimState, j: int) -> Tuple[int, ...]:
 
 
 def mean_queue_length(sim: SimState, j: int) -> float:
-    return sim.stations[j].int_present / sim.clock if sim.clock > 0 else 0.0
+    present = _integrals(sim.stations[j], sim.clock)[1]
+    return present / sim.clock if sim.clock > 0 else 0.0
 
 
 def behind_frontier_stats(sim: SimState, j: int) -> BehindStats:
@@ -558,13 +578,13 @@ def behind_frontier_stats(sim: SimState, j: int) -> BehindStats:
     if st.serving_behind:
         work += st.serving_dep - sim.clock
     fraction = count / st.present if st.present else 0.0
-    avg = st.int_behind / st.int_present if st.int_present > 0.0 else 0.0
+    _, present, behind, behind_work = _integrals(st, sim.clock)
     return BehindStats(
         count=count,
         work=work,
         fraction=fraction,
-        time_avg_fraction=avg,
-        behind_count_integral=st.int_behind,
-        present_count_integral=st.int_present,
-        behind_work_integral=st.int_behind_work,
+        time_avg_fraction=behind / present if present > 0.0 else 0.0,
+        behind_count_integral=behind,
+        present_count_integral=present,
+        behind_work_integral=behind_work,
     )

@@ -1,5 +1,6 @@
 """Shared fixtures: random network generation, the exhaustive
-admissible-order oracle, and acceptance reporting."""
+admissible-order oracle, the all-station reference integrator, and
+acceptance reporting."""
 
 import math
 
@@ -115,10 +116,10 @@ def in_piece(topo, y, pi, atol=1e-9):
     return True
 
 
-def _random_domain_vector(topo, rng):
-    """A frontier vector strictly inside one admissible piece."""
-    perms = admissible_permutations(topo)
-    pi = perms[int(rng.integers(0, len(perms)))]
+def _random_domain_vector(topo, rng, orders):
+    """A frontier vector strictly inside one admissible piece; orders
+    are ``admissible_permutations(topo)``."""
+    pi = orders[int(rng.integers(0, len(orders)))]
     vals = {}
     prev = math.inf
     for m, j in enumerate(pi):
@@ -131,8 +132,64 @@ def _random_domain_vector(topo, rng):
 
 @pytest.fixture
 def domain_vector():
-    """Factory for random vectors inside the solvable frontier domain."""
-    return _random_domain_vector
+    """Factory for random vectors inside the solvable frontier domain.
+
+    Each topology's admissible orders are enumerated once per test; the
+    cache holds the topology too, so its id cannot be reused."""
+    cache = {}
+
+    def draw(topo, rng):
+        if id(topo) not in cache:
+            cache[id(topo)] = (topo, admissible_permutations(topo))
+        return _random_domain_vector(topo, rng, cache[id(topo)][1])
+
+    return draw
+
+
+class ReferenceIntegrator:
+    """The simulator's time integrals, summed at every event: every
+    station adds the time since the previous event, weighted by the
+    state it held in between.  The simulator integrates each station
+    only when that station changes; this is the reference it is checked
+    against.
+
+    Pass it as ``run_until``'s ``on_event`` and call it once more after
+    ``run_until`` returns, for the stretch up to the final clock.  It
+    reads station state only, so it changes nothing in the run.
+    ``integrals(j)`` gives station j's (idle, present, behind,
+    behind-work) integrals up to the last call.
+    """
+
+    def __init__(self, sim):
+        self.clock = sim.clock
+        self._sums = {st.sid: [0.0, 0.0, 0.0, 0.0] for st in sim.stations[1:]}
+        self._read(sim)
+
+    def _read(self, sim):
+        self._held = [(st.sid, st.serving is None, st.present, st.pending_behind,
+                       st.pending_behind_work, st.serving_behind, st.serving_dep)
+                      for st in sim.stations[1:]]
+
+    def __call__(self, sim):
+        dt = sim.clock - self.clock
+        if dt > 0.0:
+            for sid, idle, present, behind, work, serving_behind, dep in self._held:
+                sums = self._sums[sid]
+                if idle:
+                    sums[0] += dt
+                    continue
+                sums[1] += present * dt
+                work = work * dt
+                if serving_behind:
+                    behind += 1
+                    work += (dep - self.clock) * dt - 0.5 * dt * dt
+                sums[2] += behind * dt
+                sums[3] += work
+            self.clock = sim.clock
+        self._read(sim)
+
+    def integrals(self, j):
+        return tuple(self._sums[j])
 
 
 _ACCEPTANCE = {}

@@ -15,6 +15,15 @@ rendered report, the layout of a random stream, the order of
 simultaneous events or one bit of a solved frontier or predicted CDF
 fails here, even when the new output is self-consistent from run to
 run (which is all criterion 9 checks).
+
+The four 6-8 station stream digests were re-recorded when each station
+began to integrate lazily, from its own last change, instead of at
+every event: an integral summed over merged intervals rounds
+differently from the per-event sum, so the behind-frontier integrals
+and time-averaged fractions they hash moved in their last bits (at
+most 1.3e-14 relative).  Clock, event count, snapshots and workloads
+did not move, and ``test_simulator.py`` checks the integrals against
+the per-event reference integrator in ``conftest.py``.
 """
 
 import contextlib
@@ -187,10 +196,10 @@ def test_scripted_tie_stream(preemptive, digest):
 # queues grow long and many customers sit behind the frontiers.
 @pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
 @pytest.mark.parametrize("net_seed,digests", [
-    (7, ("7c50012811d80510a56b6a8ed197a68ebfc949ce1b84c689dd894847e3c36f55",
-         "8cad227a9956610bd4df4509a27f0670004c046083e9341bb1a3c2200021e575")),
-    (10, ("a2baf44ecb65be7925e95153c2451748fb9e1c6f37bf957be8a81227e7743ccf",
-          "c784874721596e052e62cb19b0522ba34f697e86e107a1d6dbeed9302febe43d")),
+    (7, ("1d8c28e91c21663564f724400d991f9f7dc08910f934a71b9a2f809f784612be",
+         "93ac837d5ff276b768ee8f8df2620ca7d1a5924c57ef4b28fe075dd17d082b04")),
+    (10, ("cccd12afbf4d607864f44e62d757b93ff4718b9a66e50c5a35ae278ec16f32d4",
+          "8b476377ec5090e22101fb902ed9cba6426638d2498aed52b5d1a805dd8a842a")),
 ])
 def test_large_network_stream(net_seed, digests, preemptive):
     spec = _random_spec(np.random.default_rng(net_seed), 8, 8)

@@ -10,14 +10,17 @@ import math
 import numpy as np
 import pytest
 
+from conftest import ReferenceIntegrator, _random_spec
 from edfnet import (
     ClassDoesNotVisitStation,
     ClassSpec,
     CountBands,
     ExactCounts,
     NetworkSpec,
+    PiecewiseLinearCDF,
     PointMass,
     TotalCounts,
+    Uniform,
     ValidationError,
     behind_frontier_stats,
     class_counts,
@@ -350,6 +353,75 @@ def test_station_counters_match_a_recount(random_network, preemptive):
         run_until(sim, 300.0, on_event=recount)
     assert behind_seen > 0  # the behind counters were exercised
     assert order_checks > 0  # and so was the order check
+
+
+def _station_integrals(sim, j):
+    """Station j's idle, present, behind and behind-work integrals."""
+    b = behind_frontier_stats(sim, j)
+    return (idleness(sim, j), b.present_count_integral, b.behind_count_integral,
+            b.behind_work_integral)
+
+
+def _run_state(sim):
+    return (sim.clock, sim.events_processed, snapshot_profiles(sim),
+            tuple((workload(sim, j), class_counts(sim, j)) for j in sim.spec.stations))
+
+
+@pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
+def test_lazy_integrals_match_the_reference_integrator(random_network, preemptive):
+    """Each station's lazily integrated idle, present, behind and
+    behind-work integrals agree to 1e-12 relative with the all-station
+    reference integrator after every event and at each stop, and a run
+    the reference follows is otherwise identical to a plain run."""
+    rng = np.random.default_rng(4100 + preemptive)
+    specs = [random_network(rng, max_stations=8, max_classes=8) for _ in range(6)]
+    # the two overloaded 6-8 station networks of the golden streams
+    specs += [_random_spec(np.random.default_rng(s), 8, 8) for s in (7, 10)]
+    assert sum(spec.station_count >= 6 for spec in specs) >= 3
+    assert {type(c.lead_time) for spec in specs for c in spec.classes} == {
+        PointMass, Uniform, PiecewiseLinearCDF}
+    for spec in specs:
+        seed = int(rng.integers(0, 1000))
+        followed = new_sim(spec, seed=seed, preemptive=preemptive)
+        plain = new_sim(spec, seed=seed, preemptive=preemptive)
+        ref = ReferenceIntegrator(followed)
+
+        def agree(sim):
+            for j in sim.spec.stations:
+                for lazy, want in zip(_station_integrals(sim, j), ref.integrals(j)):
+                    assert math.isclose(lazy, want, rel_tol=1e-12, abs_tol=0.0), \
+                        (j, sim.clock, lazy, want)
+
+        def follow(sim):
+            ref(sim)
+            agree(sim)
+
+        for t in (80.0, 160.0, 240.0):
+            run_until(followed, t, on_event=follow)
+            ref(followed)
+            run_until(plain, t)
+            assert _run_state(followed) == _run_state(plain)
+            agree(plain)
+
+
+@pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
+def test_reading_stats_changes_nothing(preemptive):
+    """Reading every accessor on every station after every event leaves
+    the final values bit for bit those of a run read only at the end.
+    An accessor that integrated a station up to the clock would split
+    its sums into more intervals and change their rounding."""
+    spec = _random_spec(np.random.default_rng(7), 8, 8)
+    accessors = (idleness, utilization, mean_queue_length, behind_frontier_stats)
+
+    def read_all(sim):
+        return [[read(sim, j) for read in accessors] for j in sim.spec.stations]
+
+    read = new_sim(spec, seed=7, preemptive=preemptive)
+    run_until(read, 600.0, on_event=read_all)
+    unread = new_sim(spec, seed=7, preemptive=preemptive)
+    run_until(unread, 600.0)
+    assert read.events_processed == unread.events_processed
+    assert read_all(read) == read_all(unread)
 
 
 def test_frontier_monotone_along_route_and_in_time():
