@@ -286,7 +286,6 @@ def _kind_of(table: Mapping, what: str):
 
 
 _as_seed = _checked(_as_int, lambda v: v >= 0, "must be nonnegative")
-_band = _checked(_list_of(_as_int, 2), lambda b: b[0] <= b[1], "band [lo, hi] is empty")
 
 # kind -> (class, ((field, parser), ...)) for each kind-tagged family
 _LEAD_TIMES = {
@@ -303,7 +302,7 @@ _LAWS = {
 _CONDITIONS = {
     "exact": (ExactCounts, (("targets", _mapping_of(_as_int, _list_of(_as_int))),)),
     "total": (TotalCounts, (("targets", _mapping_of(_as_int, _as_int)),)),
-    "band": (CountBands, (("bands", _mapping_of(_as_int, _band)),)),
+    "band": (CountBands, (("bands", _mapping_of(_as_int, _list_of(_as_int, 2))),)),
 }
 _TAGGED = {cls: (kind, _rows(cls, fields))
            for table in (_LEAD_TIMES, _LAWS, _CONDITIONS)

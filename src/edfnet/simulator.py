@@ -24,13 +24,17 @@ pair draws from its own generator derived from the seed, and
 simultaneous events are ordered departures-first, then by station id,
 then by scheduling order.
 
-An arrival reads one row per class id, built once: the route, the
-interarrival and lead-time draws, and the service draws in route
-order.  A customer carries its EDF key (deadline, arrival index, class
-id), and pending heaps hold (key, customer) pairs.  ``_queue`` is the
-one push onto a pending heap and keeps its work and behind counts;
-``_vacate`` is the one release of a server (departure or preemption)
-and bumps the token that voids the released job's departure event.
+One loop, ``SimState._run``, processes every event.  An arrival reads
+one row per class id, built once: the route, the interarrival and
+lead-time draws, and the service draws in route order.  An arrival and
+a departure routed onward fall through to one block where the customer
+enters a station.  A customer carries its EDF key (deadline, arrival
+index, class id), and pending heaps hold (key, customer) pairs.
+``_queue`` is the one push onto a pending heap and keeps its work and
+behind counts; ``_vacate`` is the one release of a server (departure
+or preemption) and bumps the token that voids the released job's
+departure event.  ``conditional_sample`` checks its condition between
+batches of events, each as long as the condition's distance allows.
 
 Time integrals (idle time, present count, behind count and behind
 work) are kept per station and brought up to date lazily: a station
@@ -129,11 +133,11 @@ class _Station:
 class SimState:
     """One simulation run; construct through new_sim().
 
-    ``events_processed`` counts every event popped from the event queue,
-    including a departure that a preemption superseded: such an event is
-    popped and dropped by the station, but it still counts.  It only
-    moves the clock: each station integrates lazily from its own
-    ``last_t``, and that departure changes no station.
+    ``_run(until, limit)`` is the one event loop: it pops and processes
+    up to ``limit`` events at or before ``until``.  ``events_processed``
+    counts every event popped, including a departure that a preemption
+    superseded: such an event only moves the clock, since each station
+    integrates lazily from its own ``last_t``, but it still counts.
     """
 
     def __init__(self, spec: NetworkSpec, *, seed: int, preemptive: bool = False):
@@ -186,70 +190,68 @@ class SimState:
         self._seq += 1
         heappush(self._heap, (time, kind, station, self._seq, payload))
 
-    def _step(self) -> None:
-        """Pop and process one event, advancing the clock to it."""
-        time, kind, station, _, payload = heappop(self._heap)
-        self._advance(time)
-        if kind == _DEPART:
-            self._handle_departure(station, payload)
-        else:
-            self._handle_arrival(payload)
-        self.events_processed += 1
+    def _run(self, until: float, limit: float) -> int:
+        """Process up to ``limit`` events at or before ``until`` and
+        return how many ran.  An arrival and a routed departure fall
+        through to one station-entry block."""
+        heap, stations, rows = self._heap, self.stations, self._rows
+        preemptive = self.preemptive
+        done = 0
+        while done < limit and heap and heap[0][0] <= until:
+            now, kind, sid, _, payload = heappop(heap)
+            self.clock = now
+            done += 1
+            if kind == _DEPART:
+                st = stations[sid]
+                if payload != st.token:
+                    continue  # superseded by a preemption
+                _settle(st, now)
+                cust = _vacate(st)
+                st.class_counts[cust.class_id] -= 1
+                st.present -= 1
+                if st.pending:
+                    _, nxt = heappop(st.pending)
+                    st.pending_work -= nxt.remaining
+                    if nxt.deadline < st.max_admitted:
+                        st.pending_behind -= 1
+                        st.pending_behind_work -= nxt.remaining
+                    self._start_service(st, nxt)
+                cust.route_pos += 1
+                if cust.route_pos == len(cust.route):
+                    continue
+                cust.remaining = cust.service_times[cust.route_pos]
+                st = stations[cust.route[cust.route_pos]]
+            else:
+                route, draw_gap, draw_lead, draw_services = rows[payload]
+                self._arrival_counter += 1
+                lead = draw_lead()
+                cust = _Customer(payload, self._arrival_counter, now + lead, route,
+                                 tuple(draw() for draw in draw_services))
+                gap = draw_gap()
+                if math.isfinite(gap):
+                    self._push(now + gap, _ARRIVE, route[0], payload)
+                st = stations[route[0]]
+            # cust enters station st
+            _settle(st, now)
+            st.arrived_work += cust.remaining
+            st.class_counts[cust.class_id] += 1
+            st.present += 1
+            if st.serving is None:
+                self._start_service(st, cust)
+            elif preemptive and cust.key < st.serving.key:
+                st.serving.remaining = st.serving_dep - now
+                _queue(st, _vacate(st))
+                self._start_service(st, cust)
+            else:
+                _queue(st, cust)
+        self.events_processed += done
+        return done
 
     def _advance(self, t: float) -> None:
         """Move the clock to t; stations integrate up to it lazily."""
         if t < self.clock:
             raise ValueError(f"cannot advance backwards to {t} from {self.clock}")
         self.clock = t
-
-    # -------- event handlers --------
-
-    def _handle_arrival(self, class_id: int) -> None:
-        route, draw_gap, draw_lead, draw_services = self._rows[class_id]
-        self._arrival_counter += 1
-        lead = draw_lead()
-        services = tuple(draw() for draw in draw_services)
-        cust = _Customer(class_id, self._arrival_counter, self.clock + lead,
-                         route, services)
-        gap = draw_gap()
-        if math.isfinite(gap):
-            self._push(self.clock + gap, _ARRIVE, route[0], class_id)
-        self._enter_station(cust, route[0])
-
-    def _handle_departure(self, sid: int, token: int) -> None:
-        st = self.stations[sid]
-        if token != st.token:
-            return  # superseded by a preemption
-        _settle(st, self.clock)
-        cust = _vacate(st)
-        st.class_counts[cust.class_id] -= 1
-        st.present -= 1
-        if st.pending:
-            _, nxt = heappop(st.pending)
-            st.pending_work -= nxt.remaining
-            if nxt.deadline < st.max_admitted:
-                st.pending_behind -= 1
-                st.pending_behind_work -= nxt.remaining
-            self._start_service(st, nxt)
-        cust.route_pos += 1
-        if cust.route_pos < len(cust.route):
-            cust.remaining = cust.service_times[cust.route_pos]
-            self._enter_station(cust, cust.route[cust.route_pos])
-
-    def _enter_station(self, cust: _Customer, sid: int) -> None:
-        st = self.stations[sid]
-        _settle(st, self.clock)
-        st.arrived_work += cust.remaining
-        st.class_counts[cust.class_id] += 1
-        st.present += 1
-        if st.serving is None:
-            self._start_service(st, cust)
-        elif self.preemptive and cust.key < st.serving.key:
-            st.serving.remaining = st.serving_dep - self.clock
-            _queue(st, _vacate(st))
-            self._start_service(st, cust)
-        else:
-            _queue(st, cust)
 
     def _start_service(self, st: _Station, cust: _Customer) -> None:
         st.serving = cust
@@ -344,12 +346,13 @@ class ExactCounts:
     def __post_init__(self):
         object.__setattr__(self, "targets", {int(j): tuple(int(n) for n in vec)
                                              for j, vec in self.targets.items()})
+        if any(n < 0 for vec in self.targets.values() for n in vec):
+            raise ValueError(f"counts must be nonnegative, got {self.targets}")
 
-    def holds(self, sim: SimState) -> bool:
-        for j, vec in self.targets.items():
-            if sim.stations[j].class_counts[1:] != list(vec):
-                return False
-        return True
+    def distance(self, sim: SimState) -> int:
+        """L1 distance from the per-class counts to the targets."""
+        return sum(abs(have - want) for j, vec in self.targets.items()
+                   for have, want in zip(sim.stations[j].class_counts[1:], vec))
 
 
 @dataclass(frozen=True)
@@ -361,12 +364,12 @@ class TotalCounts:
     def __post_init__(self):
         object.__setattr__(self, "targets",
                            {int(j): int(n) for j, n in self.targets.items()})
+        if any(n < 0 for n in self.targets.values()):
+            raise ValueError(f"counts must be nonnegative, got {self.targets}")
 
-    def holds(self, sim: SimState) -> bool:
-        for j, n in self.targets.items():
-            if sim.stations[j].present != n:
-                return False
-        return True
+    def distance(self, sim: SimState) -> int:
+        """L1 distance from the station totals to the targets."""
+        return sum(abs(sim.stations[j].present - n) for j, n in self.targets.items())
 
 
 @dataclass(frozen=True)
@@ -378,12 +381,13 @@ class CountBands:
     def __post_init__(self):
         object.__setattr__(self, "bands", {int(j): (int(lo), int(hi))
                                            for j, (lo, hi) in self.bands.items()})
+        if any(not 0 <= lo <= hi for lo, hi in self.bands.values()):
+            raise ValueError(f"bands must satisfy 0 <= lo <= hi, got {self.bands}")
 
-    def holds(self, sim: SimState) -> bool:
-        for j, (lo, hi) in self.bands.items():
-            if not lo <= sim.stations[j].present <= hi:
-                return False
-        return True
+    def distance(self, sim: SimState) -> int:
+        """How far each station's total lies outside its band, summed."""
+        return sum(max(lo - sim.stations[j].present, sim.stations[j].present - hi, 0)
+                   for j, (lo, hi) in self.bands.items())
 
 
 Condition = Union[ExactCounts, TotalCounts, CountBands]
@@ -438,11 +442,12 @@ def run_until(
     if not (math.isfinite(t) and t >= sim.clock):
         raise ValueError(f"cannot run to {t} from {sim.clock}: the time must "
                          f"be finite and not before the clock")
-    done = 0
-    while sim._heap and sim._heap[0][0] <= t:
-        sim._step()
-        done += 1
-        if on_event is not None:
+    if on_event is None:
+        done = sim._run(t, math.inf)
+    else:
+        done = 0
+        while sim._run(t, 1):
+            done += 1
             on_event(sim)
     sim._advance(t)
     return done
@@ -467,35 +472,40 @@ def conditional_sample(
     then, the partial list is returned with ``exhausted=True``.  A
     condition that does not fit the network raises ValidationError
     before any event is processed.
+
+    The condition is checked in batches of events, not after each one.
+    An event moves at most two (station, class) counts, each by one,
+    so the condition's distance moves by at most 2 per event; from
+    distance d it cannot hold again until ceil(d / 2) more events have
+    run, and that many run before the next check.  The snapshots,
+    clock and event count are those of a check after every event.
     """
     _check_condition(condition, sim.spec)
     if not threshold > 0.0:
         raise ValueError(f"threshold must be positive, got {threshold!r}")
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count!r}")
+    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        raise ValueError(f"count must be an integer of at least 1, got {count!r}")
     if not (math.isfinite(horizon_cap) and horizon_cap >= sim.clock):
-        raise ValueError(f"horizon_cap must be finite and >= current time")
+        raise ValueError(f"cannot sample to horizon_cap {horizon_cap} from {sim.clock}: "
+                         f"it must be finite and not before the clock")
 
     snaps: List[Snapshot] = []
     acc = 0.0
     while True:
-        t_next = sim._heap[0][0] if sim._heap else math.inf
-        boundary = min(t_next, horizon_cap)
-        if boundary > sim.clock and condition.holds(sim):
-            while len(snaps) < count:
+        d = condition.distance(sim)
+        if d == 0:
+            boundary = min(sim._heap[0][0] if sim._heap else math.inf, horizon_cap)
+            while boundary > sim.clock:
                 t_hit = sim.clock + (threshold - acc)
-                if t_hit <= boundary:
-                    sim._advance(t_hit)
-                    acc = 0.0
-                    snaps.append(snapshot_profiles(sim))
-                else:
+                if t_hit > boundary:
                     acc += boundary - sim.clock
                     break
-            if len(snaps) >= count:
-                return SampleResult(tuple(snaps), False)
-        if t_next <= horizon_cap:
-            sim._step()
-        else:
+                sim._advance(t_hit)
+                acc = 0.0
+                snaps.append(snapshot_profiles(sim))
+                if len(snaps) == count:
+                    return SampleResult(tuple(snaps), False)
+        if not sim._run(horizon_cap, max(1, (d + 1) // 2)):
             sim._advance(horizon_cap)
             return SampleResult(tuple(snaps), len(snaps) < count)
 

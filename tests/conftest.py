@@ -1,6 +1,7 @@
 """Shared fixtures: random network generation, the exhaustive
-admissible-order oracle, the all-station reference integrator, and
-acceptance reporting."""
+admissible-order oracle, the all-station reference integrator, the
+sampler that checks its condition after every event, and acceptance
+reporting."""
 
 import math
 
@@ -12,9 +13,11 @@ from edfnet import (
     NetworkSpec,
     PiecewiseLinearCDF,
     PointMass,
+    SampleResult,
     Uniform,
     build_topology,
     reach_sets,
+    snapshot_profiles,
 )
 
 
@@ -190,6 +193,32 @@ class ReferenceIntegrator:
 
     def integrals(self, j):
         return tuple(self._sums[j])
+
+
+def sample_every_event(sim, condition, *, threshold, count, horizon_cap):
+    """``conditional_sample`` without its batching: the condition is
+    checked after every event.  This is the reference the batched
+    sampler is checked against; the arguments are taken as valid."""
+    snaps = []
+    acc = 0.0
+    while True:
+        t_next = sim._heap[0][0] if sim._heap else math.inf
+        boundary = min(t_next, horizon_cap)
+        if boundary > sim.clock and condition.distance(sim) == 0:
+            while len(snaps) < count:
+                t_hit = sim.clock + (threshold - acc)
+                if t_hit <= boundary:
+                    sim._advance(t_hit)
+                    acc = 0.0
+                    snaps.append(snapshot_profiles(sim))
+                else:
+                    acc += boundary - sim.clock
+                    break
+            if len(snaps) >= count:
+                return SampleResult(tuple(snaps), False)
+        if not sim._run(horizon_cap, 1):
+            sim._advance(horizon_cap)
+            return SampleResult(tuple(snaps), len(snaps) < count)
 
 
 _ACCEPTANCE = {}

@@ -272,6 +272,13 @@ def test_unknown_fields_rejected(mutate):
              "lead_time": {"kind": "point", "value": 10.0},
              "service_laws": {1: {"kind": "sequence", "values": [math.nan]}}}]}},
          "network.classes[0].service_laws[1]"),
+        # a condition that can never hold would run every seed to horizon_cap
+        ({"experiment": {"condition": {"kind": "total", "targets": {1: -3}}}},
+         "experiment.condition: counts must be nonnegative"),
+        ({"experiment": {"condition": {"kind": "exact", "targets": {1: [-1]}}}},
+         "experiment.condition: counts must be nonnegative"),
+        ({"experiment": {"condition": {"kind": "band", "bands": {1: [-2, 1]}}}},
+         "experiment.condition: bands must satisfy 0 <= lo <= hi"),
     ],
 )
 def test_invalid_fields_rejected(patch, field):

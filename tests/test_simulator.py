@@ -5,12 +5,13 @@ arrival times, deadlines, and service times are known exactly and every
 assertion is plain arithmetic done by hand.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from conftest import ReferenceIntegrator, _random_spec
+from conftest import ReferenceIntegrator, _random_spec, sample_every_event
 from edfnet import (
     ClassDoesNotVisitStation,
     ClassSpec,
@@ -551,12 +552,29 @@ def test_conditional_sample_validates_arguments():
         conditional_sample(sim, cond, threshold=0.0, count=1, horizon_cap=10.0)
     with pytest.raises(ValueError):
         conditional_sample(sim, cond, threshold=1.0, count=0, horizon_cap=10.0)
-    with pytest.raises(ValueError):
+    # a quota is a whole number of snapshots: 2.5 would have taken 3
+    for bad in (2.5, True, "3"):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            conditional_sample(sim, cond, threshold=1.0, count=bad, horizon_cap=10.0)
+    with pytest.raises(ValueError, match=r"horizon_cap inf from 0\.0"):
         conditional_sample(sim, cond, threshold=1.0, count=1,
                            horizon_cap=math.inf)
     run_until(sim, 5.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"horizon_cap 4\.0 from 5\.0"):
         conditional_sample(sim, cond, threshold=1.0, count=1, horizon_cap=4.0)
+    assert sim.clock == 5.0 and sim.events_processed == 3
+
+
+@pytest.mark.parametrize("build,problem", [
+    (lambda: TotalCounts({1: -3}), "counts must be nonnegative"),
+    (lambda: ExactCounts({1: (2, -1)}), "counts must be nonnegative"),
+    (lambda: CountBands({1: (-1, 2)}), "bands must satisfy"),
+    (lambda: CountBands({1: (3, 2)}), "bands must satisfy"),
+], ids=["total-negative", "exact-negative", "band-negative", "band-empty"])
+def test_conditions_that_can_never_hold_are_rejected(build, problem):
+    """Such a condition would run a sampler to its horizon for nothing."""
+    with pytest.raises(ValueError, match=problem):
+        build()
 
 
 @pytest.mark.parametrize("condition,named", [
@@ -573,6 +591,106 @@ def test_conditional_sample_checks_condition_against_network(condition, named):
     with pytest.raises(ValidationError, match=named):
         conditional_sample(sim, condition, threshold=1.0, count=1, horizon_cap=100.0)
     assert sim.events_processed == 0
+
+
+def _with_scripted_ties(spec, rng):
+    """spec with whole-number scripted gaps and service times (some of
+    them zero), so that several events often fall at one instant."""
+    def script():
+        return dists.Sequence(rng.integers(0, 4, size=12).astype(float),
+                              float(rng.integers(1, 4)))
+    return NetworkSpec(spec.station_count, tuple(
+        dataclasses.replace(c, interarrival=script(),
+                            service_laws={j: script() for j in c.route})
+        for c in spec.classes))
+
+
+def _conditions_met_by(sim, rng):
+    """One condition of each kind that sim's present state meets, at a
+    random nonempty set of its stations."""
+    J = sim.spec.station_count
+    listed = sorted(int(j) + 1 for j in
+                    rng.choice(J, size=int(rng.integers(1, J + 1)), replace=False))
+    totals = {j: queue_length(sim, j) for j in listed}
+    return (ExactCounts({j: class_counts(sim, j) for j in listed}),
+            TotalCounts(totals),
+            CountBands({j: (max(0, n - 1), n + 1) for j, n in totals.items()}))
+
+
+def _networks_and_conditions(random_network, rng, n, preemptive):
+    """n (spec, seed, conditions) cases, every other one with scripted
+    ties; the conditions are met by a probe run of the same network,
+    so the run reaches them."""
+    for i in range(n):
+        spec = random_network(rng, max_stations=4, max_classes=4)
+        if i % 2:
+            spec = _with_scripted_ties(spec, rng)
+        seed = int(rng.integers(0, 1000))
+        probe = new_sim(spec, seed=seed + 1, preemptive=preemptive)
+        run_until(probe, float(rng.uniform(5.0, 60.0)))
+        yield spec, seed, _conditions_met_by(probe, rng)
+
+
+def _holds(condition, sim):
+    """The condition's predicate, written out."""
+    if isinstance(condition, ExactCounts):
+        return all(class_counts(sim, j) == vec for j, vec in condition.targets.items())
+    if isinstance(condition, TotalCounts):
+        return all(queue_length(sim, j) == n for j, n in condition.targets.items())
+    return all(lo <= queue_length(sim, j) <= hi
+               for j, (lo, hi) in condition.bands.items())
+
+
+@pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
+def test_condition_distance_moves_by_at_most_two(random_network, preemptive):
+    """After every event, each condition kind's distance has moved by
+    at most 2, the bound the batched sampler relies on, and it is 0
+    exactly when the condition holds."""
+    rng = np.random.default_rng(6160 + preemptive)
+    held = moved_two = 0
+    for spec, seed, conditions in _networks_and_conditions(random_network, rng, 8,
+                                                          preemptive):
+        sim = new_sim(spec, seed=seed, preemptive=preemptive)
+        last = [c.distance(sim) for c in conditions]
+
+        def check(s):
+            nonlocal held, moved_two
+            for i, c in enumerate(conditions):
+                d = c.distance(s)
+                assert abs(d - last[i]) <= 2, (c, s.clock, last[i], d)
+                assert (d == 0) == _holds(c, s)
+                held += d == 0
+                moved_two += abs(d - last[i]) == 2
+                last[i] = d
+
+        run_until(sim, 200.0, on_event=check)
+    assert held > 0  # the equivalence was exercised both ways
+    assert moved_two > 0  # and a bound of 1 would have been wrong
+
+
+@pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
+def test_batched_sampler_matches_a_check_after_every_event(random_network, preemptive):
+    """conditional_sample, which runs ceil(d / 2) events between checks
+    of its condition, gives the snapshots (bit for bit), clock, event
+    count and exhausted flag of ``sample_every_event``, on random
+    networks with and without scripted ties, for all condition kinds."""
+    rng = np.random.default_rng(5150 + preemptive)
+    outcomes = set()
+    for spec, seed, conditions in _networks_and_conditions(random_network, rng, 12,
+                                                          preemptive):
+        for condition in conditions:
+            args = dict(threshold=float(rng.uniform(0.05, 1.0)),
+                        count=int(rng.integers(1, 30)), horizon_cap=500.0)
+            batched = new_sim(spec, seed=seed, preemptive=preemptive)
+            checked = new_sim(spec, seed=seed, preemptive=preemptive)
+            got = conditional_sample(batched, condition, **args)
+            want = sample_every_event(checked, condition, **args)
+            assert repr(got) == repr(want)
+            assert _run_state(batched) == _run_state(checked)
+            outcomes.add((type(condition), got.exhausted, bool(got.snapshots)))
+    # each kind both filled its quota and ran out with some snapshots
+    for kind in (ExactCounts, TotalCounts, CountBands):
+        assert {(kind, False, True), (kind, True, True)} <= outcomes
 
 
 # -------- construction and lookups --------
