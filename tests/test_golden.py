@@ -48,11 +48,13 @@ from edfnet import (
     count_model,
     dists,
     new_sim,
+    normalize_by_intensity,
     parse_config,
     run_experiment,
     run_until,
     snapshot_profiles,
     solve_frontiers,
+    work_model,
     workload,
 )
 from edfnet.cli import main
@@ -245,3 +247,39 @@ def test_predict_csv_digest(name, digest):
     with contextlib.redirect_stdout(out):
         assert main(["predict", "-c", str(CONFIGS / f"{name}.yaml"), "--loads", "50,58"]) == 0
     assert sha256(out.getvalue()) == digest
+
+
+def _solve_outcome(model, loads):
+    try:
+        sol = solve_frontiers(model, loads)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return (sol.frontiers, sol.permutation, sol.stage_bounds)
+
+
+def test_solver_sweep_digest():
+    """1,200 solves on random networks of up to 6 stations and 8
+    classes, under the normalised count and work models, at zero loads,
+    moderate loads with some stations empty, and loads large enough to
+    push frontiers far below zero.  Each solve hashes its frontiers,
+    permutation and stage bounds, or the name and message of the error
+    it raised.  Recorded before the solver began to solve each station's
+    stage once per reach set instead of once per stage."""
+    rng = np.random.default_rng(11)
+    h = hashlib.sha256()
+    solves = 0
+    while solves < 1200:
+        spec = _random_spec(rng, 6, 8)
+        try:
+            topo = build_topology(spec)
+        except Exception:
+            continue
+        J = spec.station_count
+        sparse = rng.uniform(0.0, 40.0, J) * (rng.random(J) < 0.6)
+        cases = (np.zeros(J), rng.uniform(0.0, 40.0, J), sparse, rng.uniform(1e5, 1e8, J))
+        for model in (normalize_by_intensity(count_model(topo)),
+                      normalize_by_intensity(work_model(topo))):
+            for loads in cases:
+                h.update(repr(_solve_outcome(model, loads)).encode())
+                solves += 1
+    assert h.hexdigest() == "a9af85d4a5c1234a5876411cc5386c9dcb46a68b3889cda8d1c5ddafc3a76d33"
