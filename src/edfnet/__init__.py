@@ -89,7 +89,6 @@ from .topology import (
     Topology,
     build_topology,
     in_frontier_domain,
-    reach_sets,
     traffic_intensity,
 )
 

@@ -43,7 +43,6 @@ from .topology import (
     Topology,
     build_topology,
     in_frontier_domain,
-    reach_sets,
     traffic_intensity,
 )
 
@@ -160,6 +159,8 @@ def _station_frontiers(topo: Topology, y: Sequence[float]) -> Dict[int, float]:
     vals = [float(v) for v in y]
     if len(vals) != topo.station_count:
         raise ValueError(f"expected {topo.station_count} frontier values, got {len(vals)}")
+    if any(math.isnan(v) for v in vals):
+        raise ValueError(f"frontier values must not be NaN, got {tuple(vals)}")
     return dict(zip(topo.spec.stations, vals))
 
 
@@ -282,10 +283,11 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
     """Invert the load map: find the frontier vector producing ``loads``.
 
     Stations are placed one stage at a time.  At each stage every
-    still-unplaced station reachable through the placed ones gets a
-    stage-local inverse of its own load; the station with the largest
-    value (ties to the smallest station id) is placed next.  The
-    resulting vector lies in the invertible domain, reproduces the
+    still-unplaced station that some class reaches through the placed
+    ones gets a stage-local inverse of its own load; the station with
+    the largest value (ties to the smallest station id) is placed next.
+    A station's stage is solved once per reach set, not once per stage.
+    The resulting vector lies in the invertible domain, reproduces the
     loads, and is the componentwise smallest such vector.
     """
     topo = model.topology
@@ -296,20 +298,23 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
         if not math.isfinite(v) or v < 0.0:
             raise NegativeWorkload(f"load at station {j} must be finite and >= 0, got {v}")
 
-    assigned: Dict[int, float] = {}
-    order: List[int] = []
+    assigned: Dict[int, float] = {}   # placed stations in placing order
     bounds: List[float] = []
+    # unplaced station -> (reach set, stage value, bound).  A stage reads
+    # only its reach set and the values of placed stations, which never
+    # change, so it is solved again only when its reach set has grown
+    stages: Dict[int, Tuple[FrozenSet[int], float, float]] = {}
     for _ in range(topo.station_count):
-        reach, reachable = reach_sets(topo, order)
+        for j in set(topo.spec.stations).difference(assigned):
+            reach = topo.reaching(j, assigned.keys())
+            if reach and (j not in stages or stages[j][0] != reach):
+                stages[j] = (reach, *_stage_inverse(_terms(model, j, reach, assigned),
+                                                    vec[j - 1]))
         # never empty: every station is on a route, and the first
         # unplaced station on a route is reachable.  max keeps the
         # first of tied values, so ties go to the smallest id
-        j, y_j, b_j = max(
-            ((j, *_stage_inverse(_terms(model, j, reach[j], assigned), vec[j - 1]))
-             for j in sorted(reachable)),
-            key=lambda stage: stage[1])
-        order.append(j)
-        assigned[j] = y_j
+        j = max(sorted(stages), key=lambda i: stages[i][1])
+        _, assigned[j], b_j = stages.pop(j)
         bounds.append(b_j)
 
     y = tuple(assigned[j] for j in topo.spec.stations)
@@ -317,11 +322,12 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
     scale = max(1.0, max(vec, default=1.0))
     if residual > 1e-6 * scale:
         raise SolverDivergence(f"inversion residual {residual} for loads {vec}")
-    if in_frontier_domain(topo, y, tuple(order)) is None:
-        raise SolverDivergence(f"solution {y} left its own domain piece {order}")
+    order = tuple(assigned)
+    if in_frontier_domain(topo, y, order) is None:
+        raise SolverDivergence(f"solution {y} left its own domain piece {list(order)}")
     return FrontierSolution(
         frontiers=y,
-        permutation=tuple(order),
+        permutation=order,
         stage_bounds=tuple(bounds),
         residual=residual,
         loads=tuple(vec),
@@ -349,6 +355,8 @@ def predict_profile(
     vals = _station_frontiers(topo, fr)
     if j not in topo.visiting:
         raise ValueError(f"station {j} is not in the network")
+    if np.isnan(y).any():
+        raise ValueError(f"levels must not be NaN, got {y!r}")
     terms = _terms(model, j, topo.visiting[j], vals)
     if np.ndim(y) == 0:
         return _mass_above(terms, max(float(y), vals[j]))
@@ -407,8 +415,9 @@ def two_station_closed_form(
             raise ZeroIntensity(f"rate of class {i} must be positive, got {lv!r}")
     if not (d1 >= d2 >= d3 >= d4):
         raise ValueError(f"deadlines must be nonincreasing by class, got {deadlines!r}")
-    if q1 < 0.0 or q2 < 0.0:
-        raise NegativeWorkload(f"queue levels must be >= 0, got ({q1}, {q2})")
+    for j, q in ((1, q1), (2, q2)):
+        if not math.isfinite(q) or q < 0.0:
+            raise NegativeWorkload(f"load at station {j} must be finite and >= 0, got {q}")
 
     f1 = {
         "top_only": d1 - q1 / l1,

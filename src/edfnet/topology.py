@@ -7,19 +7,21 @@ we derive the station-level sets that every other module consumes:
 which classes visit a station, and which stations a class has already
 cleared when it reaches a given station.
 
-The solver visits stations in an order it discovers stage by stage; a
-station is *reachable* at a stage when at least one class reaches it
-using only already-ordered stations.  Each order built this way carves
-out a piece of the domain on which the frontier map is invertible, and
-membership in the domain is shown by a witness order found by a
-depth-first search over these stages.
+One rule links the routes to the solver: a class *reaches* station j
+once every station before j on its route is placed, and
+``Topology.reaching`` gives those classes for one station.  The solver
+places stations one stage at a time, each among the stations some
+class reaches.  Each order built this way carves out a piece of the
+domain on which the frontier map is invertible, and membership in the
+domain is shown by a witness order found by a depth-first search over
+these stages.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import dists
 from .errors import DisconnectedNetwork, EmptyStation, RouteRepeatsStation
@@ -30,7 +32,6 @@ __all__ = [
     "NetworkSpec",
     "Topology",
     "build_topology",
-    "reach_sets",
     "in_frontier_domain",
     "traffic_intensity",
 ]
@@ -153,6 +154,11 @@ class Topology:
     def lead_dist(self, k: int) -> LeadTimeDist:
         return self.spec.class_by_id(k).lead_time
 
+    def reaching(self, j: int, placed: AbstractSet[int]) -> FrozenSet[int]:
+        """Classes visiting station j whose stations before j all lie in
+        ``placed``."""
+        return frozenset(k for k in self.visiting[j] if self.upstream[(k, j)] <= placed)
+
 
 def build_topology(spec: NetworkSpec) -> Topology:
     """Validate a NetworkSpec and derive its route sets.
@@ -206,34 +212,6 @@ def build_topology(spec: NetworkSpec) -> Topology:
     )
 
 
-def reach_sets(
-    topo: Topology, prefix: Sequence[int]
-) -> Tuple[Dict[int, FrozenSet[int]], FrozenSet[int]]:
-    """Classes reaching each station through an ordered prefix.
-
-    Given a sequence of already-ordered stations, returns a pair
-    ``(reach_classes, reachable)`` where ``reach_classes[j]`` holds the
-    classes whose entire upstream portion at j lies inside the prefix,
-    and ``reachable`` is the set of stations outside the prefix with at
-    least one such class (the candidates for the next position).
-    """
-    prefix = list(prefix)
-    pset = set(prefix)
-    if len(pset) != len(prefix):
-        raise ValueError(f"prefix {prefix} repeats a station")
-    for j in prefix:
-        if j not in topo.visiting:
-            raise ValueError(f"prefix station {j} is not in the network")
-    reach: Dict[int, FrozenSet[int]] = {}
-    for j in topo.spec.stations:
-        reach[j] = frozenset(
-            k for k in topo.visiting[j] if topo.upstream[(k, j)] <= pset
-        )
-    reachable = frozenset(j for j in topo.spec.stations
-                          if j not in pset and reach[j])
-    return reach, reachable
-
-
 def in_frontier_domain(
     topo: Topology,
     y: Sequence[float],
@@ -259,6 +237,8 @@ def in_frontier_domain(
     """
     if len(y) != topo.station_count:
         raise ValueError(f"expected {topo.station_count} values, got {len(y)}")
+    if any(math.isnan(v) for v in y):
+        raise ValueError(f"frontier values must not be NaN, got {tuple(y)}")
     if perm is not None and sorted(perm) != list(topo.spec.stations):
         raise ValueError(f"{tuple(perm)} is not a permutation of the stations")
     order: List[int] = []
@@ -267,25 +247,29 @@ def in_frontier_domain(
     # state through many orders search it once
     dead = set()
 
-    def fits(j: int, prev: float, reach: Mapping[int, FrozenSet[int]]) -> bool:
-        bound = max(topo.lead_dist(k).upper_support for k in reach[j])
+    def fits(j: int, prev: float, placed: FrozenSet[int]) -> bool:
+        if j in placed:
+            return False
+        reach = topo.reaching(j, placed)
+        if not reach:
+            return False
+        bound = max(topo.lead_dist(k).upper_support for k in reach)
         return not (prev < y[j - 1] - atol or y[j - 1] > bound + atol)
 
     def extend(prev: float) -> bool:
         if len(order) == topo.station_count:
             return True
-        state = (frozenset(order), order[-1] if order else 0)
+        placed = frozenset(order)
+        state = (placed, order[-1] if order else 0)
         if state in dead:
             return False
-        reach, reachable = reach_sets(topo, order)
-        ahead = sorted(reachable) if perm is None else [perm[len(order)]]
-        steps = [j for j in ahead if j in reachable and fits(j, prev, reach)]
-        del reach  # one prefix's table at a time, not one per recursion level
-        for j in steps:
-            order.append(j)
-            if extend(y[j - 1]):
-                return True
-            order.pop()
+        ahead = topo.spec.stations if perm is None else [perm[len(order)]]
+        for j in ahead:
+            if fits(j, prev, placed):
+                order.append(j)
+                if extend(y[j - 1]):
+                    return True
+                order.pop()
         dead.add(state)
         return False
 

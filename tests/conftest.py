@@ -1,5 +1,5 @@
-"""Shared fixtures: random network generation, the exhaustive
-admissible-order oracle, the all-station reference integrator, the
+"""Shared fixtures: random network generation, the route-based reach
+rule and the exhaustive admissible-order oracle built on it, the all-station reference integrator, the
 sampler that checks its condition after every event, and acceptance
 reporting."""
 
@@ -16,7 +16,6 @@ from edfnet import (
     SampleResult,
     Uniform,
     build_topology,
-    reach_sets,
     snapshot_profiles,
 )
 
@@ -77,11 +76,19 @@ def random_network():
     return make
 
 
+def reaching(topo, j, placed):
+    """Classes whose route reaches station j through ``placed`` stations
+    only, read from the routes themselves: the oracle for
+    ``Topology.reaching``."""
+    return frozenset(c.id for c in topo.spec.classes
+                     if j in c.route and set(c.route[:c.route.index(j)]) <= set(placed))
+
+
 def admissible_permutations(topo):
     """All station orders the staged solver could produce, in
     lexicographic order.
 
-    A permutation is admissible when every position is reachable given
+    A permutation is admissible when every position is reached given
     the stations placed before it.  The enumeration is exhaustive and
     factorial in the worst case; it is the reference that
     ``in_frontier_domain``'s witness search is checked against.
@@ -93,14 +100,18 @@ def admissible_permutations(topo):
         if len(prefix) == J:
             out.append(tuple(prefix))
             return
-        _, reachable = reach_sets(topo, prefix)
-        for j in sorted(reachable):
-            prefix.append(j)
-            extend(prefix)
-            prefix.pop()
+        for j in topo.spec.stations:
+            if j not in prefix and reaching(topo, j, prefix):
+                prefix.append(j)
+                extend(prefix)
+                prefix.pop()
 
     extend([])
     return out
+
+
+def _stage_bound(topo, j, placed):
+    return max(topo.lead_dist(k).upper_support for k in reaching(topo, j, placed))
 
 
 def in_piece(topo, y, pi, atol=1e-9):
@@ -110,11 +121,7 @@ def in_piece(topo, y, pi, atol=1e-9):
     if any(a < b - atol for a, b in zip(vals, vals[1:])):
         return False
     for m, j in enumerate(pi):
-        reach, reachable = reach_sets(topo, pi[:m])
-        if j not in reachable:
-            return False
-        bound = max(topo.lead_dist(k).upper_support for k in reach[j])
-        if y[j - 1] > bound + atol:
+        if not reaching(topo, j, pi[:m]) or y[j - 1] > _stage_bound(topo, j, pi[:m]) + atol:
             return False
     return True
 
@@ -126,9 +133,7 @@ def _random_domain_vector(topo, rng, orders):
     vals = {}
     prev = math.inf
     for m, j in enumerate(pi):
-        reach, _ = reach_sets(topo, pi[:m])
-        bound = max(topo.lead_dist(k).upper_support for k in reach[j])
-        vals[j] = min(bound, prev) * float(rng.uniform(0.3, 0.98))
+        vals[j] = min(_stage_bound(topo, j, pi[:m]), prev) * float(rng.uniform(0.3, 0.98))
         prev = vals[j]
     return tuple(vals[j] for j in topo.spec.stations)
 

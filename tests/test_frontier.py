@@ -19,6 +19,7 @@ from edfnet import (
     NoConsistentRegion,
     PointMass,
     SolverDivergence,
+    Uniform,
     WeightedModel,
     ZeroIntensity,
     build_topology,
@@ -31,8 +32,10 @@ from edfnet import (
     two_station_closed_form,
     work_model,
 )
+from edfnet import frontier
 from edfnet.frontier import _stage_inverse, _Term
 from edfnet.harness import theory_cdf
+from conftest import reaching
 
 THIRD = 1.0 / 3.0
 
@@ -220,6 +223,41 @@ def test_round_trip_on_random_networks(random_network, domain_vector):
             assert in_frontier_domain(topo, sol.frontiers, sol.permutation) is not None
 
 
+def _distinct_stages(topo, perm):
+    """The (station, reach set) pairs met by unplaced stations along perm."""
+    return {(j, reaching(topo, j, perm[:m]))
+            for m in range(len(perm)) for j in topo.spec.stations
+            if j not in perm[:m] and reaching(topo, j, perm[:m])}
+
+
+def test_each_stage_solved_once_per_reach_set(random_network, monkeypatch):
+    """A station's stage is solved again only when its reach set has
+    grown, so one solve runs one stage inverse per distinct (station,
+    reach set) pair along its permutation.  Besides random networks,
+    a 16-station chain with four classes forking off station 1 keeps
+    five stations reachable for many stages."""
+    calls = []
+
+    def counting(terms, target):
+        calls.append(target)
+        return _stage_inverse(terms, target)
+
+    monkeypatch.setattr(frontier, "_stage_inverse", counting)
+    chain_fork = NetworkSpec(16, (
+        ClassSpec(id=1, route=tuple(range(1, 17)), arrival_rate=0.3,
+                  lead_time=Uniform(100.0, 300.0)),
+        *(ClassSpec(id=k, route=(1, j), arrival_rate=0.2, lead_time=PointMass(60.0 * k))
+          for k, j in ((2, 5), (3, 9), (4, 13), (5, 16)))))
+    rng = np.random.default_rng(20261018)
+    specs = [random_network(rng, max_stations=6, max_classes=8) for _ in range(30)]
+    for spec in specs + [chain_fork]:
+        topo = build_topology(spec)
+        for model in (count_model(topo), normalize_by_intensity(work_model(topo))):
+            calls.clear()
+            sol = solve_frontiers(model, rng.uniform(0.0, 40.0, spec.station_count))
+            assert len(calls) == len(_distinct_stages(topo, sol.permutation))
+
+
 # -------- profile prediction --------
 
 def test_predict_profile_case_a():
@@ -275,6 +313,14 @@ def test_predict_profile_validates_input():
         predict_profile(model, (250.0, 188.0), 7, 0.0)
     with pytest.raises(ValueError):
         predict_profile(model, (250.0,), 1, 0.0)
+    with pytest.raises(ValueError, match="NaN"):
+        predict_profile(model, (math.nan, 188.0), 1, 0.0)
+    with pytest.raises(ValueError, match="NaN"):
+        predict_profile(model, (250.0, 188.0), 1, math.nan)
+    with pytest.raises(ValueError, match="NaN"):
+        predict_profile(model, (250.0, 188.0), 1, (0.0, math.nan))
+    with pytest.raises(ValueError, match="NaN"):
+        frontier_loads(model, (math.nan, 1.0))
 
 
 # -------- two-station closed forms --------
@@ -348,6 +394,10 @@ def test_closed_form_validates_input():
         two_station_closed_form((0.0, THIRD, THIRD, THIRD), deadlines, 1.0, 1.0)
     with pytest.raises(NegativeWorkload):
         two_station_closed_form(rates, deadlines, -1.0, 1.0)
+    with pytest.raises(NegativeWorkload, match="station 1"):
+        two_station_closed_form(rates, deadlines, math.nan, 5.0)
+    with pytest.raises(NegativeWorkload, match="station 2"):
+        two_station_closed_form(rates, deadlines, 5.0, math.inf)
 
 
 def test_closed_form_zero_tolerance_finds_nothing():

@@ -16,3 +16,50 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _modules():
+    """Each package module but ``__init__.py``, parsed, by file name."""
+    paths = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    assert paths
+    return {p.name: ast.parse(p.read_text(), str(p)) for p in paths}
+
+
+def test_no_unused_imports():
+    """A module binds no imported name it never reads, so code left
+    behind by a deletion shows up here.  ``__future__`` imports are
+    compiler directives, not names."""
+    found = []
+    for name, tree in _modules().items():
+        bound = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{name}:{line} {imported}" for imported, line in bound.items()
+                  if imported not in read]
+    assert found == []
+
+
+def test_all_names_are_defined():
+    """Every name in a module's ``__all__`` is bound at the module's top
+    level by a def, a class or an assignment, not only imported."""
+    found = []
+    for name, tree in _modules().items():
+        defined = set()
+        exported = []
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined.add(target.id)
+                    if target.id == "__all__":
+                        exported = ast.literal_eval(node.value)
+        found += [f"{name}: {export}" for export in exported if export not in defined]
+    assert found == []

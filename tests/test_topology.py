@@ -18,11 +18,10 @@ from edfnet import (
     build_topology,
     dists,
     in_frontier_domain,
-    reach_sets,
     traffic_intensity,
 )
 from edfnet import topology
-from conftest import admissible_permutations, in_piece
+from conftest import admissible_permutations, in_piece, reaching
 
 
 def crossing(deadlines=(400.0, 300.0, 200.0, 100.0), lam=0.32, mu=1.0):
@@ -47,28 +46,27 @@ def test_crossing_sets():
     assert (3, 2) not in topo.upstream
 
 
-def test_reach_sets_empty_prefix():
+def test_reaching_empty_prefix():
     topo = build_topology(crossing())
-    reach, reachable = reach_sets(topo, ())
-    assert reachable == frozenset({1, 2})
-    assert reach[1] == frozenset({1, 3})
-    assert reach[2] == frozenset({2, 4})
+    assert topo.reaching(1, frozenset()) == frozenset({1, 3})
+    assert topo.reaching(2, frozenset()) == frozenset({2, 4})
 
 
-def test_reach_sets_after_first_station():
+def test_reaching_after_first_station():
     topo = build_topology(crossing())
-    reach, reachable = reach_sets(topo, (1,))
-    assert reachable == frozenset({2})
-    assert reach[2] == frozenset({1, 2, 4})
-    assert reach[1] == frozenset({1, 3})  # still reported for ordered stations
+    assert topo.reaching(2, frozenset({1})) == frozenset({1, 2, 4})
+    assert topo.reaching(1, frozenset({1})) == frozenset({1, 3})  # placed stations too
 
 
-def test_reach_sets_rejects_bad_prefix():
-    topo = build_topology(crossing())
-    with pytest.raises(ValueError):
-        reach_sets(topo, (1, 1))
-    with pytest.raises(ValueError):
-        reach_sets(topo, (7,))
+def test_reaching_matches_routes_on_random_networks(random_network):
+    rng = np.random.default_rng(20261019)
+    for _ in range(40):
+        topo = build_topology(random_network(rng))
+        for placed in itertools.chain.from_iterable(
+                itertools.combinations(topo.spec.stations, r)
+                for r in range(topo.station_count + 1)):
+            for j in topo.spec.stations:
+                assert topo.reaching(j, frozenset(placed)) == reaching(topo, j, placed)
 
 
 def test_crossing_permutations():
@@ -181,7 +179,8 @@ def test_domain_search_skips_dead_states(monkeypatch):
     """Station 1 feeds ten leaves and every value is 50, but the last
     leaf's lead is 10: no order fits.  The tied leaves reach each
     (placed set, last station) state through many orders, and the
-    search expands each state at most once."""
+    search expands each state at most once, asking each of the n + 1
+    stations for its reach at most once per expansion."""
     n = 10
     spec = NetworkSpec(n + 1, tuple(
         ClassSpec(id=k, route=(1, k + 1), arrival_rate=0.5,
@@ -189,14 +188,15 @@ def test_domain_search_skips_dead_states(monkeypatch):
         for k in range(1, n + 1)))
     topo = build_topology(spec)
     calls = []
+    reach = topology.Topology.reaching
 
-    def counting(topo, prefix):
-        calls.append(prefix)
-        return reach_sets(topo, prefix)
+    def counting(self, j, placed):
+        calls.append(j)
+        return reach(self, j, placed)
 
-    monkeypatch.setattr(topology, "reach_sets", counting)
+    monkeypatch.setattr(topology.Topology, "reaching", counting)
     assert in_frontier_domain(topo, (50.0,) * (n + 1)) is None
-    assert len(calls) <= 2 ** (n - 1) * n
+    assert len(calls) <= 2 ** (n - 1) * n * (n + 1)
 
 
 def test_class_spec_validation():
@@ -322,6 +322,10 @@ def test_domain_membership_validates_input():
         in_frontier_domain(topo, (1.0, 2.0, 3.0))
     with pytest.raises(ValueError):
         in_frontier_domain(topo, (1.0, 1.0), perm=(1, 1))
+    with pytest.raises(ValueError, match="NaN"):
+        in_frontier_domain(topo, (math.nan, math.nan))
+    with pytest.raises(ValueError, match="NaN"):
+        in_frontier_domain(topo, (1.0, math.nan), perm=(1, 2))
 
 
 def test_domain_witness_matches_oracle(random_network, domain_vector):
