@@ -47,7 +47,6 @@ from .harness import (
     CSV_HEADER,
     ExperimentConfig,
     ProfileReport,
-    SEED_ENV_VAR,
     StationProfile,
     compare_profiles,
     config_from_dict,

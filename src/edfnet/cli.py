@@ -3,9 +3,11 @@
 Subcommands: solve (loads -> frontiers), predict (loads -> profile
 CSV), simulate (free run with periodic stats), experiment (full
 conditioned-sampling pipeline with report export), compare (distances
-between two exported profile CSVs).  Exit codes: 0 on success, 2 on
-bad input or config, 3 when an experiment hit its horizon cap and
-produced only partial results.
+between two exported profile CSVs).  Solve, predict and experiment
+all use the prediction model the config sets (``prediction.weights``,
+``prediction.normalize``).  Exit codes: 0 on success, 2 on bad input
+or config, 3 when an experiment hit its horizon cap and produced only
+partial results.
 """
 
 from __future__ import annotations
@@ -46,17 +48,9 @@ def _solve(model, text: str):
     return solve_frontiers(model, loads)
 
 
-def _model_for(cfg, args):
-    normalize = cfg.normalize if args.normalize is None else args.normalize
-    adjusted = dataclasses.replace(cfg, weight_kind=args.weights or cfg.weight_kind,
-                                   normalize=normalize)
-    return harness.prediction_model(adjusted), adjusted
-
-
 def _cmd_solve(args) -> int:
     cfg = harness.parse_config(args.config)
-    model, _ = _model_for(cfg, args)
-    sol = _solve(model, args.loads)
+    sol = _solve(harness.prediction_model(cfg), args.loads)
     for j, f in enumerate(sol.frontiers, start=1):
         print(f"station {j}: frontier {f!r}")
     print("order: " + " ".join(str(j) for j in sol.permutation))
@@ -66,9 +60,9 @@ def _cmd_solve(args) -> int:
 
 def _cmd_predict(args) -> int:
     cfg = harness.parse_config(args.config)
-    model, adjusted = _model_for(cfg, args)
+    model = harness.prediction_model(cfg)
     sol = _solve(model, args.loads)
-    grid = adjusted.grid
+    grid = cfg.grid
     if args.grid:
         try:
             lo, hi, n = args.grid.split(":")
@@ -155,23 +149,14 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_config(p):
         p.add_argument("-c", "--config", required=True, help="config file (YAML)")
 
-    def add_model_flags(p):
-        p.add_argument("--weights", choices=("count", "work"),
-                       help="override the weight kind from the config")
-        p.add_argument("--normalize", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="override intensity normalization from the config")
-
     p = sub.add_parser("solve", help="invert observed loads into frontiers")
     add_config(p)
-    add_model_flags(p)
     p.add_argument("--loads", required=True,
                    help="comma-separated load per station, e.g. 50,58")
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("predict", help="predicted lead-time profile CSV")
     add_config(p)
-    add_model_flags(p)
     p.add_argument("--loads", required=True)
     p.add_argument("--grid", help="evaluation grid as lo:hi:points")
     p.add_argument("-o", "--output", help="write CSV here instead of stdout")

@@ -62,7 +62,6 @@ __all__ = [
     "ExperimentConfig",
     "StationProfile",
     "ProfileReport",
-    "SEED_ENV_VAR",
     "CSV_HEADER",
     "parse_config",
     "config_from_dict",
@@ -75,7 +74,6 @@ __all__ = [
     "read_profile_csv",
 ]
 
-SEED_ENV_VAR = "EDFNET_SEED"
 CSV_HEADER = ("station", "y", "emp_min", "emp_mean", "emp_max", "theory")
 
 
@@ -95,19 +93,6 @@ class ExperimentConfig:
     grid: Tuple[float, ...]
 
 
-def default_seed() -> int:
-    """Seed used when neither config nor flags provide one; the
-    environment variable EDFNET_SEED overrides the built-in 0."""
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ValidationError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}")
-    return _as_seed(seed, SEED_ENV_VAR)
-
-
 def _load_yaml(path) -> Dict:
     with open(path, "r") as handle:
         text = handle.read()
@@ -122,7 +107,7 @@ def _load_yaml(path) -> Dict:
     return raw
 
 
-def parse_config(path: Union[str, "os.PathLike[str]"]) -> ExperimentConfig:
+def parse_config(path: Union[str, os.PathLike[str]]) -> ExperimentConfig:
     """Load and validate a config file.  ParseError carries the YAML
     location on malformed input; ValidationError names the offending
     field on schema violations."""
@@ -206,10 +191,9 @@ def _checked(parse, ok, problem: str):
 
 
 def _rows(cls, fields) -> Tuple:
-    """Rows for a class whose YAML keys are its field names; a
-    dataclass default makes its field optional."""
-    defaults = ({f.name: f.default for f in dataclasses.fields(cls)}
-                if dataclasses.is_dataclass(cls) else {})
+    """Rows for a dataclass whose YAML keys are its field names; a
+    field default makes that field optional."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     return tuple((name, name, parse, defaults.get(name, MISSING))
                  for name, parse in fields)
 
@@ -346,15 +330,15 @@ def _grid(value, where: str) -> Optional[Tuple[float, ...]]:
         grid = tuple(float(v) for v in np.linspace(span["lo"], span["hi"], span["points"]))
     else:
         grid = _list_of(_as_float)(value, where)
-    if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])):
+    if len(grid) < 2 or not all(b > a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"{where}: grid must be strictly increasing, length >= 2")
     return grid
 
 
 # (YAML key, ExperimentConfig field, parser, default); config_from_dict
-# fills in a seeds or grid default of None (a null grid counts as absent)
+# fills in a grid default of None (a null grid counts as absent)
 _EXPERIMENT_ROWS = (
-    ("seeds", "seeds", _checked(_list_of(_as_seed), len, "must not be empty"), None),
+    ("seeds", "seeds", _checked(_list_of(_as_seed), len, "must not be empty"), (0,)),
     ("condition", "condition", _kind_of(_CONDITIONS, "condition"), None),
     ("threshold", "threshold",
      _checked(_as_float, lambda v: v > 0, "must be positive"), 1.0),
@@ -383,8 +367,6 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
         raise ValidationError(f"network: {exc}")
     fields = _read_fields(raw.get("experiment") or {}, _EXPERIMENT_ROWS, "experiment")
     fields.update(_read_fields(raw.get("prediction") or {}, _PREDICTION_ROWS, "prediction"))
-    if fields["seeds"] is None:
-        fields["seeds"] = (default_seed(),)
     if fields["grid"] is None:
         hi = max(c.lead_time.upper_support for c in net.classes)
         fields["grid"] = tuple(np.linspace(0.0, 1.05 * hi, 211))

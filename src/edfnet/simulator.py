@@ -51,7 +51,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from typing import Callable, List, Mapping, Optional, Tuple, Union
+from typing import List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -134,7 +134,9 @@ class SimState:
     """One simulation run; construct through new_sim().
 
     ``_run(until, limit)`` is the one event loop: it pops and processes
-    up to ``limit`` events at or before ``until``.  ``events_processed``
+    up to ``limit`` events at or before ``until``.  ``run_until`` runs
+    it without a limit and ``conditional_sample`` in batches; a limit of
+    one steps the run event by event.  ``events_processed``
     counts every event popped, including a departure that a preemption
     superseded: such an event only moves the clock, since each station
     integrates lazily from its own ``last_t``, but it still counts.
@@ -423,32 +425,20 @@ def new_sim(spec: NetworkSpec, *, seed: int, preemptive: bool = False) -> SimSta
     return SimState(spec, seed=seed, preemptive=preemptive)
 
 
-def run_until(
-    sim: SimState,
-    until: float,
-    *,
-    on_event: Optional[Callable[[SimState], None]] = None,
-) -> int:
+def run_until(sim: SimState, until: float) -> int:
     """Advance the simulation to a finite time.
 
-    Every event at or before ``until`` is processed, ``on_event`` (if
-    given) is called after each one, and the clock then advances to
-    exactly ``until``.  A time that is not finite or lies before the
-    clock raises ValueError before any event is processed.  Returns the
-    number of events processed, including departures that a preemption
-    superseded (see SimState).
+    Every event at or before ``until`` is processed and the clock then
+    advances to exactly ``until``.  A time that is not finite or lies
+    before the clock raises ValueError before any event is processed.
+    Returns the number of events processed, including departures that a
+    preemption superseded (see SimState).
     """
     t = float(until)
     if not (math.isfinite(t) and t >= sim.clock):
         raise ValueError(f"cannot run to {t} from {sim.clock}: the time must "
                          f"be finite and not before the clock")
-    if on_event is None:
-        done = sim._run(t, math.inf)
-    else:
-        done = 0
-        while sim._run(t, 1):
-            done += 1
-            on_event(sim)
+    done = sim._run(t, math.inf)
     sim._advance(t)
     return done
 
@@ -523,22 +513,29 @@ def snapshot_profiles(sim: SimState) -> Snapshot:
     return Snapshot(time=now, stations=stations)
 
 
+def _station(sim: SimState, j: int) -> _Station:
+    """Station j of the run; ValueError unless the network has it."""
+    if j not in sim.topology.visiting:
+        raise ValueError(f"station {j} is not in the network")
+    return sim.stations[j]
+
+
 def class_frontier(sim: SimState, k: int, j: int) -> float:
     """Lead-time frontier of class k at station j right now."""
-    st = sim.stations[j] if 1 <= j < len(sim.stations) else None
-    if st is None or k not in sim.topology.visiting[j]:
+    st = _station(sim, j)
+    if k not in sim.topology.visiting[j]:
         raise ClassDoesNotVisitStation(f"class {k} does not visit station {j}")
     return st.max_by_class[k] - sim.clock
 
 
 def station_frontier(sim: SimState, j: int) -> float:
     """Largest class frontier at station j right now."""
-    return sim.stations[j].max_admitted - sim.clock
+    return _station(sim, j).max_admitted - sim.clock
 
 
 def workload(sim: SimState, j: int) -> float:
     """Residual work sitting at station j (pending plus in service)."""
-    st = sim.stations[j]
+    st = _station(sim, j)
     if st.serving is None:
         return st.pending_work
     return st.pending_work + (st.serving_dep - sim.clock)
@@ -547,11 +544,11 @@ def workload(sim: SimState, j: int) -> float:
 def netput(sim: SimState, j: int) -> float:
     """Work arrived at station j minus elapsed time; workload equals
     this plus the accumulated idleness."""
-    return sim.stations[j].arrived_work - sim.clock
+    return _station(sim, j).arrived_work - sim.clock
 
 
 def idleness(sim: SimState, j: int) -> float:
-    return _integrals(sim.stations[j], sim.clock)[0]
+    return _integrals(_station(sim, j), sim.clock)[0]
 
 
 def utilization(sim: SimState, j: int) -> float:
@@ -561,16 +558,16 @@ def utilization(sim: SimState, j: int) -> float:
 
 def queue_length(sim: SimState, j: int) -> int:
     """Customers at station j, including the one in service."""
-    return sim.stations[j].present
+    return _station(sim, j).present
 
 
 def class_counts(sim: SimState, j: int) -> Tuple[int, ...]:
     """Per-class customer counts at station j (index k-1 is class k)."""
-    return tuple(sim.stations[j].class_counts[1:])
+    return tuple(_station(sim, j).class_counts[1:])
 
 
 def mean_queue_length(sim: SimState, j: int) -> float:
-    present = _integrals(sim.stations[j], sim.clock)[1]
+    present = _integrals(_station(sim, j), sim.clock)[1]
     return present / sim.clock if sim.clock > 0 else 0.0
 
 
@@ -582,7 +579,7 @@ def behind_frontier_stats(sim: SimState, j: int) -> BehindStats:
     the behind count to the time integral of the total count (zero
     when the station has never held anyone).
     """
-    st = sim.stations[j]
+    st = _station(sim, j)
     count = st.pending_behind + (1 if st.serving_behind else 0)
     work = st.pending_behind_work
     if st.serving_behind:

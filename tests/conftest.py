@@ -161,9 +161,9 @@ class ReferenceIntegrator:
     only when that station changes; this is the reference it is checked
     against.
 
-    Pass it as ``run_until``'s ``on_event`` and call it once more after
-    ``run_until`` returns, for the stretch up to the final clock.  It
-    reads station state only, so it changes nothing in the run.
+    Pass it to ``run_each`` and call it once more after ``run_each``
+    returns, for the stretch up to the final clock.  It reads station
+    state only, so it changes nothing in the run.
     ``integrals(j)`` gives station j's (idle, present, behind,
     behind-work) integrals up to the last call.
     """
@@ -198,6 +198,13 @@ class ReferenceIntegrator:
 
     def integrals(self, j):
         return tuple(self._sums[j])
+
+
+def run_each(sim, until, fn):
+    """``run_until`` one event at a time, calling ``fn(sim)`` after each."""
+    while sim._run(until, 1):
+        fn(sim)
+    sim._advance(until)
 
 
 def sample_every_event(sim, condition, *, threshold, count, horizon_cap):

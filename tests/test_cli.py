@@ -84,10 +84,12 @@ def test_solve(crossing_cfg, capsys):
     assert "order: 1 2" in out
 
 
-def test_solve_no_normalize(crossing_cfg, capsys):
-    """Raw count weights 0.32 instead of the intensity-normalized 1/3."""
-    assert main(["solve", "-c", crossing_cfg, "--loads", "50,58",
-                 "--no-normalize"]) == 0
+def test_solve_no_normalize(tmp_path, capsys):
+    """Raw count weights 0.32 instead of the intensity-normalized 1/3,
+    set by the config's prediction section."""
+    path = tmp_path / "raw.yaml"
+    path.write_text(textwrap.dedent(CROSSING_CONFIG) + "prediction:\n  normalize: false\n")
+    assert main(["solve", "-c", str(path), "--loads", "50,58"]) == 0
     out = capsys.readouterr().out
     assert printed_frontiers(out)[0] == pytest.approx(400.0 - 50.0 / 0.32, abs=1e-9)
 

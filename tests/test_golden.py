@@ -36,7 +36,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import _random_spec
+from conftest import _random_spec, run_each
 from edfnet import (
     ClassSpec,
     NetworkSpec,
@@ -188,7 +188,7 @@ def test_scripted_tie_stream(preemptive, digest):
     h = hashlib.sha256()
     record = lambda s: h.update(repr(_station_state(s)).encode())
     record(sim)
-    run_until(sim, 30.0, on_event=record)
+    run_each(sim, 30.0, record)
     record(sim)
     assert h.hexdigest() == digest
 

@@ -33,7 +33,6 @@ from edfnet import (
 )
 from edfnet import harness
 from edfnet.harness import (
-    SEED_ENV_VAR,
     config_hash,
     render_report_csv,
     report_from_dict,
@@ -160,18 +159,16 @@ def test_config_defaults():
     assert cfg.grid[-1] == pytest.approx(10.5)
 
 
-def test_seed_env_override(monkeypatch):
+def test_seed_env_is_not_read(monkeypatch):
+    """A config without seeds runs seed 0 whatever the environment
+    holds: the config and the call arguments alone define a run."""
     raw = {"network": {"stations": 1, "classes": [
         {"id": 1, "route": [1], "arrival_rate": 0.5,
          "lead_time": {"kind": "point", "value": 10.0}}]}}
-    monkeypatch.setenv(SEED_ENV_VAR, "7")
-    assert config_from_dict(raw).seeds == (7,)
-    monkeypatch.setenv(SEED_ENV_VAR, "junk")
-    with pytest.raises(ValidationError):
-        config_from_dict(raw)
-    monkeypatch.setenv(SEED_ENV_VAR, "-1")
-    with pytest.raises(ValidationError, match=SEED_ENV_VAR):
-        config_from_dict(raw)
+    monkeypatch.setenv("EDFNET_SEED", "7")
+    cfg = config_from_dict(raw)
+    assert cfg.seeds == (0,)
+    assert config_to_dict(cfg)["experiment"]["seeds"] == [0]
 
 
 def test_parse_error_carries_line(tmp_path):
@@ -279,6 +276,8 @@ def test_unknown_fields_rejected(mutate):
          "experiment.condition: counts must be nonnegative"),
         ({"experiment": {"condition": {"kind": "band", "bands": {1: [-2, 1]}}}},
          "experiment.condition: bands must satisfy 0 <= lo <= hi"),
+        # a NaN level compares false both ways, so it must fail the order check
+        ({"prediction": {"grid": [0.0, math.nan, 1.0]}}, "prediction.grid"),
     ],
 )
 def test_invalid_fields_rejected(patch, field):

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import ReferenceIntegrator, _random_spec, sample_every_event
+from conftest import ReferenceIntegrator, _random_spec, run_each, sample_every_event
 from edfnet import (
     ClassDoesNotVisitStation,
     ClassSpec,
@@ -271,13 +271,6 @@ def test_run_until_on_empty_timeline():
     assert utilization(sim, 1) == 0.0
 
 
-def test_on_event_callback_sees_every_event():
-    times = []
-    sim = new_sim(single_class_station(), seed=0)
-    run_until(sim, 12.0, on_event=lambda s: times.append(s.clock))
-    assert times == [1.0, 2.0, 3.0, 11.0]
-
-
 # -------- workload identity and invariants on a random run --------
 
 def crossing_spec(deadlines=(400.0, 300.0, 200.0, 100.0), lam=0.32):
@@ -298,7 +291,7 @@ def test_workload_identity_at_every_event():
             assert workload(s, j) == pytest.approx(
                 netput(s, j) + idleness(s, j), abs=1e-6)
 
-    run_until(sim, 5000.0, on_event=check)
+    run_each(sim, 5000.0, check)
     check(sim)
 
 
@@ -351,7 +344,7 @@ def test_station_counters_match_a_recount(random_network, preemptive):
                     assert all(st.serving.key <= c.key for c in held)
                     order_checks += bool(held)
 
-        run_until(sim, 300.0, on_event=recount)
+        run_each(sim, 300.0, recount)
     assert behind_seen > 0  # the behind counters were exercised
     assert order_checks > 0  # and so was the order check
 
@@ -398,7 +391,7 @@ def test_lazy_integrals_match_the_reference_integrator(random_network, preemptiv
             agree(sim)
 
         for t in (80.0, 160.0, 240.0):
-            run_until(followed, t, on_event=follow)
+            run_each(followed, t, follow)
             ref(followed)
             run_until(plain, t)
             assert _run_state(followed) == _run_state(plain)
@@ -418,7 +411,7 @@ def test_reading_stats_changes_nothing(preemptive):
         return [[read(sim, j) for read in accessors] for j in sim.spec.stations]
 
     read = new_sim(spec, seed=7, preemptive=preemptive)
-    run_until(read, 600.0, on_event=read_all)
+    run_each(read, 600.0, read_all)
     unread = new_sim(spec, seed=7, preemptive=preemptive)
     run_until(unread, 600.0)
     assert read.events_processed == unread.events_processed
@@ -663,7 +656,7 @@ def test_condition_distance_moves_by_at_most_two(random_network, preemptive):
                 moved_two += abs(d - last[i]) == 2
                 last[i] = d
 
-        run_until(sim, 200.0, on_event=check)
+        run_each(sim, 200.0, check)
     assert held > 0  # the equivalence was exercised both ways
     assert moved_two > 0  # and a bound of 1 would have been wrong
 
@@ -706,5 +699,23 @@ def test_frontier_lookup_validation():
     sim = new_sim(crossing_spec(), seed=0)
     with pytest.raises(ClassDoesNotVisitStation):
         class_frontier(sim, 3, 2)
-    with pytest.raises(ClassDoesNotVisitStation):
+    with pytest.raises(ValueError, match="station 5 is not in the network"):
         class_frontier(sim, 1, 5)
+
+
+def class_1_frontier(sim, j):
+    return class_frontier(sim, 1, j)
+
+
+@pytest.mark.parametrize("j", [0, -1, 3])
+@pytest.mark.parametrize("read", [
+    workload, netput, idleness, utilization, queue_length, class_counts,
+    mean_queue_length, station_frontier, behind_frontier_stats, class_1_frontier,
+], ids=lambda read: read.__name__)
+def test_station_accessors_reject_unknown_stations(read, j):
+    """Stations are 1..J: a negative index must not wrap round to the
+    last station, nor 0 or J + 1 fail some other way."""
+    sim = new_sim(crossing_spec(), seed=0)
+    run_until(sim, 500.0)
+    with pytest.raises(ValueError, match=f"station {j} is not in the network"):
+        read(sim, j)

@@ -63,3 +63,19 @@ def test_all_names_are_defined():
                         exported = ast.literal_eval(node.value)
         found += [f"{name}: {export}" for export in exported if export not in defined]
     assert found == []
+
+
+def test_no_environment_reads():
+    """A config file and the call arguments define a run, so no module
+    reads ``os.environ`` or calls ``os.getenv``."""
+    hidden = {"environ", "getenv"}
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = [f"{path.name}:{node.lineno}"
+             for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr in hidden
+             and isinstance(node.value, ast.Name) and node.value.id == "os"
+             or isinstance(node, ast.ImportFrom) and node.module == "os"
+             and hidden & {alias.name for alias in node.names}]
+    assert found == []
