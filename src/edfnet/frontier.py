@@ -14,7 +14,10 @@ table and ``_mass_above`` evaluates it at a lead level.
 ``solve_frontiers`` inverts it station by station, placing at each stage
 the station whose stage-local inverse is largest; ``predict_profile``
 evaluates it above a level, giving the predicted queue mass that the
-experiment harness compares against simulated profiles.
+experiment harness compares against simulated profiles.  On a grid of
+levels it computes the saturated level (the station total, read at and
+below the frontier) once and reads 0 above every class cut, so only
+the levels in between sum the terms.
 
 All of this is exact piecewise-polynomial arithmetic: every lead-time
 law is a piecewise-linear CDF, whose integrated tail is piecewise
@@ -346,9 +349,12 @@ def predict_profile(
 
     Below the station frontier the prediction saturates at the station
     total, so evaluating at -inf (or anything at most the frontier)
-    gives the predicted station load.  ``y`` is one level, which gives
-    a float, or a sequence of levels, which gives an ndarray of the
-    same length; the per-class terms are built once either way.
+    gives the predicted station load; at or above every class cut it
+    is 0.  ``y`` is one level, which gives a float, or a sequence of
+    levels, which gives an ndarray of the same length; the per-class
+    terms are built once either way.  A sequence computes the saturated
+    total once and reads 0 above every cut, so only the levels in
+    between sum the terms, each to the float the one-level form gives.
     """
     topo = model.topology
     fr = solution.frontiers if isinstance(solution, FrontierSolution) else solution
@@ -358,9 +364,16 @@ def predict_profile(
     if np.isnan(y).any():
         raise ValueError(f"levels must not be NaN, got {y!r}")
     terms = _terms(model, j, topo.visiting[j], vals)
+    floor = vals[j]
     if np.ndim(y) == 0:
-        return _mass_above(terms, max(float(y), vals[j]))
-    return np.array([_mass_above(terms, max(float(v), vals[j])) for v in y])
+        return _mass_above(terms, max(float(y), floor))
+    total = _mass_above(terms, floor)
+    top = max(t.cut for t in terms)
+    out = np.empty(len(y))
+    for i, v in enumerate(y):
+        v = float(v)
+        out[i] = total if v <= floor else 0.0 if v >= top else _mass_above(terms, v)
+    return out
 
 
 # -------- two-station closed forms --------

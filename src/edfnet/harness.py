@@ -93,11 +93,18 @@ class ExperimentConfig:
     grid: Tuple[float, ...]
 
 
+# libyaml's scanner and parser when PyYAML was built with them, else the
+# pure-Python ones.  Both feed PyYAML's Python SafeConstructor and
+# resolver, so a file parses to the same dict either way; libyaml only
+# makes the read several times faster.
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def _load_yaml(path) -> Dict:
     with open(path, "r") as handle:
         text = handle.read()
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -369,7 +376,7 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     fields.update(_read_fields(raw.get("prediction") or {}, _PREDICTION_ROWS, "prediction"))
     if fields["grid"] is None:
         hi = max(c.lead_time.upper_support for c in net.classes)
-        fields["grid"] = tuple(np.linspace(0.0, 1.05 * hi, 211))
+        fields["grid"] = tuple(float(v) for v in np.linspace(0.0, 1.05 * hi, 211))
     return ExperimentConfig(network=net, **fields)
 
 

@@ -4,6 +4,7 @@ Most cases call main() in-process and inspect captured output; one
 subprocess run verifies the installed module entry point.
 """
 
+import pathlib
 import re
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import pytest
 
 from edfnet import ValidationError, parse_config, parse_report, read_profile_csv, run_experiment
 from edfnet.cli import main
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
 CROSSING_CONFIG = """
 network:
@@ -147,6 +150,19 @@ def test_predict_stdout_and_bad_grid(crossing_cfg, capsys):
                  "--grid", "5:1:10"]) == 2
     assert main(["predict", "-c", crossing_cfg, "--loads", "0,0",
                  "--grid", "whatever"]) == 2
+
+
+@pytest.mark.parametrize("name", ["crossing_base", "desk_experiment"],
+                         ids=["default-grid", "configured-grid"])
+def test_predict_fields_read_back_as_floats(name, capsys):
+    """Every y and theory field reads back through float(), whether the
+    grid is the default or set in the config."""
+    assert main(["predict", "-c", str(CONFIGS / f"{name}.yaml"), "--loads", "50,58"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert rows
+    for row in rows:
+        _, y, theory = row.split(",")
+        float(y), float(theory)
 
 
 def test_simulate_prints_progress(crossing_cfg, capsys):

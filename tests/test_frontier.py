@@ -307,6 +307,56 @@ def test_load_map_and_prediction_share_one_sum(random_network):
             assert theory_cdf(model, sol, j, levels).tolist() == expected
 
 
+def _saturation_cases(random_network):
+    """(model, frontiers, station, levels) on 40 random networks under
+    the count and work models.  The levels cover -inf, below the station
+    frontier, exactly at it and one ulp either side, live levels, every
+    class cut, the top cut and one ulp either side, above it, +inf, 0.0
+    and -0.0."""
+    rng = np.random.default_rng(97531)
+    for _ in range(40):
+        topo = build_topology(random_network(rng, max_stations=5, max_classes=8))
+        for model in (count_model(topo), work_model(topo)):
+            fr = solve_frontiers(model, rng.uniform(0.0, 40.0, topo.station_count)).frontiers
+            for j in topo.spec.stations:
+                floor = fr[j - 1]
+                vals = dict(zip(topo.spec.stations, fr))
+                terms = frontier._terms(model, j, topo.visiting[j], vals)
+                top = max(t.cut for t in terms)
+                levels = [-math.inf, floor - 25.0, math.nextafter(floor, -math.inf), floor,
+                          math.nextafter(floor, math.inf), top, math.nextafter(top, -math.inf),
+                          math.nextafter(top, math.inf), top + 25.0, math.inf, 0.0, -0.0]
+                levels += [t.cut for t in terms]
+                levels += [float(v) for v in rng.uniform(min(floor, top), max(floor, top), 6)]
+                yield model, fr, j, levels, floor, top
+
+
+def test_predict_profile_sequence_equals_one_level_bit_for_bit(random_network):
+    """Saturated levels read the station total and levels above every
+    cut read 0, bit for bit what the one-level form sums."""
+    for model, fr, j, levels, _, _ in _saturation_cases(random_network):
+        scalar = np.array([predict_profile(model, fr, j, v) for v in levels])
+        assert predict_profile(model, fr, j, levels).tobytes() == scalar.tobytes()
+
+
+def test_predict_profile_sums_only_live_levels(random_network, monkeypatch):
+    """A sequence of levels sums the terms once for the saturated total
+    and once per level strictly between the frontier and the top cut."""
+    calls = []
+    mass_above = frontier._mass_above
+
+    def counting(terms, y):
+        calls.append(y)
+        return mass_above(terms, y)
+
+    monkeypatch.setattr(frontier, "_mass_above", counting)
+    for model, fr, j, levels, floor, top in _saturation_cases(random_network):
+        calls.clear()
+        predict_profile(model, fr, j, levels)
+        live = sum(floor < v < top for v in levels)
+        assert len(calls) <= live + 1
+
+
 def test_predict_profile_validates_input():
     model = crossing_model((400.0, 300.0, 200.0, 100.0))
     with pytest.raises(ValueError):

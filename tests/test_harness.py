@@ -8,6 +8,7 @@ import textwrap
 
 import numpy as np
 import pytest
+import yaml
 
 from edfnet import (
     CountBands,
@@ -35,6 +36,7 @@ from edfnet import harness
 from edfnet.harness import (
     config_hash,
     render_report_csv,
+    render_report_yaml,
     report_from_dict,
     report_to_dict,
 )
@@ -177,6 +179,21 @@ def test_parse_error_carries_line(tmp_path):
     with pytest.raises(ParseError) as err:
         parse_config(str(path))
     assert "line" in str(err.value)
+
+
+def test_libyaml_reader_parses_like_the_python_one(tmp_path):
+    """Every shipped config and a rendered report load to the same dict
+    through the reader as through PyYAML's pure-Python SafeLoader."""
+    if yaml.__with_libyaml__:
+        assert harness._LOADER is yaml.CSafeLoader
+    report = tmp_path / "report.yaml"
+    report.write_text(render_report_yaml(run_experiment(scripted_config())))
+    configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    paths = sorted(configs.glob("*.yaml")) + [report]
+    assert len(paths) > 1
+    for path in paths:
+        expected = yaml.load(path.read_text(), Loader=yaml.SafeLoader)
+        assert harness._load_yaml(path) == expected
 
 
 def test_top_level_must_be_mapping(tmp_path):

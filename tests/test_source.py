@@ -79,3 +79,28 @@ def test_no_environment_reads():
              or isinstance(node, ast.ImportFrom) and node.module == "os"
              and hidden & {alias.name for alias in node.names}]
     assert found == []
+
+
+def test_one_yaml_reader():
+    """Only ``harness._load_yaml`` calls a PyYAML load function, so every
+    file the package reads goes through one parser and one error path."""
+    loads = {"load", "safe_load", "full_load", "unsafe_load",
+             "load_all", "safe_load_all", "full_load_all", "unsafe_load_all"}
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in loads and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "yaml"
+                and (module, function) != ("harness.py", "_load_yaml")):
+            found.append(f"{module}:{node.lineno} in {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), path.name, None)
+    assert found == []
