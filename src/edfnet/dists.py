@@ -11,7 +11,9 @@ arrivals).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -32,20 +34,12 @@ class SamplingLaw:
 
 
 def _block_sampler(draw_block: Callable[[int], np.ndarray]) -> Callable[[], float]:
-    buf = draw_block(_BLOCK)
-    pos = 0
-
-    def draw() -> float:
-        nonlocal buf, pos
-        if pos == _BLOCK:
-            buf = draw_block(_BLOCK)
-            pos = 0
-        # a list block would draw faster but holds 1024 boxed floats per sampler
-        v = float(buf[pos])
-        pos += 1
-        return v
-
-    return draw
+    """draw() over blocks of _BLOCK values, each drawn when the last runs
+    out and held as an ``array('d')`` of the same float64 bits, so a
+    draw is one C-level step that returns a Python float."""
+    blocks = (array("d", np.asarray(draw_block(_BLOCK), dtype=np.float64).tobytes())
+              for _ in repeat(None))
+    return chain.from_iterable(blocks).__next__
 
 
 @dataclass(frozen=True)

@@ -30,19 +30,23 @@ lead-time draws, and the service draws in route order.  An arrival and
 a departure routed onward fall through to one block where the customer
 enters a station.  A customer carries its EDF key (deadline, arrival
 index, class id), and pending heaps hold (key, customer) pairs.
-``_queue`` is the one push onto a pending heap and keeps its work and
-behind counts; ``_vacate`` is the one release of a server (departure
-or preemption) and bumps the token that voids the released job's
-departure event.  ``conditional_sample`` checks its condition between
-batches of events, each as long as the condition's distance allows.
+Every state change is inline in the loop: a departure releases its
+server and starts the next pending customer, and the entry block
+starts the customer, queues it, or (preempt-resume) queues the
+server's remainder and starts the customer in its place.  Each start
+bumps the station's token and stamps its departure event with it, so
+a preemption voids the displaced job's departure in the heap.
+``conditional_sample`` checks its condition between batches of
+events, each as long as the condition's distance allows.
 
 Time integrals (idle time, present count, behind count and behind
-work) are kept per station and brought up to date lazily: a station
-integrates from its own ``last_t`` only when its state is about to
-change, that is, when a customer enters it or its server departs.
-Advancing the clock touches no station, so an event costs the same
-whatever the number of stations.  The accessors compute the integrals
-up to the clock without writing them back.
+work) are kept per station and brought up to date lazily: the loop
+integrates a station from its own ``last_t`` only when its state is
+about to change, that is, when a customer enters it or its server
+departs.  Advancing the clock touches no station, so an event costs
+the same whatever the number of stations.  The accessors read the
+integrals up to the clock through ``_integrals``, which does the
+loop's arithmetic without writing anything back.
 """
 
 from __future__ import annotations
@@ -136,14 +140,17 @@ class SimState:
     ``_run(until, limit)`` is the one event loop: it pops and processes
     up to ``limit`` events at or before ``until``.  ``run_until`` runs
     it without a limit and ``conditional_sample`` in batches; a limit of
-    one steps the run event by event.  ``events_processed``
-    counts every event popped, including a departure that a preemption
-    superseded: such an event only moves the clock, since each station
+    one steps the run event by event.  The sequence number, arrival
+    count and clock are loop locals, written back when the batch ends.
+    ``events_processed`` counts every event popped, including a
+    departure that a preemption superseded (its token no longer
+    matches): such an event only moves the clock, since each station
     integrates lazily from its own ``last_t``, but it still counts.
+    ``superseded`` counts those departures apart.
     """
 
     def __init__(self, spec: NetworkSpec, *, seed: int, preemptive: bool = False):
-        if not isinstance(seed, int) or seed < 0:
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
         self.topology: Topology = build_topology(spec)
         self.spec = spec
@@ -151,6 +158,7 @@ class SimState:
         self.preemptive = preemptive
         self.clock = 0.0
         self.events_processed = 0
+        self.superseded = 0
         self._heap: List[tuple] = []
         self._seq = 0
         self._arrival_counter = 0
@@ -181,43 +189,60 @@ class SimState:
             )
             first = draw_gap()
             if math.isfinite(first):
-                self._push(first, _ARRIVE, c.route[0], c.id)
+                self._seq += 1
+                heappush(self._heap, (first, _ARRIVE, c.route[0], self._seq, c.id))
 
     def _stream(self, purpose: int, k: int, j: int) -> np.random.Generator:
         return np.random.default_rng(np.random.SeedSequence((self.seed, purpose, k, j)))
-
-    # -------- event queue --------
-
-    def _push(self, time: float, kind: int, station: int, payload: int) -> None:
-        self._seq += 1
-        heappush(self._heap, (time, kind, station, self._seq, payload))
 
     def _run(self, until: float, limit: float) -> int:
         """Process up to ``limit`` events at or before ``until`` and
         return how many ran.  An arrival and a routed departure fall
         through to one station-entry block."""
         heap, stations, rows = self._heap, self.stations, self._rows
-        preemptive = self.preemptive
-        done = 0
+        preemptive, isfinite = self.preemptive, math.isfinite
+        seq, arrivals, now = self._seq, self._arrival_counter, self.clock
+        done = superseded = 0
         while done < limit and heap and heap[0][0] <= until:
             now, kind, sid, _, payload = heappop(heap)
-            self.clock = now
             done += 1
             if kind == _DEPART:
                 st = stations[sid]
                 if payload != st.token:
-                    continue  # superseded by a preemption
-                _settle(st, now)
-                cust = _vacate(st)
+                    superseded += 1  # voided by a preemption
+                    continue
+                # integrate the busy station up to now, then release it
+                dt = now - st.last_t
+                behind, work = st.pending_behind, st.pending_behind_work * dt
+                if st.serving_behind:
+                    behind += 1
+                    work += (st.serving_dep - st.last_t) * dt - 0.5 * dt * dt
+                st.int_present += st.present * dt
+                st.int_behind += behind * dt
+                st.int_behind_work += work
+                st.last_t = now
+                cust = st.serving
                 st.class_counts[cust.class_id] -= 1
                 st.present -= 1
                 if st.pending:
                     _, nxt = heappop(st.pending)
                     st.pending_work -= nxt.remaining
-                    if nxt.deadline < st.max_admitted:
+                    deadline = nxt.deadline
+                    st.serving_behind = deadline < st.max_admitted
+                    if st.serving_behind:
                         st.pending_behind -= 1
                         st.pending_behind_work -= nxt.remaining
-                    self._start_service(st, nxt)
+                    if deadline > st.max_by_class[nxt.class_id]:
+                        st.max_by_class[nxt.class_id] = deadline
+                        if deadline > st.max_admitted:
+                            st.max_admitted = deadline
+                    st.serving = nxt
+                    st.token += 1
+                    st.serving_dep = dep = now + nxt.remaining
+                    seq += 1
+                    heappush(heap, (dep, _DEPART, sid, seq, st.token))
+                else:
+                    st.serving, st.serving_behind, st.serving_dep = None, False, math.inf
                 cust.route_pos += 1
                 if cust.route_pos == len(cust.route):
                     continue
@@ -225,28 +250,58 @@ class SimState:
                 st = stations[cust.route[cust.route_pos]]
             else:
                 route, draw_gap, draw_lead, draw_services = rows[payload]
-                self._arrival_counter += 1
-                lead = draw_lead()
-                cust = _Customer(payload, self._arrival_counter, now + lead, route,
-                                 tuple(draw() for draw in draw_services))
+                arrivals += 1
+                cust = _Customer(payload, arrivals, now + draw_lead(), route,
+                                 tuple([draw() for draw in draw_services]))
                 gap = draw_gap()
-                if math.isfinite(gap):
-                    self._push(now + gap, _ARRIVE, route[0], payload)
+                if isfinite(gap):
+                    seq += 1
+                    heappush(heap, (now + gap, _ARRIVE, route[0], seq, payload))
                 st = stations[route[0]]
-            # cust enters station st
-            _settle(st, now)
+            # cust enters station st: integrate it up to now first
+            dt = now - st.last_t
+            serving = st.serving
+            if serving is None:
+                st.idle_time += dt
+            else:
+                behind, work = st.pending_behind, st.pending_behind_work * dt
+                if st.serving_behind:
+                    behind += 1
+                    work += (st.serving_dep - st.last_t) * dt - 0.5 * dt * dt
+                st.int_present += st.present * dt
+                st.int_behind += behind * dt
+                st.int_behind_work += work
+            st.last_t = now
             st.arrived_work += cust.remaining
             st.class_counts[cust.class_id] += 1
             st.present += 1
-            if st.serving is None:
-                self._start_service(st, cust)
-            elif preemptive and cust.key < st.serving.key:
-                st.serving.remaining = st.serving_dep - now
-                _queue(st, _vacate(st))
-                self._start_service(st, cust)
-            else:
-                _queue(st, cust)
+            if serving is not None:
+                if preemptive and cust.key < serving.key:
+                    # the server's remainder waits; cust takes its place
+                    serving.remaining = st.serving_dep - now
+                else:
+                    serving, cust = cust, None  # cust waits; nobody starts
+                heappush(st.pending, (serving.key, serving))
+                st.pending_work += serving.remaining
+                if serving.deadline < st.max_admitted:
+                    st.pending_behind += 1
+                    st.pending_behind_work += serving.remaining
+                if cust is None:
+                    continue
+            deadline = cust.deadline
+            st.serving_behind = deadline < st.max_admitted
+            if deadline > st.max_by_class[cust.class_id]:
+                st.max_by_class[cust.class_id] = deadline
+                if deadline > st.max_admitted:
+                    st.max_admitted = deadline
+            st.serving = cust
+            st.token += 1
+            st.serving_dep = dep = now + cust.remaining
+            seq += 1
+            heappush(heap, (dep, _DEPART, st.sid, seq, st.token))
+        self._seq, self._arrival_counter, self.clock = seq, arrivals, now
         self.events_processed += done
+        self.superseded += superseded
         return done
 
     def _advance(self, t: float) -> None:
@@ -255,23 +310,11 @@ class SimState:
             raise ValueError(f"cannot advance backwards to {t} from {self.clock}")
         self.clock = t
 
-    def _start_service(self, st: _Station, cust: _Customer) -> None:
-        st.serving = cust
-        st.token += 1
-        st.serving_dep = self.clock + cust.remaining
-        st.serving_behind = cust.deadline < st.max_admitted
-        if cust.deadline > st.max_by_class[cust.class_id]:
-            st.max_by_class[cust.class_id] = cust.deadline
-            if cust.deadline > st.max_admitted:
-                # the frontier only moves when everything more urgent
-                # has already cleared, so no behind count needs updating
-                st.max_admitted = cust.deadline
-        self._push(st.serving_dep, _DEPART, st.sid, st.token)
-
 
 def _integrals(st: _Station, now: float) -> Tuple[float, float, float, float]:
     """Station st's idle, present, behind and behind-work integrals up
-    to now, given that its state has not changed since st.last_t."""
+    to now, given that its state has not changed since st.last_t: the
+    update ``SimState._run`` makes inline, without writing it back."""
     dt = now - st.last_t
     if st.serving is None:
         return st.idle_time + dt, st.int_present, st.int_behind, st.int_behind_work
@@ -282,31 +325,6 @@ def _integrals(st: _Station, now: float) -> Tuple[float, float, float, float]:
         work += (st.serving_dep - st.last_t) * dt - 0.5 * dt * dt
     return (st.idle_time, st.int_present + st.present * dt,
             st.int_behind + behind * dt, st.int_behind_work + work)
-
-
-def _settle(st: _Station, now: float) -> None:
-    """Integrate station st up to now, before its state changes."""
-    st.idle_time, st.int_present, st.int_behind, st.int_behind_work = _integrals(st, now)
-    st.last_t = now
-
-
-def _queue(st: _Station, cust: _Customer) -> None:
-    """Push a customer onto the pending heap and count its work."""
-    heappush(st.pending, (cust.key, cust))
-    st.pending_work += cust.remaining
-    if cust.deadline < st.max_admitted:
-        st.pending_behind += 1
-        st.pending_behind_work += cust.remaining
-
-
-def _vacate(st: _Station) -> _Customer:
-    """Clear the server, void its departure event, return who held it."""
-    cust = st.serving
-    st.serving = None
-    st.serving_behind = False
-    st.serving_dep = math.inf
-    st.token += 1
-    return cust
 
 
 # -------- snapshots and sampling --------

@@ -20,8 +20,12 @@ from edfnet import (
 )
 
 
-def _random_lead(rng):
-    kind = int(rng.integers(0, 3))
+LEAD_KINDS = ("point", "uniform", "piecewise")
+
+
+def _random_lead(rng, kind=None):
+    """A random lead-time law, of the named kind or of one drawn from rng."""
+    kind = int(rng.integers(0, 3)) if kind is None else LEAD_KINDS.index(kind)
     if kind == 0:
         return PointMass(float(rng.uniform(50.0, 400.0)))
     if kind == 1:
@@ -34,7 +38,7 @@ def _random_lead(rng):
                                (float(ys[2]), 1.0)])
 
 
-def _random_spec(rng, max_stations, max_classes):
+def _random_spec(rng, max_stations, max_classes, lead=None):
     J = int(rng.integers(1, max_stations + 1))
     K = int(rng.integers(1, max_classes + 1))
     classes = []
@@ -53,27 +57,29 @@ def _random_spec(rng, max_stations, max_classes):
             id=k,
             route=route,
             arrival_rate=float(rng.uniform(0.1, 0.8)),
-            lead_time=_random_lead(rng),
+            lead_time=_random_lead(rng, lead),
             service_rates=rates,
         ))
     return NetworkSpec(station_count=J, classes=tuple(classes))
 
 
+def valid_random_spec(rng, max_stations=5, max_classes=6, lead=None):
+    """A random network that ``build_topology`` accepts, driven by rng;
+    ``lead`` names one lead-time kind for every class."""
+    for _ in range(100):
+        spec = _random_spec(rng, max_stations, max_classes, lead)
+        try:
+            build_topology(spec)
+        except Exception:
+            continue
+        return spec
+    raise RuntimeError("random network generation kept failing")
+
+
 @pytest.fixture
 def random_network():
     """Factory for valid random acyclic networks, driven by a caller rng."""
-
-    def make(rng, max_stations=5, max_classes=6):
-        for _ in range(100):
-            spec = _random_spec(rng, max_stations, max_classes)
-            try:
-                build_topology(spec)
-            except Exception:
-                continue
-            return spec
-        raise RuntimeError("random network generation kept failing")
-
-    return make
+    return valid_random_spec
 
 
 def reaching(topo, j, placed):

@@ -10,8 +10,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
-from conftest import ReferenceIntegrator, _random_spec, run_each, sample_every_event
+from conftest import (
+    LEAD_KINDS,
+    ReferenceIntegrator,
+    _random_spec,
+    run_each,
+    sample_every_event,
+    valid_random_spec,
+)
 from edfnet import (
     ClassDoesNotVisitStation,
     ClassSpec,
@@ -295,58 +304,95 @@ def test_workload_identity_at_every_event():
     check(sim)
 
 
-@pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
-def test_station_counters_match_a_recount(random_network, preemptive):
-    """After every event, each station's running counters equal a
-    recount from its pending heap and server, its frontier never moves
+class _Recount:
+    """Called after every event: each station's running counters equal
+    a recount from its pending heap and server, its frontier never moves
     back, its workload equals netput plus idleness, and its server holds
     the smallest key: since service started (non-preemptive) or right
-    now (preempt-resume)."""
+    now (preempt-resume).  Counts the behind customers and the order
+    checks it saw."""
+
+    def __init__(self, sim):
+        self.last_max = [-math.inf] * len(sim.stations)
+        self.last_token = [st and st.token for st in sim.stations]
+        self.behind_seen = self.order_checks = 0
+
+    def __call__(self, s):
+        for st in s.stations[1:]:
+            held = [c for _, c in st.pending]
+            behind = [c for c in held if c.deadline < st.max_admitted]
+            present = held if st.serving is None else held + [st.serving]
+            counts = [0] * len(st.class_counts)
+            for c in present:
+                counts[c.class_id] += 1
+            assert math.isclose(st.pending_work, sum(c.remaining for c in held),
+                                rel_tol=1e-9, abs_tol=1e-9)
+            assert st.pending_behind == len(behind)
+            assert math.isclose(st.pending_behind_work,
+                                sum(c.remaining for c in behind),
+                                rel_tol=1e-9, abs_tol=1e-9)
+            assert st.present == len(present)
+            assert st.class_counts == counts
+            assert st.serving_behind == (st.serving is not None and
+                                         st.serving.deadline < st.max_admitted)
+            assert st.max_admitted >= self.last_max[st.sid]
+            self.last_max[st.sid] = st.max_admitted
+            self.behind_seen += len(behind)
+
+            j = st.sid
+            drift = workload(s, j) - netput(s, j) - idleness(s, j)
+            assert abs(drift) <= 1e-9 * max(1.0, s.clock)
+
+            started = st.token != self.last_token[j]
+            self.last_token[j] = st.token
+            if st.serving is not None and (s.preemptive or started):
+                assert all(st.serving.key <= c.key for c in held)
+                self.order_checks += bool(held)
+
+
+@pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
+def test_station_counters_match_a_recount(random_network, preemptive):
+    """The ``_Recount`` checks hold after every event of random runs."""
     rng = np.random.default_rng(2026 + preemptive)
     behind_seen = 0
     order_checks = 0
     for _ in range(6):
         sim = new_sim(random_network(rng), seed=int(rng.integers(0, 1000)),
                       preemptive=preemptive)
-        last_max = [-math.inf] * len(sim.stations)
-        last_token = [st and st.token for st in sim.stations]
-
-        def recount(s):
-            nonlocal behind_seen, order_checks
-            for st in s.stations[1:]:
-                held = [c for _, c in st.pending]
-                behind = [c for c in held if c.deadline < st.max_admitted]
-                present = held if st.serving is None else held + [st.serving]
-                counts = [0] * len(st.class_counts)
-                for c in present:
-                    counts[c.class_id] += 1
-                assert math.isclose(st.pending_work, sum(c.remaining for c in held),
-                                    rel_tol=1e-9, abs_tol=1e-9)
-                assert st.pending_behind == len(behind)
-                assert math.isclose(st.pending_behind_work,
-                                    sum(c.remaining for c in behind),
-                                    rel_tol=1e-9, abs_tol=1e-9)
-                assert st.present == len(present)
-                assert st.class_counts == counts
-                assert st.serving_behind == (st.serving is not None and
-                                             st.serving.deadline < st.max_admitted)
-                assert st.max_admitted >= last_max[st.sid]
-                last_max[st.sid] = st.max_admitted
-                behind_seen += len(behind)
-
-                j = st.sid
-                drift = workload(s, j) - netput(s, j) - idleness(s, j)
-                assert abs(drift) <= 1e-9 * max(1.0, s.clock)
-
-                started = st.token != last_token[j]
-                last_token[j] = st.token
-                if st.serving is not None and (preemptive or started):
-                    assert all(st.serving.key <= c.key for c in held)
-                    order_checks += bool(held)
-
+        recount = _Recount(sim)
         run_each(sim, 300.0, recount)
+        behind_seen += recount.behind_seen
+        order_checks += recount.order_checks
     assert behind_seen > 0  # the behind counters were exercised
     assert order_checks > 0  # and so was the order check
+
+
+@pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
+def test_superseded_departures_are_counted_apart(random_network, preemptive):
+    """``superseded`` counts the departures a preemption voided: none
+    without preemption, and with it the events processed less those are
+    the arrivals plus the completed services, recounted from every
+    customer seen in a station after some event (a customer that has
+    left has its route position at the route's end)."""
+    rng = np.random.default_rng(7300 + preemptive)
+    superseded = 0
+    for _ in range(6):
+        sim = new_sim(random_network(rng), seed=int(rng.integers(0, 1000)),
+                      preemptive=preemptive)
+        seen = {}
+
+        def collect(s):
+            for st in s.stations[1:]:
+                for _, c in st.pending:
+                    seen[id(c)] = c
+                if st.serving is not None:
+                    seen[id(st.serving)] = st.serving
+
+        run_each(sim, 300.0, collect)
+        served = sum(c.route_pos for c in seen.values())
+        assert sim.events_processed - sim.superseded == len(seen) + served
+        superseded += sim.superseded
+    assert (superseded > 0) == preemptive
 
 
 def _station_integrals(sim, j):
@@ -361,12 +407,20 @@ def _run_state(sim):
             tuple((workload(sim, j), class_counts(sim, j)) for j in sim.spec.stations))
 
 
+def _integrals_agree(sim, ref):
+    """Each station's lazily integrated idle, present, behind and
+    behind-work integrals equal the reference's to 1e-12 relative."""
+    for j in sim.spec.stations:
+        for lazy, want in zip(_station_integrals(sim, j), ref.integrals(j)):
+            assert math.isclose(lazy, want, rel_tol=1e-12, abs_tol=0.0), \
+                (j, sim.clock, lazy, want)
+
+
 @pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
 def test_lazy_integrals_match_the_reference_integrator(random_network, preemptive):
-    """Each station's lazily integrated idle, present, behind and
-    behind-work integrals agree to 1e-12 relative with the all-station
-    reference integrator after every event and at each stop, and a run
-    the reference follows is otherwise identical to a plain run."""
+    """The lazy integrals agree with the all-station reference
+    integrator after every event and at each stop, and a run the
+    reference follows is otherwise identical to a plain run."""
     rng = np.random.default_rng(4100 + preemptive)
     specs = [random_network(rng, max_stations=8, max_classes=8) for _ in range(6)]
     # the two overloaded 6-8 station networks of the golden streams
@@ -380,22 +434,16 @@ def test_lazy_integrals_match_the_reference_integrator(random_network, preemptiv
         plain = new_sim(spec, seed=seed, preemptive=preemptive)
         ref = ReferenceIntegrator(followed)
 
-        def agree(sim):
-            for j in sim.spec.stations:
-                for lazy, want in zip(_station_integrals(sim, j), ref.integrals(j)):
-                    assert math.isclose(lazy, want, rel_tol=1e-12, abs_tol=0.0), \
-                        (j, sim.clock, lazy, want)
-
         def follow(sim):
             ref(sim)
-            agree(sim)
+            _integrals_agree(sim, ref)
 
         for t in (80.0, 160.0, 240.0):
             run_each(followed, t, follow)
             ref(followed)
             run_until(plain, t)
             assert _run_state(followed) == _run_state(plain)
-            agree(plain)
+            _integrals_agree(plain, ref)
 
 
 @pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
@@ -634,31 +682,75 @@ def _holds(condition, sim):
                for j, (lo, hi) in condition.bands.items())
 
 
+class _DistanceBound:
+    """Called after every event: each condition's distance has moved by
+    at most 2, the bound the batched sampler relies on, and it is 0
+    exactly when the condition holds.  Counts the checks where it held
+    and where it moved by exactly 2."""
+
+    def __init__(self, sim, conditions):
+        self.conditions = conditions
+        self.last = [c.distance(sim) for c in conditions]
+        self.held = self.moved_two = 0
+
+    def __call__(self, s):
+        for i, c in enumerate(self.conditions):
+            d = c.distance(s)
+            assert abs(d - self.last[i]) <= 2, (c, s.clock, self.last[i], d)
+            assert (d == 0) == _holds(c, s)
+            self.held += d == 0
+            self.moved_two += abs(d - self.last[i]) == 2
+            self.last[i] = d
+
+
 @pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
 def test_condition_distance_moves_by_at_most_two(random_network, preemptive):
-    """After every event, each condition kind's distance has moved by
-    at most 2, the bound the batched sampler relies on, and it is 0
-    exactly when the condition holds."""
+    """The ``_DistanceBound`` checks hold for each condition kind after
+    every event of random runs."""
     rng = np.random.default_rng(6160 + preemptive)
     held = moved_two = 0
     for spec, seed, conditions in _networks_and_conditions(random_network, rng, 8,
                                                           preemptive):
         sim = new_sim(spec, seed=seed, preemptive=preemptive)
-        last = [c.distance(sim) for c in conditions]
-
-        def check(s):
-            nonlocal held, moved_two
-            for i, c in enumerate(conditions):
-                d = c.distance(s)
-                assert abs(d - last[i]) <= 2, (c, s.clock, last[i], d)
-                assert (d == 0) == _holds(c, s)
-                held += d == 0
-                moved_two += abs(d - last[i]) == 2
-                last[i] = d
-
-        run_each(sim, 200.0, check)
+        bound = _DistanceBound(sim, conditions)
+        run_each(sim, 200.0, bound)
+        held += bound.held
+        moved_two += bound.moved_two
     assert held > 0  # the equivalence was exercised both ways
     assert moved_two > 0  # and a bound of 1 would have been wrong
+
+
+@pytest.mark.parametrize("lead", LEAD_KINDS)
+@pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
+@given(net_seed=hs.integers(0, 2**32 - 1), seed=hs.integers(0, 999),
+       ties=hs.booleans())
+@settings(max_examples=6, deadline=None)
+def test_invariants_at_every_event_on_generated_networks(preemptive, lead, net_seed,
+                                                         seed, ties):
+    """Every per-event check at once, on networks hypothesis draws
+    (and shrinks, when one fails): the counter recount, the workload
+    identity and EDF order (``_Recount``), the lazy integrals against
+    the reference integrator, and the distance bound, with some runs on
+    scripted whole-number times that tie."""
+    rng = np.random.default_rng(net_seed)
+    spec = valid_random_spec(rng, max_stations=4, max_classes=4, lead=lead)
+    if ties:
+        spec = _with_scripted_ties(spec, rng)
+    probe = new_sim(spec, seed=seed + 1, preemptive=preemptive)
+    run_until(probe, float(rng.uniform(5.0, 60.0)))
+    sim = new_sim(spec, seed=seed, preemptive=preemptive)
+    recount, ref = _Recount(sim), ReferenceIntegrator(sim)
+    bound = _DistanceBound(sim, _conditions_met_by(probe, rng))
+
+    def check(s):
+        recount(s)
+        ref(s)
+        _integrals_agree(s, ref)
+        bound(s)
+
+    run_each(sim, 150.0, check)
+    ref(sim)
+    _integrals_agree(sim, ref)
 
 
 @pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
@@ -693,6 +785,10 @@ def test_seed_validation():
         new_sim(single_class_station(), seed=-1)
     with pytest.raises(ValueError):
         new_sim(single_class_station(), seed=1.5)
+    # a bool is an int to isinstance, but True is not a seed
+    for flag in (True, False):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            new_sim(single_class_station(), seed=flag)
 
 
 def test_frontier_lookup_validation():

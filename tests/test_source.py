@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "edfnet"
 
@@ -103,4 +104,31 @@ def test_one_yaml_reader():
     assert paths
     for path in paths:
         visit(ast.parse(path.read_text(), str(path)), path.name, None)
+    assert found == []
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_unreferenced_private_helpers():
+    """Every private module-level function or class, and every private
+    method, is referenced somewhere in the package outside its own
+    ``def``, so a helper that a refactor leaves behind shows up here."""
+    trees = {p.name: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+    assert trees
+
+    def names(node):
+        return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    used = Counter(name for tree in trees.values() for name in names(tree))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    found = []
+    for module, tree in trees.items():
+        members = [item for node in tree.body if isinstance(node, ast.ClassDef)
+                   for item in node.body if isinstance(item, defs[:2])]
+        for node in [n for n in tree.body if isinstance(n, defs)] + members:
+            if _private(node.name) and used[node.name] == names(node).count(node.name):
+                found.append(f"{module}:{node.lineno} {node.name}")
     assert found == []

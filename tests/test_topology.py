@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from array import array
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from edfnet import (
     DisconnectedNetwork,
     EmptyStation,
     NetworkSpec,
+    PiecewiseLinearCDF,
     PointMass,
     RouteRepeatsStation,
     Uniform,
@@ -268,6 +270,29 @@ def test_bad_law_parameters_rejected(make):
 def test_sequence_infinite_draw_means_no_further_draw():
     draw = dists.Sequence([1.0, math.inf]).sampler(np.random.default_rng(0))
     assert [draw(), draw(), draw()] == [1.0, math.inf, math.inf]
+
+
+_PIECEWISE = PiecewiseLinearCDF([(5.0, 0.2), (40.0, 0.7), (90.0, 1.0)])
+
+
+@pytest.mark.parametrize("make_draw,block", [
+    pytest.param(lambda rng: dists.Exponential(2.5).sampler(rng),
+                 lambda rng, n: rng.exponential(1.0 / 2.5, n), id="exponential"),
+    pytest.param(lambda rng: dists.UniformLaw(0.5, 3.0).sampler(rng),
+                 lambda rng, n: rng.uniform(0.5, 3.0, n), id="uniform"),
+    pytest.param(lambda rng: dists._block_sampler(lambda n: _PIECEWISE.sample(rng, n)),
+                 _PIECEWISE.sample, id="piecewise"),
+])
+def test_block_sampler_draws_the_generator_blocks(make_draw, block):
+    """A block sampler's draws are the generator's blocks bit for bit,
+    in order and across the seams (draws 1023-1025 and 2047-2049 of
+    three blocks), each a Python float."""
+    draw = make_draw(np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    want = np.concatenate([block(rng, dists._BLOCK) for _ in range(3)])
+    got = [draw() for _ in range(len(want))]
+    assert all(type(v) is float for v in got)
+    assert array("d", got).tobytes() == want.tobytes()
 
 
 def test_network_spec_requires_contiguous_ids():
