@@ -5,7 +5,7 @@ CSV), simulate (free run with periodic stats), experiment (full
 conditioned-sampling pipeline with report export), compare (distances
 between two exported profile CSVs).  Solve, predict and experiment
 all use the prediction model the config sets (``prediction.weights``,
-``prediction.normalize``).  Exit codes: 0 on success, 2 on bad input
+``prediction.normalize``); experiment needs count weights.  Exit codes: 0 on success, 2 on bad input
 or config, 3 when an experiment hit its horizon cap and produced only
 partial results.
 """

@@ -51,7 +51,6 @@ from .simulator import (
     ExactCounts,
     Snapshot,
     TotalCounts,
-    _check_condition,
     behind_frontier_stats,
     conditional_sample,
     new_sim,
@@ -277,6 +276,7 @@ def _kind_of(table: Mapping, what: str):
 
 
 _as_seed = _checked(_as_int, lambda v: v >= 0, "must be nonnegative")
+_as_finite = _checked(_as_float, math.isfinite, "must be finite")
 
 # kind -> (class, ((field, parser), ...)) for each kind-tagged family
 _LEAD_TIMES = {
@@ -329,14 +329,14 @@ def _grid(value, where: str) -> Optional[Tuple[float, ...]]:
     if value is None:
         return None
     if isinstance(value, dict):
-        span = _read_fields(value, (("lo", "lo", _as_float, MISSING),
-                                    ("hi", "hi", _as_float, MISSING),
+        span = _read_fields(value, (("lo", "lo", _as_finite, MISSING),
+                                    ("hi", "hi", _as_finite, MISSING),
                                     ("points", "points", _as_int, MISSING)), where)
         if span["points"] < 2 or not span["lo"] < span["hi"]:
             raise ValidationError(f"{where}: need lo < hi and points >= 2")
         grid = tuple(float(v) for v in np.linspace(span["lo"], span["hi"], span["points"]))
     else:
-        grid = _list_of(_as_float)(value, where)
+        grid = _list_of(_as_finite)(value, where)
     if len(grid) < 2 or not all(b > a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"{where}: grid must be strictly increasing, length >= 2")
     return grid
@@ -348,7 +348,7 @@ _EXPERIMENT_ROWS = (
     ("seeds", "seeds", _checked(_list_of(_as_seed), len, "must not be empty"), (0,)),
     ("condition", "condition", _kind_of(_CONDITIONS, "condition"), None),
     ("threshold", "threshold",
-     _checked(_as_float, lambda v: v > 0, "must be positive"), 1.0),
+     _checked(_as_float, lambda v: 0 < v < math.inf, "must be positive and finite"), 1.0),
     ("snapshots", "snapshot_count",
      _checked(_as_int, lambda v: v >= 1, "must be at least 1"), 50),
     ("horizon_cap", "horizon_cap",
@@ -481,14 +481,10 @@ class ProfileReport:
 
 
 def _conditioning_loads(condition: Condition, network: NetworkSpec) -> List[float]:
-    """Per-station totals the condition fixes, checked against the network."""
-    _check_condition(condition, network)
-    if isinstance(condition, ExactCounts):
-        totals = {j: float(sum(vec)) for j, vec in condition.targets.items()}
-    elif isinstance(condition, TotalCounts):
-        totals = {j: float(v) for j, v in condition.targets.items()}
-    else:
-        totals = {j: 0.5 * (lo + hi) for j, (lo, hi) in condition.bands.items()}
+    """The loads a prediction inverts: the condition's station totals
+    (``condition.totals()``) in station order.  Every station must be
+    covered; ``conditional_sample`` checks the rest of the fit."""
+    totals = condition.totals()
     station_count = network.station_count
     missing = [j for j in range(1, station_count + 1) if j not in totals]
     if missing:
@@ -525,10 +521,17 @@ def run_experiment(cfg: ExperimentConfig) -> ProfileReport:
     Each seed contributes an equal share of the snapshot quota
     (rounded up).  Seeds whose horizon expires early leave the report
     flagged partial; with no snapshots at all the bands are undefined
-    and NoSnapshots is raised.
+    and NoSnapshots is raised.  Every condition fixes customer counts,
+    so the prediction must weigh customers (``prediction.weights:
+    count``); a config without a condition, or with work weights,
+    raises ValidationError before any seed runs.
     """
     if cfg.condition is None:
         raise ValidationError("experiment.condition is required to run an experiment")
+    if cfg.weight_kind != "count":
+        raise ValidationError(
+            f"prediction.weights: an experiment conditions on customer counts, "
+            f"so it needs 'count', got {cfg.weight_kind!r}")
     J = cfg.network.station_count
     loads = _conditioning_loads(cfg.condition, cfg.network)
     quota = -(-cfg.snapshot_count // len(cfg.seeds))  # ceil division

@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappop, heappush
-from typing import List, Mapping, Optional, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -374,22 +374,9 @@ class ExactCounts:
         return sum(abs(have - want) for j, vec in self.targets.items()
                    for have, want in zip(sim.stations[j].class_counts[1:], vec))
 
-
-@dataclass(frozen=True)
-class TotalCounts:
-    """Condition: total customer count at each listed station."""
-
-    targets: Mapping[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "targets",
-                           {int(j): int(n) for j, n in self.targets.items()})
-        if any(n < 0 for n in self.targets.values()):
-            raise ValueError(f"counts must be nonnegative, got {self.targets}")
-
-    def distance(self, sim: SimState) -> int:
-        """L1 distance from the station totals to the targets."""
-        return sum(abs(sim.stations[j].present - n) for j, n in self.targets.items())
+    def totals(self) -> Dict[int, float]:
+        """Station totals a prediction inverts: the vector sums."""
+        return {j: float(sum(vec)) for j, vec in self.targets.items()}
 
 
 @dataclass(frozen=True)
@@ -406,11 +393,41 @@ class CountBands:
 
     def distance(self, sim: SimState) -> int:
         """How far each station's total lies outside its band, summed."""
-        return sum(max(lo - sim.stations[j].present, sim.stations[j].present - hi, 0)
-                   for j, (lo, hi) in self.bands.items())
+        stations = sim.stations
+        d = 0
+        for j, (lo, hi) in self.bands.items():
+            n = stations[j].present
+            if n < lo:
+                d += lo - n
+            elif n > hi:
+                d += n - hi
+        return d
+
+    def totals(self) -> Dict[int, float]:
+        """Station totals a prediction inverts: the band midpoints."""
+        return {j: 0.5 * (lo + hi) for j, (lo, hi) in self.bands.items()}
 
 
-Condition = Union[ExactCounts, TotalCounts, CountBands]
+class TotalCounts(CountBands):
+    """Condition: total customer count n at each listed station, which
+    is the band [n, n].  It keeps its own kind, repr and equality, so
+    its configs hash apart from the band's."""
+
+    def __init__(self, targets: Mapping[int, int]):
+        targets = {int(j): int(n) for j, n in targets.items()}
+        if any(n < 0 for n in targets.values()):
+            raise ValueError(f"counts must be nonnegative, got {targets}")
+        super().__init__({j: (n, n) for j, n in targets.items()})
+
+    def __repr__(self) -> str:
+        return f"TotalCounts(targets={self.targets!r})"
+
+    @property
+    def targets(self) -> Dict[int, int]:
+        return {j: n for j, (n, _) in self.bands.items()}
+
+
+Condition = Union[ExactCounts, CountBands]
 
 
 def _check_condition(condition: Condition, spec: NetworkSpec) -> None:
@@ -423,14 +440,9 @@ def _check_condition(condition: Condition, spec: NetworkSpec) -> None:
                 raise ValidationError(
                     f"condition vector at station {j} has {len(vec)} counts; "
                     f"the network has {K} classes")
-        stations = condition.targets
-    elif isinstance(condition, TotalCounts):
-        stations = condition.targets
-    elif isinstance(condition, CountBands):
-        stations = condition.bands
-    else:
+    elif not isinstance(condition, CountBands):
         raise ValidationError(f"unsupported condition {type(condition).__name__}")
-    for j in stations:
+    for j in condition.totals():
         if not 1 <= j <= spec.station_count:
             raise ValidationError(
                 f"condition names station {j}; stations are 1..{spec.station_count}")
@@ -489,8 +501,8 @@ def conditional_sample(
     clock and event count are those of a check after every event.
     """
     _check_condition(condition, sim.spec)
-    if not threshold > 0.0:
-        raise ValueError(f"threshold must be positive, got {threshold!r}")
+    if not 0.0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
     if isinstance(count, bool) or not isinstance(count, int) or count < 1:
         raise ValueError(f"count must be an integer of at least 1, got {count!r}")
     if not (math.isfinite(horizon_cap) and horizon_cap >= sim.clock):

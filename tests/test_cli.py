@@ -4,18 +4,22 @@ Most cases call main() in-process and inspect captured output; one
 subprocess run verifies the installed module entry point.
 """
 
+import os
 import pathlib
 import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import pytest
 
 from edfnet import ValidationError, parse_config, parse_report, read_profile_csv, run_experiment
 from edfnet.cli import main
 
-CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+SRC = ROOT / "src"
 
 CROSSING_CONFIG = """
 network:
@@ -152,6 +156,15 @@ def test_predict_stdout_and_bad_grid(crossing_cfg, capsys):
                  "--grid", "whatever"]) == 2
 
 
+def test_predict_rejects_an_infinite_grid(crossing_cfg, capsys):
+    """An infinite end fails by name before numpy ever sees it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["predict", "-c", crossing_cfg, "--loads", "0,0",
+                     "--grid", "0:inf:3"]) == 2
+    assert "--grid.hi: must be finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["crossing_base", "desk_experiment"],
                          ids=["default-grid", "configured-grid"])
 def test_predict_fields_read_back_as_floats(name, capsys):
@@ -224,6 +237,16 @@ def test_experiment_condition_must_fit_network(tmp_path, capsys, condition, name
     assert named in capsys.readouterr().err
 
 
+def test_experiment_requires_count_weights(scripted_cfg, tmp_path, capsys):
+    path = tmp_path / "work.yaml"
+    path.write_text((tmp_path / "scripted.yaml").read_text()
+                    + "prediction:\n  weights: work\n")
+    assert main(["experiment", "-c", str(path)]) == 2
+    assert "prediction.weights" in capsys.readouterr().err
+    # solve still honours the work model
+    assert main(["solve", "-c", str(path), "--loads", "2"]) == 0
+
+
 def test_experiment_partial_returns_3(scripted_cfg, tmp_path, capsys):
     text = (tmp_path / "scripted.yaml").read_text()
     partial_cfg = tmp_path / "partial.yaml"
@@ -270,9 +293,14 @@ def test_compare_default_columns(scripted_cfg, tmp_path, capsys):
 
 
 def test_module_entry_point(crossing_cfg):
+    """``python -m edfnet`` runs from the source tree, whether or not
+    PYTHONPATH names it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "edfnet", "solve", "-c", crossing_cfg,
          "--loads", "0,0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "order:" in proc.stdout

@@ -293,8 +293,16 @@ def test_unknown_fields_rejected(mutate):
          "experiment.condition: counts must be nonnegative"),
         ({"experiment": {"condition": {"kind": "band", "bands": {1: [-2, 1]}}}},
          "experiment.condition: bands must satisfy 0 <= lo <= hi"),
-        # a NaN level compares false both ways, so it must fail the order check
+        # a NaN level compares false both ways, so it must fail by name
         ({"prediction": {"grid": [0.0, math.nan, 1.0]}}, "prediction.grid"),
+        # every seed would run to horizon_cap without filling a quota
+        ({"experiment": {"threshold": math.inf}},
+         "experiment.threshold: must be positive and finite"),
+        # an infinite level would put NaN into the curves and the distances
+        ({"prediction": {"grid": [0.0, math.inf]}}, "prediction.grid[1]: must be finite"),
+        ({"prediction": {"grid": [-math.inf, 0.0]}}, "prediction.grid[0]: must be finite"),
+        ({"prediction": {"grid": {"lo": 0.0, "hi": math.inf, "points": 5}}},
+         "prediction.grid.hi: must be finite"),
     ],
 )
 def test_invalid_fields_rejected(patch, field):
@@ -457,6 +465,25 @@ def test_run_experiment_condition_must_cover_stations():
     cfg = scripted_config(network=net, condition=TotalCounts({1: 2}))
     with pytest.raises(ValidationError):
         run_experiment(cfg)
+
+
+def test_conditioning_loads_are_the_condition_totals():
+    from edfnet import ClassSpec, NetworkSpec
+
+    net = NetworkSpec(2, (
+        ClassSpec(id=1, route=(1, 2), arrival_rate=0.5, lead_time=PointMass(10.0)),
+        ClassSpec(id=2, route=(2,), arrival_rate=0.5, lead_time=PointMass(10.0)),
+    ))
+    assert harness._conditioning_loads(TotalCounts({1: 50, 2: 58}), net) == [50.0, 58.0]
+    assert harness._conditioning_loads(CountBands({2: (5, 20), 1: (3, 4)}), net) == [3.5, 12.5]
+
+
+def test_run_experiment_requires_count_weights(monkeypatch):
+    """Every condition fixes customer counts, so work weights would
+    invert counts as units of work; the run fails before any seed."""
+    monkeypatch.setattr(harness, "new_sim", lambda *a, **k: pytest.fail("a seed ran"))
+    with pytest.raises(ValidationError, match=r"prediction\.weights"):
+        run_experiment(scripted_config(weight_kind="work"))
 
 
 def test_run_experiment_exact_condition():

@@ -7,6 +7,7 @@ assertion is plain arithmetic done by hand.
 
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -591,6 +592,11 @@ def test_conditional_sample_validates_arguments():
     cond = TotalCounts({1: 2})
     with pytest.raises(ValueError):
         conditional_sample(sim, cond, threshold=0.0, count=1, horizon_cap=10.0)
+    # an infinite threshold would run every event up to horizon_cap
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            conditional_sample(sim, cond, threshold=bad, count=2, horizon_cap=5000.0)
+    assert sim.events_processed == 0
     with pytest.raises(ValueError):
         conditional_sample(sim, cond, threshold=1.0, count=0, horizon_cap=10.0)
     # a quota is a whole number of snapshots: 2.5 would have taken 3
@@ -622,7 +628,8 @@ def test_conditions_that_can_never_hold_are_rejected(build, problem):
     (TotalCounts({2: 1}), "station 2"),
     (TotalCounts({0: 1}), "station 0"),
     (ExactCounts({1: (1, 1)}), "vector at station 1"),
-], ids=["station-above-J", "station-zero", "exact-length"])
+    ("not a condition", "unsupported condition str"),
+], ids=["station-above-J", "station-zero", "exact-length", "unsupported"])
 def test_conditional_sample_checks_condition_against_network(condition, named):
     """One station and one class: each condition names something the
     network lacks and fails before any event is processed."""
@@ -632,6 +639,39 @@ def test_conditional_sample_checks_condition_against_network(condition, named):
     with pytest.raises(ValidationError, match=named):
         conditional_sample(sim, condition, threshold=1.0, count=1, horizon_cap=100.0)
     assert sim.events_processed == 0
+
+
+def test_total_counts_are_the_band_n_n():
+    """A total of n is the band [n, n], read back as targets; it keeps
+    its own repr and its own equality, and survives a pickle."""
+    total = TotalCounts({np.int64(1): np.int64(2), 3: 0})
+    assert isinstance(total, CountBands)
+    assert total.bands == {1: (2, 2), 3: (0, 0)}
+    assert total.targets == {1: 2, 3: 0}
+    assert repr(total) == "TotalCounts(targets={1: 2, 3: 0})"
+    assert total == TotalCounts({1: 2, 3: 0})
+    assert total != CountBands({1: (2, 2), 3: (0, 0)})
+    assert CountBands({1: (2, 2), 3: (0, 0)}) != total
+    with pytest.raises(AttributeError):
+        total.targets = {1: 5}
+    total.targets[1] = 5  # changes a copy only
+    assert total.targets == {1: 2, 3: 0}
+    back = pickle.loads(pickle.dumps(total))
+    assert type(back) is TotalCounts and back == total and repr(back) == repr(total)
+
+
+def test_condition_totals():
+    """The station totals a prediction inverts, as floats: vector sums,
+    and band midpoints, which for a total of n is n itself."""
+    cases = [
+        (ExactCounts({1: (2, 3), 2: (0, 0)}), {1: 5.0, 2: 0.0}),
+        (TotalCounts({1: 50, 2: 58}), {1: 50.0, 2: 58.0}),
+        (CountBands({1: (5, 20), 2: (3, 4)}), {1: 12.5, 2: 3.5}),
+    ]
+    for condition, want in cases:
+        got = condition.totals()
+        assert got == want
+        assert all(type(v) is float for v in got.values())
 
 
 def _with_scripted_ties(spec, rng):
@@ -718,6 +758,25 @@ def test_condition_distance_moves_by_at_most_two(random_network, preemptive):
         moved_two += bound.moved_two
     assert held > 0  # the equivalence was exercised both ways
     assert moved_two > 0  # and a bound of 1 would have been wrong
+
+
+@pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
+def test_total_distance_is_the_band_distance(random_network, preemptive):
+    """After every event of random runs, a total's distance, the
+    distance of the band [n, n] and the L1 distance written out agree."""
+    rng = np.random.default_rng(7270 + preemptive)
+    seen = set()
+    for spec, seed, (_, total, _) in _networks_and_conditions(random_network, rng, 6,
+                                                              preemptive):
+        band = CountBands({j: (n, n) for j, n in total.targets.items()})
+
+        def check(s):
+            want = sum(abs(queue_length(s, j) - n) for j, n in total.targets.items())
+            assert total.distance(s) == band.distance(s) == want
+            seen.add(want == 0)
+
+        run_each(new_sim(spec, seed=seed, preemptive=preemptive), 200.0, check)
+    assert seen == {False, True}
 
 
 @pytest.mark.parametrize("lead", LEAD_KINDS)
