@@ -84,6 +84,11 @@ def _cmd_predict(args) -> int:
     return 0
 
 
+#: most progress lines ``simulate`` prints; it also keeps every step
+#: ``t + every`` large enough to move the clock
+_MAX_REPORT_LINES = 10**6
+
+
 def _cmd_simulate(args) -> int:
     cfg = harness.parse_config(args.config)
     seed = cfg.seeds[0] if args.seed is None else harness._as_seed(args.seed, "--seed")
@@ -91,6 +96,9 @@ def _cmd_simulate(args) -> int:
     every = horizon / 10.0 if args.every is None else args.every
     if not (0 < horizon < math.inf and every > 0):
         raise EdfnetError("--horizon must be positive and finite, --every positive")
+    if horizon / every > _MAX_REPORT_LINES:
+        raise EdfnetError(f"--every: {horizon} / {every} asks for more than "
+                          f"{_MAX_REPORT_LINES} report lines")
     sim = new_sim(cfg.network, seed=seed, preemptive=cfg.preemptive)
     t = 0.0
     while t < horizon:

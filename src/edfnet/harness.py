@@ -528,6 +528,10 @@ def run_experiment(cfg: ExperimentConfig) -> ProfileReport:
     """
     if cfg.condition is None:
         raise ValidationError("experiment.condition is required to run an experiment")
+    if not isinstance(cfg.condition, (ExactCounts, CountBands)):
+        raise ValidationError(
+            f"experiment.condition: expected a count condition, "
+            f"got {type(cfg.condition).__name__}")
     if cfg.weight_kind != "count":
         raise ValidationError(
             f"prediction.weights: an experiment conditions on customer counts, "

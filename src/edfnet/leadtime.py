@@ -131,6 +131,7 @@ class PiecewiseLinearCDF:
 LeadTimeDist = PiecewiseLinearCDF
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class PointMass(PiecewiseLinearCDF):
     """All customers are born with the same lead time: one knot,
     (value, 1)."""
@@ -148,6 +149,7 @@ class PointMass(PiecewiseLinearCDF):
         return self._ys[0]
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Uniform(PiecewiseLinearCDF):
     """Lead times uniform on [lo, hi]: two knots, (lo, 0) and (hi, 1).
 

@@ -26,18 +26,17 @@ then by scheduling order.
 
 One loop, ``SimState._run``, processes every event.  An arrival reads
 one row per class id, built once: the route, the interarrival and
-lead-time draws, and the service draws in route order.  An arrival and
-a departure routed onward fall through to one block where the customer
-enters a station.  A customer carries its EDF key (deadline, arrival
-index, class id), and pending heaps hold (key, customer) pairs.
-Every state change is inline in the loop: a departure releases its
-server and starts the next pending customer, and the entry block
-starts the customer, queues it, or (preempt-resume) queues the
-server's remainder and starts the customer in its place.  Each start
-bumps the station's token and stamps its departure event with it, so
-a preemption voids the displaced job's departure in the heap.
-``conditional_sample`` checks its condition between batches of
-events, each as long as the condition's distance allows.
+lead-time draws, and the service draws in route order.  A customer
+carries its EDF key (deadline, arrival index, class id), and pending
+heaps hold (key, customer) pairs.  An event changes at most two
+stations, and each goes through one block: integrate the station,
+then release its server (a departure) or admit the customer moving in
+(an arrival, or a departure routed onward), then start whoever takes
+the server.  Each start bumps the station's token and stamps its
+departure event with it, so a preemption voids the displaced job's
+departure in the heap.  ``conditional_sample`` checks its condition
+between batches of events, each as long as the condition's distance
+allows.
 
 Time integrals (idle time, present count, behind count and behind
 work) are kept per station and brought up to date lazily: the loop
@@ -138,10 +137,11 @@ class SimState:
     """One simulation run; construct through new_sim().
 
     ``_run(until, limit)`` is the one event loop: it pops and processes
-    up to ``limit`` events at or before ``until``.  ``run_until`` runs
-    it without a limit and ``conditional_sample`` in batches; a limit of
-    one steps the run event by event.  The sequence number, arrival
-    count and clock are loop locals, written back when the batch ends.
+    up to ``limit`` events at or before ``until``, and every station an
+    event changes goes through one station block.  ``run_until`` runs
+    it without a limit and ``conditional_sample`` in batches; a limit
+    of one steps the run event by event.  The sequence number, arrival count and
+    clock are loop locals, written back when the batch ends.
     ``events_processed`` counts every event popped, including a
     departure that a preemption superseded (its token no longer
     matches): such an event only moves the clock, since each station
@@ -197,8 +197,11 @@ class SimState:
 
     def _run(self, until: float, limit: float) -> int:
         """Process up to ``limit`` events at or before ``until`` and
-        return how many ran.  An arrival and a routed departure fall
-        through to one station-entry block."""
+        return how many ran.  An event names the station it changes and
+        the customer moving in, ``None`` when the server departs; one
+        pass per station then integrates, releases or admits, and
+        starts service.  A departing customer with a station left on
+        its route moves in there on the next pass."""
         heap, stations, rows = self._heap, self.stations, self._rows
         preemptive, isfinite = self.preemptive, math.isfinite
         seq, arrivals, now = self._seq, self._arrival_counter, self.clock
@@ -211,94 +214,82 @@ class SimState:
                 if payload != st.token:
                     superseded += 1  # voided by a preemption
                     continue
-                # integrate the busy station up to now, then release it
-                dt = now - st.last_t
-                behind, work = st.pending_behind, st.pending_behind_work * dt
-                if st.serving_behind:
-                    behind += 1
-                    work += (st.serving_dep - st.last_t) * dt - 0.5 * dt * dt
-                st.int_present += st.present * dt
-                st.int_behind += behind * dt
-                st.int_behind_work += work
-                st.last_t = now
-                cust = st.serving
-                st.class_counts[cust.class_id] -= 1
-                st.present -= 1
-                if st.pending:
-                    _, nxt = heappop(st.pending)
-                    st.pending_work -= nxt.remaining
-                    deadline = nxt.deadline
-                    st.serving_behind = deadline < st.max_admitted
-                    if st.serving_behind:
-                        st.pending_behind -= 1
-                        st.pending_behind_work -= nxt.remaining
-                    if deadline > st.max_by_class[nxt.class_id]:
-                        st.max_by_class[nxt.class_id] = deadline
-                        if deadline > st.max_admitted:
-                            st.max_admitted = deadline
-                    st.serving = nxt
-                    st.token += 1
-                    st.serving_dep = dep = now + nxt.remaining
-                    seq += 1
-                    heappush(heap, (dep, _DEPART, sid, seq, st.token))
-                else:
-                    st.serving, st.serving_behind, st.serving_dep = None, False, math.inf
-                cust.route_pos += 1
-                if cust.route_pos == len(cust.route):
-                    continue
-                cust.remaining = cust.service_times[cust.route_pos]
-                st = stations[cust.route[cust.route_pos]]
+                moving = None
             else:
                 route, draw_gap, draw_lead, draw_services = rows[payload]
                 arrivals += 1
-                cust = _Customer(payload, arrivals, now + draw_lead(), route,
-                                 tuple([draw() for draw in draw_services]))
+                moving = _Customer(payload, arrivals, now + draw_lead(), route,
+                                   tuple([draw() for draw in draw_services]))
                 gap = draw_gap()
                 if isfinite(gap):
                     seq += 1
                     heappush(heap, (now + gap, _ARRIVE, route[0], seq, payload))
                 st = stations[route[0]]
-            # cust enters station st: integrate it up to now first
-            dt = now - st.last_t
-            serving = st.serving
-            if serving is None:
-                st.idle_time += dt
-            else:
-                behind, work = st.pending_behind, st.pending_behind_work * dt
-                if st.serving_behind:
-                    behind += 1
-                    work += (st.serving_dep - st.last_t) * dt - 0.5 * dt * dt
-                st.int_present += st.present * dt
-                st.int_behind += behind * dt
-                st.int_behind_work += work
-            st.last_t = now
-            st.arrived_work += cust.remaining
-            st.class_counts[cust.class_id] += 1
-            st.present += 1
-            if serving is not None:
-                if preemptive and cust.key < serving.key:
-                    # the server's remainder waits; cust takes its place
-                    serving.remaining = st.serving_dep - now
+            while True:
+                # integrate st up to now; its state changes next
+                dt = now - st.last_t
+                serving = st.serving
+                if serving is None:
+                    st.idle_time += dt
                 else:
-                    serving, cust = cust, None  # cust waits; nobody starts
-                heappush(st.pending, (serving.key, serving))
-                st.pending_work += serving.remaining
-                if serving.deadline < st.max_admitted:
-                    st.pending_behind += 1
-                    st.pending_behind_work += serving.remaining
-                if cust is None:
-                    continue
-            deadline = cust.deadline
-            st.serving_behind = deadline < st.max_admitted
-            if deadline > st.max_by_class[cust.class_id]:
-                st.max_by_class[cust.class_id] = deadline
-                if deadline > st.max_admitted:
-                    st.max_admitted = deadline
-            st.serving = cust
-            st.token += 1
-            st.serving_dep = dep = now + cust.remaining
-            seq += 1
-            heappush(heap, (dep, _DEPART, st.sid, seq, st.token))
+                    behind, work = st.pending_behind, st.pending_behind_work * dt
+                    if st.serving_behind:
+                        behind += 1
+                        work += (st.serving_dep - st.last_t) * dt - 0.5 * dt * dt
+                    st.int_present += st.present * dt
+                    st.int_behind += behind * dt
+                    st.int_behind_work += work
+                st.last_t = now
+                if moving is None:
+                    # the server departs; the most urgent pending customer starts
+                    moving = serving
+                    st.class_counts[moving.class_id] -= 1
+                    st.present -= 1
+                    if st.pending:
+                        _, start = heappop(st.pending)
+                        st.pending_work -= start.remaining
+                        if start.deadline < st.max_admitted:
+                            st.pending_behind -= 1
+                            st.pending_behind_work -= start.remaining
+                    else:
+                        start = None
+                        st.serving, st.serving_behind, st.serving_dep = None, False, math.inf
+                else:
+                    # moving enters st: it starts, waits, or displaces the server
+                    start, moving = moving, None
+                    st.arrived_work += start.remaining
+                    st.class_counts[start.class_id] += 1
+                    st.present += 1
+                    if serving is not None:
+                        if preemptive and start.key < serving.key:
+                            # the server's remainder waits; start takes its place
+                            serving.remaining = st.serving_dep - now
+                        else:
+                            serving, start = start, None  # the newcomer waits
+                        heappush(st.pending, (serving.key, serving))
+                        st.pending_work += serving.remaining
+                        if serving.deadline < st.max_admitted:
+                            st.pending_behind += 1
+                            st.pending_behind_work += serving.remaining
+                if start is not None:
+                    deadline = start.deadline
+                    st.serving_behind = deadline < st.max_admitted
+                    if deadline > st.max_by_class[start.class_id]:
+                        st.max_by_class[start.class_id] = deadline
+                        if deadline > st.max_admitted:
+                            st.max_admitted = deadline
+                    st.serving = start
+                    st.token += 1
+                    st.serving_dep = dep = now + start.remaining
+                    seq += 1
+                    heappush(heap, (dep, _DEPART, st.sid, seq, st.token))
+                if moving is None:
+                    break
+                moving.route_pos += 1
+                if moving.route_pos == len(moving.route):
+                    break
+                moving.remaining = moving.service_times[moving.route_pos]
+                st = stations[moving.route[moving.route_pos]]
         self._seq, self._arrival_counter, self.clock = seq, arrivals, now
         self.events_processed += done
         self.superseded += superseded
@@ -408,6 +399,7 @@ class CountBands:
         return {j: 0.5 * (lo + hi) for j, (lo, hi) in self.bands.items()}
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class TotalCounts(CountBands):
     """Condition: total customer count n at each listed station, which
     is the band [n, n].  It keeps its own kind, repr and equality, so

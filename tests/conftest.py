@@ -1,6 +1,7 @@
 """Shared fixtures: random network generation, the route-based reach
 rule and the exhaustive admissible-order oracle built on it, the all-station reference integrator, the
-sampler that checks its condition after every event, and acceptance
+sampler that checks its condition after every event, the exact lead
+law of a FIFO M/M/1 station conditioned on its count, and acceptance
 reporting."""
 
 import math
@@ -237,6 +238,28 @@ def sample_every_event(sim, condition, *, threshold, count, horizon_cap):
         if not sim._run(horizon_cap, 1):
             sim._advance(horizon_cap)
             return SampleResult(tuple(snaps), len(snaps) < count)
+
+
+def fifo_lead_cdf(y, n, mu, lead):
+    """Expected empirical lead-time CDF at the levels ``y`` of an M/M/1
+    station (service rate ``mu``) whose one class has the point lead law
+    ``lead``, conditioned on n customers present.
+
+    EDF is FIFO here, and by reversibility the ages of the n customers
+    present are the first n epochs of a Poisson(mu) process, so lead i
+    is ``lead - Gamma(i, mu)`` whatever the arrival rate.  The CDF at y
+    is (1/n) sum over i = 1..n of P(Poisson(mu (lead - y)) <= i - 1),
+    which is (1/n) sum over k < n of (n - k) P(Poisson = k).  The
+    Poisson terms are taken in log space: exp(-x) underflows past
+    x of about 745."""
+    x = mu * (lead - np.asarray(y, dtype=float))
+    k = np.arange(n)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in k])
+    out = np.ones(x.shape)
+    below = x > 0.0
+    xs = x[below][:, None]
+    out[below] = (np.exp(k * np.log(xs) - xs - log_fact) * (n - k)).sum(axis=1) / n
+    return out
 
 
 _ACCEPTANCE = {}

@@ -194,6 +194,9 @@ def test_simulate_rejects_bad_horizon(crossing_cfg, capsys):
     # infinite horizon would never finish
     assert main(["simulate", "-c", crossing_cfg, "--every", "0"]) == 2
     assert main(["simulate", "-c", crossing_cfg, "--horizon", "inf"]) == 2
+    # an interval too small to move the clock would never finish either
+    assert main(["simulate", "-c", crossing_cfg, "--horizon", "1", "--every", "1e-300"]) == 2
+    assert "report lines" in capsys.readouterr().err
     assert main(["simulate", "-c", crossing_cfg, "--seed", "-1"]) == 2
     assert "--seed: must be nonnegative" in capsys.readouterr().err
 

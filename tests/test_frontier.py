@@ -35,7 +35,7 @@ from edfnet import (
 from edfnet import frontier
 from edfnet.frontier import _stage_inverse, _Term
 from edfnet.harness import theory_cdf
-from conftest import reaching
+from conftest import fifo_lead_cdf, reaching
 
 THIRD = 1.0 / 3.0
 
@@ -305,6 +305,27 @@ def test_load_map_and_prediction_share_one_sum(random_network):
             total = predict_profile(model, sol, j, -math.inf)
             expected = [1.0 - m / total for m in scalar] if total > 0.0 else [1.0] * len(levels)
             assert theory_cdf(model, sol, j, levels).tolist() == expected
+
+
+@pytest.mark.parametrize("n", [10, 40, 160, 640])
+def test_single_station_limit_rate(n):
+    """The paper's limit as a rate on one M/M/1 station, with no
+    simulation.  With one ``PointMass(L)`` class, L = 2n, and the
+    normalised count model, the prediction at load n is uniform on
+    [L - n / mu, L].  The exact finite-n law (``conftest.fifo_lead_cdf``)
+    lies sup ~ 1 / sqrt(2 pi n) from it, so sqrt(n) times the sup gap
+    on a 4001-point grid tends to 1 / sqrt(2 pi) = 0.39894."""
+    mu, lead = 1.0, 2.0 * n
+    spec = NetworkSpec(station_count=1, classes=(ClassSpec(
+        id=1, route=(1,), arrival_rate=0.9, lead_time=PointMass(lead),
+        service_rates={1: mu}),))
+    model = normalize_by_intensity(count_model(build_topology(spec)))
+    sol = solve_frontiers(model, [float(n)])
+    grid = np.linspace(0.0, lead, 4001)
+    theory = theory_cdf(model, sol, 1, grid)
+    assert theory == pytest.approx(np.clip((grid - (lead - n / mu)) * mu / n, 0.0, 1.0))
+    gap = np.max(np.abs(fifo_lead_cdf(grid, n, mu, lead) - theory))
+    assert math.sqrt(n) * gap == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=0.005)
 
 
 def _saturation_cases(random_network):

@@ -455,6 +455,14 @@ def test_run_experiment_requires_condition():
         run_experiment(scripted_config(condition=None))
 
 
+def test_run_experiment_rejects_a_non_condition(monkeypatch):
+    """A condition built in code that is not a condition object fails by
+    name before any seed runs."""
+    monkeypatch.setattr(harness, "new_sim", lambda *a, **k: pytest.fail("a seed ran"))
+    with pytest.raises(ValidationError, match=r"experiment\.condition: .* got str"):
+        run_experiment(scripted_config(condition="total"))
+
+
 def test_run_experiment_condition_must_cover_stations():
     from edfnet import ClassSpec, NetworkSpec
 

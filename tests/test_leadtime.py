@@ -11,6 +11,7 @@ at arrival rate 1, the count model's load at frontier y is the
 integrated tail at y, so ``solve_frontiers`` returns its inverse.
 """
 
+import dataclasses
 import math
 import pickle
 
@@ -234,6 +235,10 @@ def test_named_parameters_are_read_only_floats():
     assert repr(Uniform(0, 2)) == "Uniform(lo=0.0, hi=2.0)"
     with pytest.raises(AttributeError):
         d.value = 1.0
+    # as frozen as their parent: no attribute can be added either
+    for law in (d, Uniform(0, 2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            law.y = 2
 
 
 def test_piecewise_equality_and_hash():

@@ -18,6 +18,7 @@ from conftest import (
     LEAD_KINDS,
     ReferenceIntegrator,
     _random_spec,
+    fifo_lead_cdf,
     run_each,
     sample_every_event,
     valid_random_spec,
@@ -587,6 +588,46 @@ def test_conditional_sample_band_condition():
     assert res.snapshots[0].leads(1) == (90.5, 91.5)
 
 
+#: Bonferroni t bound: 7 degrees of freedom (8 seeds), 4 statistics,
+#: family error 0.001 two-sided, so the 1 - 0.000125 quantile of t(7)
+ORACLE_T_BOUND = 6.81
+
+
+def test_conditional_sample_meets_the_exact_fifo_law():
+    """Conditioned leads on an M/M/1 station against their exact law.
+
+    The oracle covers one class with one point lead law only: that is
+    the case where EDF is FIFO, so the n customers present are the last
+    n arrivals and lead i is L - Gamma(i, mu) (``conftest.fifo_lead_cdf``).
+    A random lead law or a second class lets EDF reorder customers.
+    Here the mean lead is L - (n + 1) / (2 mu) = 24.5.  Four statistics
+    (the mean lead and the CDF at 18, 20 and 22) are averaged per seed,
+    and each seed-level batch mean must lie within a Bonferroni t bound
+    of the exact value.  A newcomer never has the earlier deadline, so
+    preemption never fires and both schedulers run the same events."""
+    mu, lam, lead, n = 1.0, 0.9, 30.0, 10
+    levels = (18.0, 20.0, 22.0)
+    spec = NetworkSpec(1, (ClassSpec(id=1, route=(1,), arrival_rate=lam,
+                                     lead_time=PointMass(lead), service_rates={1: mu}),))
+    exact = np.array([lead - (n + 1) / (2 * mu), *fifo_lead_cdf(levels, n, mu, lead)])
+    runs = {}
+    for preemptive in (False, True):
+        stats, streams = [], []
+        for seed in range(1, 9):
+            sim = new_sim(spec, seed=seed, preemptive=preemptive)
+            res = conditional_sample(sim, TotalCounts({1: n}), threshold=5.0,
+                                     count=200, horizon_cap=1e7)
+            assert not res.exhausted
+            leads = np.array([s.leads(1) for s in res.snapshots])
+            stats.append([leads.mean(), *((leads <= y).mean() for y in levels)])
+            streams.append((sim.events_processed, res.snapshots))
+        stats = np.array(stats)
+        t = (stats.mean(axis=0) - exact) / (stats.std(axis=0, ddof=1) / np.sqrt(len(stats)))
+        assert np.all(np.abs(t) <= ORACLE_T_BOUND), t
+        runs[preemptive] = streams
+    assert runs[True] == runs[False]
+
+
 def test_conditional_sample_validates_arguments():
     sim = new_sim(single_class_station(), seed=0)
     cond = TotalCounts({1: 2})
@@ -654,6 +695,8 @@ def test_total_counts_are_the_band_n_n():
     assert CountBands({1: (2, 2), 3: (0, 0)}) != total
     with pytest.raises(AttributeError):
         total.targets = {1: 5}
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        total.x = 1
     total.targets[1] = 5  # changes a copy only
     assert total.targets == {1: 2, 3: 0}
     back = pickle.loads(pickle.dumps(total))

@@ -132,3 +132,23 @@ def test_no_unreferenced_private_helpers():
             if _private(node.name) and used[node.name] == names(node).count(node.name):
                 found.append(f"{module}:{node.lineno} {node.name}")
     assert found == []
+
+
+def test_one_station_block():
+    """``simulator.py`` writes each piece of a station's work once, in
+    the station block of ``SimState._run``: one departure push (a
+    ``heappush`` whose tuple holds ``_DEPART``) and one ``+=`` to each
+    time integral."""
+    tree = ast.parse((SRC / "simulator.py").read_text())
+    pushes = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "heappush"
+              and any(isinstance(arg, ast.Tuple) and any(
+                  isinstance(item, ast.Name) and item.id == "_DEPART" for item in arg.elts)
+                  for arg in node.args)]
+    adds = Counter(node.target.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+                   and isinstance(node.target, ast.Attribute))
+    integrals = ("idle_time", "int_present", "int_behind", "int_behind_work")
+    assert len(pushes) == 1, pushes
+    assert {name: adds[name] for name in integrals} == dict.fromkeys(integrals, 1)
