@@ -114,10 +114,6 @@ class Sequence(SamplingLaw):
         if not self.then > 0.0:
             raise ValueError(f"then must be positive, got {self.then!r}")
 
-    @property
-    def mean(self) -> None:
-        return None
-
     def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
         it = iter(self.values)
 

@@ -42,8 +42,8 @@ class ZeroIntensity(EdfnetError):
 
 
 class SolverDivergence(EdfnetError):
-    """A stage solve found no root that reproduces its load, or the
-    staged solution failed its residual or domain check."""
+    """A stage solve found no root that reproduces its load, a placed
+    value rose along the stage order, or the residual check failed."""
 
 
 class NoConsistentRegion(EdfnetError):

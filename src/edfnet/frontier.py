@@ -12,7 +12,8 @@ That sum is written once: ``_terms`` builds a station's per-class
 table and ``_mass_above`` evaluates it at a lead level.
 ``frontier_loads`` evaluates it at each station's own frontier;
 ``solve_frontiers`` inverts it station by station, placing at each stage
-the station whose stage-local inverse is largest; ``predict_profile``
+the station whose stage-local inverse is largest and checking that the
+values do not rise along the order it builds; ``predict_profile``
 evaluates it above a level, giving the predicted queue mass that the
 experiment harness compares against simulated profiles.  On a grid of
 levels it computes the saturated level (the station total, read at and
@@ -290,7 +291,8 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
     ones gets a stage-local inverse of its own load; the station with
     the largest value (ties to the smallest station id) is placed next.
     A station's stage is solved once per reach set, not once per stage.
-    The resulting vector lies in the invertible domain, reproduces the
+    Values must not rise along the order (SolverDivergence otherwise),
+    so the vector lies in the order's domain piece, reproduces the
     loads, and is the componentwise smallest such vector.
     """
     topo = model.topology
@@ -307,6 +309,7 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
     # only its reach set and the values of placed stations, which never
     # change, so it is solved again only when its reach set has grown
     stages: Dict[int, Tuple[FrozenSet[int], float, float]] = {}
+    last = math.inf
     for _ in range(topo.station_count):
         for j in set(topo.spec.stations).difference(assigned):
             reach = topo.reaching(j, assigned.keys())
@@ -317,7 +320,12 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
         # unplaced station on a route is reachable.  max keeps the
         # first of tied values, so ties go to the smallest id
         j = max(sorted(stages), key=lambda i: stages[i][1])
-        _, assigned[j], b_j = stages.pop(j)
+        _, value, b_j = stages.pop(j)
+        # stages holds only reached stations and no stage value exceeds its
+        # bound, so of the domain piece's conditions only order needs a check
+        if value > last + 1e-9:
+            raise SolverDivergence(f"station {j} placed at {value}, above {last}")
+        assigned[j] = last = value
         bounds.append(b_j)
 
     y = tuple(assigned[j] for j in topo.spec.stations)
@@ -325,12 +333,9 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
     scale = max(1.0, max(vec, default=1.0))
     if residual > 1e-6 * scale:
         raise SolverDivergence(f"inversion residual {residual} for loads {vec}")
-    order = tuple(assigned)
-    if in_frontier_domain(topo, y, order) is None:
-        raise SolverDivergence(f"solution {y} left its own domain piece {list(order)}")
     return FrontierSolution(
         frontiers=y,
-        permutation=order,
+        permutation=tuple(assigned),
         stage_bounds=tuple(bounds),
         residual=residual,
         loads=tuple(vec),
@@ -398,8 +403,6 @@ def two_station_closed_form(
     deadlines: Sequence[float],
     q1: float,
     q2: float,
-    *,
-    atol: float = 1e-8,
 ) -> TwoStationSolution:
     """Closed-form frontiers for the two-station crossing network.
 
@@ -414,10 +417,10 @@ def two_station_closed_form(
     the equations.  The eight resulting candidate solutions are
     labelled I..VIII.  Every candidate is checked for self-consistency
     (it must land in the invertible domain and reproduce (q1, q2)
-    through the exact load map); the first consistent one is returned.
-    Raises NoConsistentRegion if none survives, which for valid inputs
-    indicates a numerical tolerance problem rather than a modelling
-    one.
+    through the exact load map, within 1e-8 * max(1, q1, q2)); the
+    first consistent one is returned.  Raises NoConsistentRegion if
+    none survives, which for valid inputs indicates a numerical
+    tolerance problem rather than a modelling one.
     """
     if len(rates) != 4 or len(deadlines) != 4:
         raise ValueError("need exactly four rates and four deadlines")
@@ -464,12 +467,12 @@ def two_station_closed_form(
 
     model = count_model(build_topology(_crossing_spec((l1, l2, l3, l4),
                                                       (d1, d2, d3, d4))))
-    scale = max(1.0, q1, q2)
+    atol = 1e-8 * max(1.0, q1, q2)
     for region, a, b in candidates:
-        if in_frontier_domain(model.topology, (a, b), atol=atol * scale) is None:
+        if in_frontier_domain(model.topology, (a, b), atol=atol) is None:
             continue
         back = frontier_loads(model, (a, b))
-        if abs(back[0] - q1) <= atol * scale and abs(back[1] - q2) <= atol * scale:
+        if abs(back[0] - q1) <= atol and abs(back[1] - q2) <= atol:
             return TwoStationSolution(region, (a, b))
     raise NoConsistentRegion(
         f"no closed-form region reproduces loads ({q1}, {q2})")

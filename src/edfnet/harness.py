@@ -30,9 +30,12 @@ import yaml
 
 from . import dists
 from .errors import (
+    DisconnectedNetwork,
+    EmptyStation,
     GridMismatch,
     NoSnapshots,
     ParseError,
+    RouteRepeatsStation,
     ValidationError,
 )
 from .frontier import (
@@ -370,8 +373,8 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     net = _network(_require(raw, "network", "config"), "network")
     try:
         build_topology(net)
-    except ValueError as exc:
-        raise ValidationError(f"network: {exc}")
+    except (ValueError, RouteRepeatsStation, EmptyStation, DisconnectedNetwork) as exc:
+        raise ValidationError(f"network: {exc}") from exc
     fields = _read_fields(raw.get("experiment") or {}, _EXPERIMENT_ROWS, "experiment")
     fields.update(_read_fields(raw.get("prediction") or {}, _PREDICTION_ROWS, "prediction"))
     if fields["grid"] is None:

@@ -215,7 +215,6 @@ def build_topology(spec: NetworkSpec) -> Topology:
 def in_frontier_domain(
     topo: Topology,
     y: Sequence[float],
-    perm: Optional[Sequence[int]] = None,
     *,
     atol: float = 1e-9,
 ) -> Optional[Tuple[int, ...]]:
@@ -226,21 +225,17 @@ def in_frontier_domain(
     is reachable through the earlier ones, the values are nonincreasing
     along it, and each value is at most the largest lead upper support
     among the classes reaching that station through the earlier ones.
-    Without ``perm``, orders are searched depth first in lexicographic
-    order, extending a prefix only with a station that passes those
-    checks and skipping a (placed set, last station) state already
-    found to have no completion, and the first complete order is
-    returned; with ``perm`` given, only that order is checked.  Returns
-    the witnessing permutation, or None.  Comparisons allow a slack of
-    ``atol`` so that solver output on a piece boundary is not rejected
-    for roundoff.
+    Orders are searched depth first in lexicographic order, extending a
+    prefix only with a station that passes those checks and skipping a
+    (placed set, last station) state already found to have no
+    completion.  Returns the first complete order, or None.
+    Comparisons allow a slack of ``atol`` so that a vector on a piece
+    boundary is not rejected for roundoff.
     """
     if len(y) != topo.station_count:
         raise ValueError(f"expected {topo.station_count} values, got {len(y)}")
     if any(math.isnan(v) for v in y):
         raise ValueError(f"frontier values must not be NaN, got {tuple(y)}")
-    if perm is not None and sorted(perm) != list(topo.spec.stations):
-        raise ValueError(f"{tuple(perm)} is not a permutation of the stations")
     order: List[int] = []
     # (placed stations, last station) states with no completion: what
     # can follow depends only on these, so tied values that reach one
@@ -263,8 +258,7 @@ def in_frontier_domain(
         state = (placed, order[-1] if order else 0)
         if state in dead:
             return False
-        ahead = topo.spec.stations if perm is None else [perm[len(order)]]
-        for j in ahead:
+        for j in topo.spec.stations:
             if fits(j, prev, placed):
                 order.append(j)
                 if extend(y[j - 1]):

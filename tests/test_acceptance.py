@@ -27,7 +27,6 @@ from edfnet import (
     build_topology,
     count_model,
     frontier_loads,
-    in_frontier_domain,
     mean_queue_length,
     new_sim,
     normalize_by_intensity,
@@ -39,6 +38,7 @@ from edfnet import (
     work_model,
 )
 from edfnet.harness import render_report_csv, render_report_yaml, report_to_dict
+from conftest import in_piece
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -123,8 +123,7 @@ def test_criterion_4_round_trip_random_networks(
             err = max(abs(a - b) for a, b in zip(back, loads))
             worst = max(worst, err)
             assert err <= 1e-8
-            assert in_frontier_domain(topo, sol.frontiers, sol.permutation) \
-                is not None
+            assert in_piece(topo, sol.frontiers, sol.permutation)
             checked += 1
     elapsed = time.perf_counter() - start
     assert checked == 1000

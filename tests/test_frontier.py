@@ -25,7 +25,6 @@ from edfnet import (
     build_topology,
     count_model,
     frontier_loads,
-    in_frontier_domain,
     normalize_by_intensity,
     predict_profile,
     solve_frontiers,
@@ -35,7 +34,7 @@ from edfnet import (
 from edfnet import frontier
 from edfnet.frontier import _stage_inverse, _Term
 from edfnet.harness import theory_cdf
-from conftest import fifo_lead_cdf, reaching
+from conftest import fifo_lead_cdf, in_piece, reaching
 
 THIRD = 1.0 / 3.0
 
@@ -220,7 +219,7 @@ def test_round_trip_on_random_networks(random_network, domain_vector):
             sol = solve_frontiers(model, loads)
             scale = max(1.0, max(abs(v) for v in y))
             assert max(abs(a - b) for a, b in zip(sol.frontiers, y)) <= 1e-8 * scale
-            assert in_frontier_domain(topo, sol.frontiers, sol.permutation) is not None
+            assert in_piece(topo, sol.frontiers, sol.permutation)
 
 
 def _distinct_stages(topo, perm):
@@ -256,6 +255,42 @@ def test_each_stage_solved_once_per_reach_set(random_network, monkeypatch):
             calls.clear()
             sol = solve_frontiers(model, rng.uniform(0.0, 40.0, spec.station_count))
             assert len(calls) == len(_distinct_stages(topo, sol.permutation))
+
+
+def test_solver_witnesses_its_own_domain_piece(random_network, monkeypatch):
+    """The stage loop checks its own order, so the solver never calls
+    the domain search, and its output on random networks and loads lies
+    in the piece of its permutation by the brute-force oracle."""
+    def no_search(*args, **kwargs):
+        raise AssertionError("solve_frontiers called in_frontier_domain")
+
+    monkeypatch.setattr(frontier, "in_frontier_domain", no_search)
+    assert solve_frontiers(crossing_model((400.0, 300.0, 200.0, 100.0)),
+                           (50.0, 58.0)).frontiers == pytest.approx((250.0, 188.0))
+    rng = np.random.default_rng(20261019)
+    for _ in range(40):
+        topo = build_topology(random_network(rng, max_stations=6, max_classes=8))
+        for model in (count_model(topo), normalize_by_intensity(work_model(topo))):
+            sol = solve_frontiers(model, rng.uniform(0.0, 40.0, topo.station_count))
+            assert in_piece(topo, sol.frontiers, sol.permutation)
+
+
+def test_stage_loop_rejects_a_rising_value(monkeypatch):
+    """On a two-station chain station 1 is placed first, at 60; a stage
+    inverse that then puts station 2 above it fails by station."""
+    model = count_model(build_topology(NetworkSpec(2, (
+        ClassSpec(id=1, route=(1, 2), arrival_rate=0.5, lead_time=PointMass(100.0)),))))
+    assert solve_frontiers(model, (20.0, 10.0)).frontiers == (60.0, 40.0)
+    calls = []
+
+    def rising(terms, target):
+        value, bound = _stage_inverse(terms, target)
+        calls.append(value)
+        return (value + 50.0 if len(calls) > 1 else value), bound
+
+    monkeypatch.setattr(frontier, "_stage_inverse", rising)
+    with pytest.raises(SolverDivergence, match=r"^station 2 placed at 90\.0, above 60\.0$"):
+        solve_frontiers(model, (20.0, 10.0))
 
 
 # -------- profile prediction --------
@@ -471,9 +506,11 @@ def test_closed_form_validates_input():
         two_station_closed_form(rates, deadlines, 5.0, math.inf)
 
 
-def test_closed_form_zero_tolerance_finds_nothing():
-    """With one-third rates every candidate back-substitutes with a tiny
-    but nonzero float residual, so a zero tolerance rejects them all."""
+def test_closed_form_without_a_consistent_candidate(monkeypatch):
+    """Every candidate is checked against the exact load map, so when
+    no candidate reproduces the loads the closed form says so."""
     rates, deadlines = CASE_A
+    exact = frontier.frontier_loads
+    monkeypatch.setattr(frontier, "frontier_loads", lambda model, y: exact(model, y) + 1.0)
     with pytest.raises(NoConsistentRegion):
-        two_station_closed_form(rates, deadlines, 50.0, 58.0, atol=0.0)
+        two_station_closed_form(rates, deadlines, 50.0, 58.0)

@@ -327,6 +327,28 @@ def test_embedded_class_errors_become_validation_errors():
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize(
+    "stations, routes, fault",
+    [
+        (2, [[1, 2], [3]], "visits station 3"),
+        (2, [[1, 1], [2, 1]], "repeats a station"),
+        (3, [[1, 2], [2, 1]], "station 3 is visited by no class"),
+        (2, [[1], [2]], "not connected to station 1"),
+    ],
+    ids=["outside", "repeat", "empty", "disconnected"],
+)
+def test_network_faults_name_the_network(stations, routes, fault):
+    """Every fault build_topology finds in a parsed network fails as a
+    ValidationError under the ``network`` path, chained to its cause."""
+    raw = {"network": {"stations": stations, "classes": [
+        {"id": k, "route": route, "arrival_rate": 0.5,
+         "lead_time": {"kind": "point", "value": 10.0}}
+        for k, route in enumerate(routes, start=1)]}}
+    with pytest.raises(ValidationError, match="^network: .*" + re.escape(fault)) as info:
+        config_from_dict(raw)
+    assert info.value.__cause__ is not None
+
+
 def test_condition_kinds_parse():
     base = {"network": {"stations": 1, "classes": [
         {"id": 1, "route": [1], "arrival_rate": 0.5,

@@ -502,6 +502,45 @@ def test_different_seeds_differ():
     assert (a.events_processed, workload(a, 1)) != (b.events_processed, workload(b, 1))
 
 
+@pytest.mark.parametrize("preemptive", [False, True], ids=["nonpreemptive", "preemptive"])
+def test_relabelling_permutes_the_run_and_nothing_else(preemptive):
+    """Renaming stations by sigma and classes by tau permutes every
+    per-station statistic and every class count, bit for bit.  Streams
+    are keyed by class and station id, so the gaps and services are
+    scripted and the leads are points; the scripted times are drawn
+    once from a continuous law, so no two events tie and no tie-break
+    by id can tell the two runs apart."""
+    rng = np.random.default_rng(20261019)
+    routes = {1: (1, 2, 3), 2: (2, 3), 3: (3, 1)}
+    leads = {1: 30.0, 2: 20.0, 3: 10.0}
+    scripts = {k: (rng.exponential(2.5, 400),
+                   {j: rng.exponential(0.6, 400) for j in route})
+               for k, route in routes.items()}
+    sigma, tau = {1: 3, 2: 1, 3: 2}, {1: 2, 2: 3, 3: 1}
+
+    def run(station, cls):
+        spec = NetworkSpec(3, tuple(
+            scripted_class(cls[k], tuple(station[j] for j in routes[k]), gaps=gaps,
+                           services={station[j]: s for j, s in services.items()},
+                           lead=leads[k], rate=0.4)
+            for k, (gaps, services) in scripts.items()))
+        sim = new_sim(spec, seed=0, preemptive=preemptive)
+        run_until(sim, 400.0)
+        return sim
+
+    same = {1: 1, 2: 2, 3: 3}
+    a, b = run(same, same), run(sigma, tau)
+    assert a.events_processed == b.events_processed > 1000
+    assert a.superseded == b.superseded and (a.superseded > 0) == preemptive
+    for j in (1, 2, 3):
+        s = sigma[j]
+        assert behind_frontier_stats(a, j) == behind_frontier_stats(b, s)
+        assert workload(a, j) == workload(b, s)
+        assert idleness(a, j) == idleness(b, s)
+        counts = class_counts(b, s)
+        assert class_counts(a, j) == tuple(counts[tau[k] - 1] for k in (1, 2, 3))
+
+
 def test_mm1_sanity():
     spec = NetworkSpec(1, (
         ClassSpec(id=1, route=(1,), arrival_rate=0.5, lead_time=PointMass(1.0)),

@@ -173,7 +173,6 @@ def test_domain_witness_on_large_chain():
     topo = build_topology(spec)
     y = tuple(5.0 - 0.25 * m for m in range(J))
     assert in_frontier_domain(topo, y) == tuple(range(1, J + 1))
-    assert in_frontier_domain(topo, y, perm=tuple(range(1, J + 1))) == tuple(range(1, J + 1))
     assert in_frontier_domain(topo, y[::-1]) is None
 
 
@@ -329,12 +328,6 @@ def test_domain_membership_crossing():
     assert in_frontier_domain(topo, (100.0, 350.0)) is None
 
 
-def test_domain_membership_single_perm_argument():
-    topo = build_topology(crossing())
-    assert in_frontier_domain(topo, (250.0, 188.0), perm=(1, 2)) == (1, 2)
-    assert in_frontier_domain(topo, (250.0, 188.0), perm=(2, 1)) is None
-
-
 def test_domain_membership_tolerates_roundoff():
     topo = build_topology(crossing())
     assert in_frontier_domain(topo, (200.0, 200.0 + 5e-10)) is not None
@@ -345,19 +338,17 @@ def test_domain_membership_validates_input():
     topo = build_topology(crossing())
     with pytest.raises(ValueError):
         in_frontier_domain(topo, (1.0, 2.0, 3.0))
-    with pytest.raises(ValueError):
-        in_frontier_domain(topo, (1.0, 1.0), perm=(1, 1))
     with pytest.raises(ValueError, match="NaN"):
         in_frontier_domain(topo, (math.nan, math.nan))
     with pytest.raises(ValueError, match="NaN"):
-        in_frontier_domain(topo, (1.0, math.nan), perm=(1, 2))
+        in_frontier_domain(topo, (1.0, math.nan))
 
 
 def test_domain_witness_matches_oracle(random_network, domain_vector):
     """The witness search returns the exhaustive oracle's first passing
     order on domain vectors, uniform random vectors and near-tie
     vectors (values 0.6e-9 apart, at a random level or at a class's
-    upper support), and checks a given order exactly as the oracle does."""
+    upper support)."""
     rng = np.random.default_rng(20261018)
     found = {True: 0, False: 0}
     for _ in range(50):
@@ -373,9 +364,6 @@ def test_domain_witness_matches_oracle(random_network, domain_vector):
                 want = next((pi for pi in orders if in_piece(topo, y, pi)), None)
                 assert in_frontier_domain(topo, y) == want, (topo.spec, y)
                 found[want is not None] += 1
-                pi = orders[int(rng.integers(0, len(orders)))]
-                assert in_frontier_domain(topo, y, perm=pi) == (
-                    pi if in_piece(topo, y, pi) else None)
     assert min(found.values()) > 300, found
 
 
