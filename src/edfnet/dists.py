@@ -1,11 +1,12 @@
 """Sampling laws for interarrival and service times.
 
 These are descriptors, not streams: a law is immutable and stateless,
-and ``sampler(rng)`` returns a fresh draw() callable bound to the given
-generator.  Random laws draw in blocks to keep the per-draw overhead
-out of the event loop; the scripted Sequence law replays a fixed list
-and then repeats a final value (infinity by default, i.e. no further
-arrivals).
+``draws(rng)`` returns a fresh iterator of draws from the given
+generator, and ``sampler(rng)`` its draw() callable.  Random laws draw
+in blocks to keep the per-draw overhead out of the event loop; the
+scripted Sequence law replays a fixed list and then repeats a final
+value (infinity by default, i.e. no further arrivals).  Every iterator
+is built from ``itertools`` parts, so a draw is one C-level step.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -24,22 +25,26 @@ _BLOCK = 1024
 
 
 class SamplingLaw:
-    """Interface: a mean (None when undefined) and a sampler factory."""
+    """Interface: a mean (None when undefined) and a draw-stream factory."""
 
     #: reciprocal-rate consistency checks use this; None disables them
     mean: Optional[float] = None
 
-    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
+    def draws(self, rng: np.random.Generator) -> Iterator[float]:
         raise NotImplementedError
 
+    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
+        """draw(): the next value of ``draws(rng)``."""
+        return self.draws(rng).__next__
 
-def _block_sampler(draw_block: Callable[[int], np.ndarray]) -> Callable[[], float]:
-    """draw() over blocks of _BLOCK values, each drawn when the last runs
-    out and held as an ``array('d')`` of the same float64 bits, so a
-    draw is one C-level step that returns a Python float."""
+
+def _blocks(draw_block: Callable[[int], np.ndarray]) -> Iterator[float]:
+    """The values of blocks of _BLOCK draws, each drawn when the last
+    runs out and held as an ``array('d')`` of the same float64 bits, so
+    each value is a Python float."""
     blocks = (array("d", np.asarray(draw_block(_BLOCK), dtype=np.float64).tobytes())
               for _ in repeat(None))
-    return chain.from_iterable(blocks).__next__
+    return chain.from_iterable(blocks)
 
 
 @dataclass(frozen=True)
@@ -54,9 +59,9 @@ class Exponential(SamplingLaw):
     def mean(self) -> float:
         return 1.0 / self.rate
 
-    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
+    def draws(self, rng: np.random.Generator) -> Iterator[float]:
         scale = 1.0 / self.rate
-        return _block_sampler(lambda n: rng.exponential(scale, n))
+        return _blocks(lambda n: rng.exponential(scale, n))
 
 
 @dataclass(frozen=True)
@@ -71,9 +76,8 @@ class Deterministic(SamplingLaw):
     def mean(self) -> float:
         return self.value
 
-    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
-        value = self.value
-        return lambda: value
+    def draws(self, rng: np.random.Generator) -> Iterator[float]:
+        return repeat(self.value)
 
 
 @dataclass(frozen=True)
@@ -89,8 +93,8 @@ class UniformLaw(SamplingLaw):
     def mean(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
-        return _block_sampler(lambda n: rng.uniform(self.lo, self.hi, n))
+    def draws(self, rng: np.random.Generator) -> Iterator[float]:
+        return _blocks(lambda n: rng.uniform(self.lo, self.hi, n))
 
 
 @dataclass(frozen=True)
@@ -114,10 +118,5 @@ class Sequence(SamplingLaw):
         if not self.then > 0.0:
             raise ValueError(f"then must be positive, got {self.then!r}")
 
-    def sampler(self, rng: np.random.Generator) -> Callable[[], float]:
-        it = iter(self.values)
-
-        def draw() -> float:
-            return next(it, self.then)
-
-        return draw
+    def draws(self, rng: np.random.Generator) -> Iterator[float]:
+        return chain(self.values, repeat(self.then))

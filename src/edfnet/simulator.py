@@ -3,7 +3,7 @@
 Customers arrive per class through renewal streams, carry an absolute
 deadline (arrival time plus a draw from the class lead-time law), and
 are served at each station on their route in earliest-deadline-first
-order, ties broken by arrival index to the system and then class id.
+order, ties broken by arrival index to the system, which is unique.
 Service is non-preemptive by default; with ``preemptive=True`` a more
 urgent arrival suspends the current job and the remainder is served
 later (preempt-resume).  Transfers between stations are instantaneous.
@@ -19,24 +19,26 @@ strictly below the station's overall frontier are "behind" it; their
 count and residual work are tracked continuously since they measure
 how far the system deviates from the idealized profile ordering.
 
-Everything is deterministic given the seed: every (class, purpose)
-pair draws from its own generator derived from the seed, and
+Everything is deterministic given the seed: every (class, purpose,
+station) stream draws from its own generator derived from the seed, and
 simultaneous events are ordered departures-first, then by station id,
 then by scheduling order.
 
 One loop, ``SimState._run``, processes every event.  An arrival reads
-one row per class id, built once: the route, the interarrival and
-lead-time draws, and the service draws in route order.  A customer
-carries its EDF key (deadline, arrival index, class id), and pending
-heaps hold (key, customer) pairs.  An event changes at most two
-stations, and each goes through one block: integrate the station,
-then release its server (a departure) or admit the customer moving in
-(an arrival, or a departure routed onward), then start whoever takes
-the server.  Each start bumps the station's token and stamps its
-departure event with it, so a preemption voids the displaced job's
-departure in the heap.  ``conditional_sample`` checks its condition
-between batches of events, each as long as the condition's distance
-allows.
+one row per class id, built once: the route and a joint draw, one
+C-level call that reads each of the class's streams once and returns
+the service times in route order, the lead time and the gap to the
+next arrival.  A customer is a bare slotted record that the loop fills
+in, and pending heaps hold flat (deadline, arrival index, customer)
+entries; since arrival indices are unique, no entry compares past its
+index.  An event changes at most two stations, and each goes through
+one block: integrate the station, then release its server (a
+departure) or admit the customer moving in (an arrival, or a departure
+routed onward), then start whoever takes the server.  Each start bumps
+the station's token and stamps its departure event with it, so a
+preemption voids the displaced job's departure in the heap.
+``conditional_sample`` checks its condition between batches of events,
+each as long as the condition's distance allows.
 
 Time integrals (idle time, present count, behind count and behind
 work) are kept per station and brought up to date lazily: the loop
@@ -91,17 +93,13 @@ _ARRIVE = 1
 
 
 class _Customer:
-    __slots__ = ("class_id", "deadline", "key", "route", "route_pos",
-                 "service_times", "remaining")
+    """One customer; ``SimState._run`` sets every slot on arrival, so
+    there is no ``__init__`` to call.  ``draws`` is its row's joint draw:
+    the service time at each route station in route order, then the
+    lead time and the gap to the class's next arrival."""
 
-    def __init__(self, class_id, arrival_index, deadline, route, service_times):
-        self.class_id = class_id
-        self.deadline = deadline
-        self.key = (deadline, arrival_index, class_id)
-        self.route = route
-        self.route_pos = 0
-        self.service_times = service_times
-        self.remaining = service_times[0]
+    __slots__ = ("class_id", "deadline", "index", "route", "route_pos",
+                 "draws", "remaining")
 
 
 class _Station:
@@ -140,8 +138,10 @@ class SimState:
     up to ``limit`` events at or before ``until``, and every station an
     event changes goes through one station block.  ``run_until`` runs
     it without a limit and ``conditional_sample`` in batches; a limit
-    of one steps the run event by event.  The sequence number, arrival count and
-    clock are loop locals, written back when the batch ends.
+    of one steps the run event by event.  The sequence number, arrival
+    count and clock are loop locals, written back when the batch ends.
+    Each station's ``pending`` heap holds (deadline, arrival index,
+    customer) entries.
     ``events_processed`` counts every event popped, including a
     departure that a preemption superseded (its token no longer
     matches): such an event only moves the clock, since each station
@@ -172,22 +172,21 @@ class SimState:
             st = self.stations[j]
             st.max_admitted = max(st.max_by_class[1:])
 
-        # one row per class id: (route, draw_gap, draw_lead, draw_services).
-        # One independent generator per (class, purpose); purposes are
-        # 1=interarrival, 2=lead time, 3=service at a given station.  First
-        # arrivals are pushed in spec.classes order, which breaks their ties.
+        # one row per class id: (route, draw), where draw() returns the
+        # services in route order, the lead and the next gap in one
+        # C-level step.  One independent generator per (class, purpose,
+        # station); purposes are 1=interarrival, 2=lead time, 3=service
+        # at a given station.  First arrivals are pushed in spec.classes
+        # order, which breaks their ties.
         self._rows: List[Optional[tuple]] = [None] * (K + 1)
         for c in spec.classes:
-            gap_law = c.interarrival or dists.Exponential(c.arrival_rate)
-            draw_gap = gap_law.sampler(self._stream(1, c.id, 0))
-            self._rows[c.id] = (
-                c.route,
-                draw_gap,
-                dists._block_sampler(partial(c.lead_time.sample, self._stream(2, c.id, 0))),
-                tuple((c.service_law(j) or dists.Exponential(c.service_rate(j)))
-                      .sampler(self._stream(3, c.id, j)) for j in c.route),
-            )
-            first = draw_gap()
+            gaps = (c.interarrival or dists.Exponential(c.arrival_rate)).draws(
+                self._stream(1, c.id, 0))
+            services = [(c.service_law(j) or dists.Exponential(c.service_rate(j)))
+                        .draws(self._stream(3, c.id, j)) for j in c.route]
+            leads = dists._blocks(partial(c.lead_time.sample, self._stream(2, c.id, 0)))
+            first = next(gaps)
+            self._rows[c.id] = (c.route, zip(*services, leads, gaps).__next__)
             if math.isfinite(first):
                 self._seq += 1
                 heappush(self._heap, (first, _ARRIVE, c.route[0], self._seq, c.id))
@@ -201,33 +200,43 @@ class SimState:
         the customer moving in, ``None`` when the server departs; one
         pass per station then integrates, releases or admits, and
         starts service.  A departing customer with a station left on
-        its route moves in there on the next pass."""
+        its route moves in there on the next pass.  A newcomer preempts
+        (under preempt-resume) only with a smaller (deadline, arrival
+        index) than the server's."""
         heap, stations, rows = self._heap, self.stations, self._rows
-        preemptive, isfinite = self.preemptive, math.isfinite
+        preemptive, isfinite, customer = self.preemptive, math.isfinite, _Customer
         seq, arrivals, now = self._seq, self._arrival_counter, self.clock
         done = superseded = 0
         while done < limit and heap and heap[0][0] <= until:
             now, kind, sid, _, payload = heappop(heap)
             done += 1
+            st = stations[sid]
             if kind == _DEPART:
-                st = stations[sid]
                 if payload != st.token:
                     superseded += 1  # voided by a preemption
                     continue
                 moving = None
             else:
-                route, draw_gap, draw_lead, draw_services = rows[payload]
+                # an arrival event names the first station on the route
+                route, draw = rows[payload]
+                draws = draw()
                 arrivals += 1
-                moving = _Customer(payload, arrivals, now + draw_lead(), route,
-                                   tuple([draw() for draw in draw_services]))
-                gap = draw_gap()
+                moving = customer()
+                moving.class_id = payload
+                moving.deadline = now + draws[-2]
+                moving.index = arrivals
+                moving.route = route
+                moving.route_pos = 0
+                moving.draws = draws
+                moving.remaining = draws[0]
+                gap = draws[-1]
                 if isfinite(gap):
                     seq += 1
-                    heappush(heap, (now + gap, _ARRIVE, route[0], seq, payload))
-                st = stations[route[0]]
+                    heappush(heap, (now + gap, _ARRIVE, sid, seq, payload))
             while True:
                 # integrate st up to now; its state changes next
-                dt = now - st.last_t
+                last = st.last_t
+                dt = now - last
                 serving = st.serving
                 if serving is None:
                     st.idle_time += dt
@@ -235,7 +244,7 @@ class SimState:
                     behind, work = st.pending_behind, st.pending_behind_work * dt
                     if st.serving_behind:
                         behind += 1
-                        work += (st.serving_dep - st.last_t) * dt - 0.5 * dt * dt
+                        work += (st.serving_dep - last) * dt - 0.5 * dt * dt
                     st.int_present += st.present * dt
                     st.int_behind += behind * dt
                     st.int_behind_work += work
@@ -246,7 +255,7 @@ class SimState:
                     st.class_counts[moving.class_id] -= 1
                     st.present -= 1
                     if st.pending:
-                        _, start = heappop(st.pending)
+                        start = heappop(st.pending)[2]
                         st.pending_work -= start.remaining
                         if start.deadline < st.max_admitted:
                             st.pending_behind -= 1
@@ -261,12 +270,14 @@ class SimState:
                     st.class_counts[start.class_id] += 1
                     st.present += 1
                     if serving is not None:
-                        if preemptive and start.key < serving.key:
+                        deadline = start.deadline
+                        if preemptive and (deadline < serving.deadline or (
+                                deadline == serving.deadline and start.index < serving.index)):
                             # the server's remainder waits; start takes its place
                             serving.remaining = st.serving_dep - now
                         else:
                             serving, start = start, None  # the newcomer waits
-                        heappush(st.pending, (serving.key, serving))
+                        heappush(st.pending, (serving.deadline, serving.index, serving))
                         st.pending_work += serving.remaining
                         if serving.deadline < st.max_admitted:
                             st.pending_behind += 1
@@ -279,17 +290,19 @@ class SimState:
                         if deadline > st.max_admitted:
                             st.max_admitted = deadline
                     st.serving = start
-                    st.token += 1
+                    st.token = token = st.token + 1
                     st.serving_dep = dep = now + start.remaining
                     seq += 1
-                    heappush(heap, (dep, _DEPART, st.sid, seq, st.token))
+                    heappush(heap, (dep, _DEPART, sid, seq, token))
                 if moving is None:
                     break
-                moving.route_pos += 1
-                if moving.route_pos == len(moving.route):
+                moving.route_pos = pos = moving.route_pos + 1
+                route = moving.route
+                if pos == len(route):
                     break
-                moving.remaining = moving.service_times[moving.route_pos]
-                st = stations[moving.route[moving.route_pos]]
+                moving.remaining = moving.draws[pos]
+                sid = route[pos]
+                st = stations[sid]
         self._seq, self._arrival_counter, self.clock = seq, arrivals, now
         self.events_processed += done
         self.superseded += superseded
@@ -527,7 +540,7 @@ def snapshot_profiles(sim: SimState) -> Snapshot:
     now = sim.clock
     stations = {}
     for st in sim.stations[1:]:
-        pairs = [(c.class_id, c.deadline - now) for _, c in st.pending]
+        pairs = [(c.class_id, c.deadline - now) for _, _, c in st.pending]
         if st.serving is not None:
             pairs.append((st.serving.class_id, st.serving.deadline - now))
         pairs.sort(key=lambda p: (p[1], p[0]))

@@ -211,6 +211,37 @@ def test_equal_deadlines_break_by_arrival_order():
     assert queue_length(sim, 1) == 1
 
 
+@pytest.mark.parametrize("preemptive,starts", [
+    (False, [(0.5, 3), (10.5, 2), (14.5, 1), (19.5, 2), (23.5, 1)]),
+    (True, [(0.5, 3), (1.0, 2), (5.0, 1), (10.0, 2), (14.0, 1), (19.0, 3)]),
+], ids=["nonpreemptive", "preemptive"])
+def test_equal_deadlines_of_different_classes_start_in_arrival_order(preemptive, starts):
+    """Classes 2 and 1 arrive in turn at t = 1, 2, 3, 4 with deadlines
+    12, 12, 14, 14, behind a class-3 job (t = 0.5, 10 units, deadline
+    1000.5).  Each equal-deadline pair starts in arrival order, class 2
+    first, although class 1 has the smaller id; under preempt-resume
+    the first class-2 customer displaces the class-3 job and no
+    equal-deadline newcomer displaces the server."""
+    spec = NetworkSpec(1, (
+        scripted_class(1, (1,), gaps=[2.0, 2.0], services={1: [5.0, 5.0]}, lead=10.0),
+        scripted_class(2, (1,), gaps=[1.0, 2.0], services={1: [4.0, 4.0]}, lead=11.0),
+        scripted_class(3, (1,), gaps=[0.5], services={1: [10.0]}, lead=1000.0),
+    ))
+    sim = new_sim(spec, seed=0, preemptive=preemptive)
+    st = sim.stations[1]
+    seen, token = [], st.token
+
+    def record(s):
+        nonlocal token
+        if st.token != token:
+            token = st.token
+            seen.append((s.clock, st.serving.class_id))
+
+    run_each(sim, 40.0, record)
+    assert seen == starts
+    assert queue_length(sim, 1) == 0
+
+
 def test_departure_precedes_arrival_at_same_instant():
     """A transfer landing at the same instant as a fresh arrival is
     admitted first (departures sort before arrivals)."""
@@ -307,12 +338,14 @@ def test_workload_identity_at_every_event():
 
 
 class _Recount:
-    """Called after every event: each station's running counters equal
-    a recount from its pending heap and server, its frontier never moves
-    back, its workload equals netput plus idleness, and its server holds
-    the smallest key: since service started (non-preemptive) or right
-    now (preempt-resume).  Counts the behind customers and the order
-    checks it saw."""
+    """Called after every event: each station's pending heap holds flat
+    (deadline, arrival index, customer) entries, its customers have
+    distinct arrival indices, its running counters equal a recount from
+    its pending heap and server, its frontier never moves back, its
+    workload equals netput plus idleness, and its server holds the
+    smallest (deadline, arrival index): since service started
+    (non-preemptive) or right now (preempt-resume).  Counts the behind
+    customers and the order checks it saw."""
 
     def __init__(self, sim):
         self.last_max = [-math.inf] * len(sim.stations)
@@ -321,9 +354,11 @@ class _Recount:
 
     def __call__(self, s):
         for st in s.stations[1:]:
-            held = [c for _, c in st.pending]
+            held = [c for _, _, c in st.pending]
+            assert st.pending == [(c.deadline, c.index, c) for c in held]
             behind = [c for c in held if c.deadline < st.max_admitted]
             present = held if st.serving is None else held + [st.serving]
+            assert len({c.index for c in present}) == len(present)
             counts = [0] * len(st.class_counts)
             for c in present:
                 counts[c.class_id] += 1
@@ -348,7 +383,8 @@ class _Recount:
             started = st.token != self.last_token[j]
             self.last_token[j] = st.token
             if st.serving is not None and (s.preemptive or started):
-                assert all(st.serving.key <= c.key for c in held)
+                first = (st.serving.deadline, st.serving.index)
+                assert all(first < (c.deadline, c.index) for c in held)
                 self.order_checks += bool(held)
 
 
@@ -385,7 +421,7 @@ def test_superseded_departures_are_counted_apart(random_network, preemptive):
 
         def collect(s):
             for st in s.stations[1:]:
-                for _, c in st.pending:
+                for _, _, c in st.pending:
                     seen[id(c)] = c
                 if st.serving is not None:
                     seen[id(st.serving)] = st.serving
@@ -492,6 +528,59 @@ def test_determinism_same_seed():
     for j in (1, 2):
         assert workload(a, j) == workload(b, j)
         assert station_frontier(a, j) == station_frontier(b, j)
+
+
+def test_each_customer_carries_the_nth_draw_of_its_class_streams():
+    """The n-th customer of class k arrives at the sum of the first n
+    draws of stream (seed, 1, k, 0), its lead is the n-th draw of stream
+    (seed, 2, k, 0), and at route station j its service is the n-th
+    draw of stream (seed, 3, k, j): every stream is its own generator,
+    read once per arrival of its class.  Class 1 visits stations 1 and
+    2; over a thousand customers a class cross the first block seam."""
+    seed, block = 7, dists._BLOCK
+    leads = {1: Uniform(50.0, 90.0),
+             2: PiecewiseLinearCDF([(5.0, 0.2), (40.0, 0.7), (90.0, 1.0)])}
+    spec = NetworkSpec(2, (
+        ClassSpec(id=1, route=(1, 2), arrival_rate=0.3, lead_time=leads[1],
+                  service_rates={1: 2.0, 2: 3.0}),
+        ClassSpec(id=2, route=(2,), arrival_rate=0.25, lead_time=leads[2],
+                  service_rates=2.5),
+    ))
+    sim = new_sim(spec, seed=seed)
+    seen = {}
+
+    def collect(s):
+        """Each customer's first sight, which is its arrival, and its
+        remaining work at each station, which is the whole service
+        draw: nothing preempts."""
+        for st in s.stations[1:]:
+            for c in [c for _, _, c in st.pending] + [st.serving]:
+                if c is not None:
+                    seen.setdefault(id(c), (s.clock, {}, c))[1][st.sid] = c.remaining
+
+    run_each(sim, 4600.0, collect)
+
+    def stream(purpose, k, j, draw_block):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, purpose, k, j)))
+        return np.concatenate([draw_block(rng) for _ in range(2)]).tolist()
+
+    for c in spec.classes:
+        mine = sorted((v for v in seen.values() if v[2].class_id == c.id),
+                      key=lambda v: v[2].index)
+        assert block < len(mine) < 2 * block
+        gaps = stream(1, c.id, 0, lambda rng: rng.exponential(1.0 / c.arrival_rate, block))
+        lead = stream(2, c.id, 0, lambda rng: leads[c.id].sample(rng, block))
+        service = {j: stream(3, c.id, j,
+                             lambda rng: rng.exponential(1.0 / c.service_rate(j), block))
+                   for j in c.route}
+        t = 0.0
+        for n, (arrival, services, customer) in enumerate(mine):
+            t += gaps[n]
+            assert arrival == t
+            assert customer.deadline == t + lead[n]
+            assert list(services) == list(c.route[:len(services)])
+            assert services == {j: service[j][n] for j in services}
+        assert sum(len(services) == len(c.route) for _, services, _ in mine) > block
 
 
 def test_different_seeds_differ():

@@ -279,7 +279,7 @@ _PIECEWISE = PiecewiseLinearCDF([(5.0, 0.2), (40.0, 0.7), (90.0, 1.0)])
                  lambda rng, n: rng.exponential(1.0 / 2.5, n), id="exponential"),
     pytest.param(lambda rng: dists.UniformLaw(0.5, 3.0).sampler(rng),
                  lambda rng, n: rng.uniform(0.5, 3.0, n), id="uniform"),
-    pytest.param(lambda rng: dists._block_sampler(lambda n: _PIECEWISE.sample(rng, n)),
+    pytest.param(lambda rng: dists._blocks(lambda n: _PIECEWISE.sample(rng, n)).__next__,
                  _PIECEWISE.sample, id="piecewise"),
 ])
 def test_block_sampler_draws_the_generator_blocks(make_draw, block):
