@@ -140,8 +140,6 @@ class SimState:
     it without a limit and ``conditional_sample`` in batches; a limit
     of one steps the run event by event.  The sequence number, arrival
     count and clock are loop locals, written back when the batch ends.
-    Each station's ``pending`` heap holds (deadline, arrival index,
-    customer) entries.
     ``events_processed`` counts every event popped, including a
     departure that a preemption superseded (its token no longer
     matches): such an event only moves the clock, since each station
