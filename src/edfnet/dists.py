@@ -1,12 +1,13 @@
 """Sampling laws for interarrival and service times.
 
-These are descriptors, not streams: a law is immutable and stateless,
+These are descriptors, not streams: a law is immutable and stateless;
 ``draws(rng)`` returns a fresh iterator of draws from the given
 generator, and ``sampler(rng)`` its draw() callable.  Random laws draw
 in blocks to keep the per-draw overhead out of the event loop; the
 scripted Sequence law replays a fixed list and then repeats a final
 value (infinity by default, i.e. no further arrivals).  Every iterator
-is built from ``itertools`` parts, so a draw is one C-level step.
+is built from ``itertools`` parts, so a draw is one C-level step, a
+block refill aside.
 """
 
 from __future__ import annotations
