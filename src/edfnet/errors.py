@@ -8,6 +8,22 @@ the config parser reports such values as ValidationError naming their
 path.
 """
 
+__all__ = [
+    "EdfnetError",
+    "RouteRepeatsStation",
+    "EmptyStation",
+    "DisconnectedNetwork",
+    "ClassDoesNotVisitStation",
+    "NegativeWorkload",
+    "ZeroIntensity",
+    "SolverDivergence",
+    "NoConsistentRegion",
+    "ParseError",
+    "ValidationError",
+    "NoSnapshots",
+    "GridMismatch",
+]
+
 
 class EdfnetError(Exception):
     """Base class for all package-specific errors."""

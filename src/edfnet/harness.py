@@ -54,6 +54,7 @@ from .simulator import (
     ExactCounts,
     Snapshot,
     TotalCounts,
+    _check_condition,
     behind_frontier_stats,
     conditional_sample,
     new_sim,
@@ -376,11 +377,22 @@ def config_from_dict(raw: Mapping) -> ExperimentConfig:
     except (ValueError, RouteRepeatsStation, EmptyStation, DisconnectedNetwork) as exc:
         raise ValidationError(f"network: {exc}") from exc
     fields = _read_fields(raw.get("experiment") or {}, _EXPERIMENT_ROWS, "experiment")
+    if fields["condition"] is not None:
+        _fit_condition(fields["condition"], net)
     fields.update(_read_fields(raw.get("prediction") or {}, _PREDICTION_ROWS, "prediction"))
     if fields["grid"] is None:
         hi = max(c.lead_time.upper_support for c in net.classes)
         fields["grid"] = tuple(float(v) for v in np.linspace(0.0, 1.05 * hi, 211))
     return ExperimentConfig(network=net, **fields)
+
+
+def _fit_condition(condition: Condition, network: NetworkSpec) -> None:
+    """The sampler's check that a condition fits the network, its
+    message placed under ``experiment.condition``."""
+    try:
+        _check_condition(condition, network)
+    except ValidationError as exc:
+        raise ValidationError(f"experiment.condition: {exc}") from exc
 
 
 def config_to_dict(cfg: ExperimentConfig) -> Dict:
@@ -486,7 +498,7 @@ class ProfileReport:
 def _conditioning_loads(condition: Condition, network: NetworkSpec) -> List[float]:
     """The loads a prediction inverts: the condition's station totals
     (``condition.totals()``) in station order.  Every station must be
-    covered; ``conditional_sample`` checks the rest of the fit."""
+    covered; ``_fit_condition`` checks the rest of the fit."""
     totals = condition.totals()
     station_count = network.station_count
     missing = [j for j in range(1, station_count + 1) if j not in totals]
@@ -526,8 +538,9 @@ def run_experiment(cfg: ExperimentConfig) -> ProfileReport:
     flagged partial; with no snapshots at all the bands are undefined
     and NoSnapshots is raised.  Every condition fixes customer counts,
     so the prediction must weigh customers (``prediction.weights:
-    count``); a config without a condition, or with work weights,
-    raises ValidationError before any seed runs.
+    count``); a config without a condition, with a condition that does
+    not fit the network, or with work weights, raises ValidationError
+    before any seed runs.
     """
     if cfg.condition is None:
         raise ValidationError("experiment.condition is required to run an experiment")
@@ -539,6 +552,7 @@ def run_experiment(cfg: ExperimentConfig) -> ProfileReport:
         raise ValidationError(
             f"prediction.weights: an experiment conditions on customer counts, "
             f"so it needs 'count', got {cfg.weight_kind!r}")
+    _fit_condition(cfg.condition, cfg.network)
     J = cfg.network.station_count
     loads = _conditioning_loads(cfg.condition, cfg.network)
     quota = -(-cfg.snapshot_count // len(cfg.seeds))  # ceil division

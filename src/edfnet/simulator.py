@@ -359,6 +359,15 @@ class BehindStats:
     behind_work_integral: float
 
 
+def _whole(value, what: str) -> int:
+    """A Python or numpy integer as an int; a float, a bool or anything
+    else raises ValueError naming the value, where ``int()`` would
+    have truncated it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExactCounts:
     """Condition: per-class queue vector at each listed station."""
@@ -366,8 +375,9 @@ class ExactCounts:
     targets: Mapping[int, Tuple[int, ...]]
 
     def __post_init__(self):
-        object.__setattr__(self, "targets", {int(j): tuple(int(n) for n in vec)
-                                             for j, vec in self.targets.items()})
+        object.__setattr__(self, "targets", {
+            _whole(j, "station id"): tuple(_whole(n, "count") for n in vec)
+            for j, vec in self.targets.items()})
         if any(n < 0 for vec in self.targets.values() for n in vec):
             raise ValueError(f"counts must be nonnegative, got {self.targets}")
 
@@ -388,8 +398,9 @@ class CountBands:
     bands: Mapping[int, Tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "bands", {int(j): (int(lo), int(hi))
-                                           for j, (lo, hi) in self.bands.items()})
+        object.__setattr__(self, "bands", {
+            _whole(j, "station id"): (_whole(lo, "count"), _whole(hi, "count"))
+            for j, (lo, hi) in self.bands.items()})
         if any(not 0 <= lo <= hi for lo, hi in self.bands.values()):
             raise ValueError(f"bands must satisfy 0 <= lo <= hi, got {self.bands}")
 
@@ -417,7 +428,8 @@ class TotalCounts(CountBands):
     its configs hash apart from the band's."""
 
     def __init__(self, targets: Mapping[int, int]):
-        targets = {int(j): int(n) for j, n in targets.items()}
+        targets = {_whole(j, "station id"): _whole(n, "count")
+                   for j, n in targets.items()}
         if any(n < 0 for n in targets.values()):
             raise ValueError(f"counts must be nonnegative, got {targets}")
         super().__init__({j: (n, n) for j, n in targets.items()})

@@ -14,7 +14,7 @@ import warnings
 
 import pytest
 
-from edfnet import ValidationError, parse_config, parse_report, read_profile_csv, run_experiment
+from edfnet import ValidationError, parse_config, parse_report, read_profile_csv
 from edfnet.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -227,17 +227,22 @@ def test_experiment_seed_flag(scripted_cfg, tmp_path):
 
 @pytest.mark.parametrize("condition,named", [
     ("{kind: total, targets: {1: 1, 2: 1}}", "station 2"),
+    ("{kind: total, targets: {2: 1}}", "station 2"),
     ("{kind: total, targets: {0: 1, 1: 1}}", "station 0"),
     ("{kind: exact, targets: {1: [1, 0]}}", "vector at station 1"),
-], ids=["station-above-J", "station-zero", "exact-length"])
+], ids=["station-above-J", "only-station-above-J", "station-zero", "exact-length"])
 def test_experiment_condition_must_fit_network(tmp_path, capsys, condition, named):
+    """A condition the one-station, one-class network cannot meet is
+    rejected when the config is read, so every command that reads it
+    fails naming the misfit, before any seed runs."""
     path = tmp_path / "bad.yaml"
     path.write_text(textwrap.dedent(SCRIPTED_CONFIG).replace(
         "{kind: total, targets: {1: 2}}", condition))
-    with pytest.raises(ValidationError, match=named):
-        run_experiment(parse_config(path))
-    assert main(["experiment", "-c", str(path)]) == 2
-    assert named in capsys.readouterr().err
+    with pytest.raises(ValidationError, match=rf"experiment\.condition: .*{named}"):
+        parse_config(path)
+    for command in ("experiment", "simulate"):
+        assert main([command, "-c", str(path)]) == 2
+        assert named in capsys.readouterr().err
 
 
 def test_experiment_requires_count_weights(scripted_cfg, tmp_path, capsys):

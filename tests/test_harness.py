@@ -354,8 +354,8 @@ def test_condition_kinds_parse():
         {"id": 1, "route": [1], "arrival_rate": 0.5,
          "lead_time": {"kind": "point", "value": 10.0}}]}}
     raw = dict(base, experiment={"condition": {
-        "kind": "exact", "targets": {1: [2, 0]}}})
-    assert config_from_dict(raw).condition == ExactCounts({1: (2, 0)})
+        "kind": "exact", "targets": {1: [2]}}})
+    assert config_from_dict(raw).condition == ExactCounts({1: (2,)})
     raw = dict(base, experiment={"condition": {
         "kind": "band", "bands": {1: [2, 5]}}})
     assert config_from_dict(raw).condition == CountBands({1: (2, 5)})
@@ -495,6 +495,18 @@ def test_run_experiment_condition_must_cover_stations():
     cfg = scripted_config(network=net, condition=TotalCounts({1: 2}))
     with pytest.raises(ValidationError):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("condition,named", [
+    (TotalCounts({2: 1}), "station 2"),
+    (ExactCounts({1: (1, 0)}), "vector at station 1"),
+], ids=["station-above-J", "exact-length"])
+def test_run_experiment_condition_must_fit_network(monkeypatch, condition, named):
+    """A config built in code skips the parser's fit check, so the run
+    makes it itself and names the misfit, not a missing station."""
+    monkeypatch.setattr(harness, "new_sim", lambda *a, **k: pytest.fail("a seed ran"))
+    with pytest.raises(ValidationError, match=rf"experiment\.condition: .*{named}"):
+        run_experiment(scripted_config(condition=condition))
 
 
 def test_conditioning_loads_are_the_condition_totals():

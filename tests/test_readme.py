@@ -1,9 +1,14 @@
-"""The README's library example runs against the current API."""
+"""The README's library example and the ``edfnet`` commands written in
+the README and the shipped configs hold against the current API."""
 
 import pathlib
 import re
+import shlex
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+from edfnet import cli
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_readme_library_example_runs():
@@ -16,3 +21,24 @@ def test_readme_library_example_runs():
     sol = namespace["sol"]
     assert sol.frontiers == (250.0, 188.0)
     assert sol.permutation == (1, 2)
+
+
+def test_documented_commands_parse():
+    """Every line that starts with ``edfnet`` in the README, or in a
+    config's comments, parses as a command line (nothing is run); a
+    trailing ``-> result`` note is not part of the command."""
+    commands = []
+    for path in [README, *sorted((ROOT / "configs").glob("*.yaml"))]:
+        comment = "#" if path.suffix == ".yaml" else ""
+        for line in path.read_text().splitlines():
+            match = re.match(rf"{comment}\s*edfnet (.*)", line)
+            if match:
+                commands.append((path.name, match.group(1).split("->")[0]))
+    assert len(commands) >= 9
+    failed = []
+    for name, command in commands:
+        try:
+            cli._build_parser().parse_args(shlex.split(command))
+        except SystemExit:
+            failed.append(f"{name}: edfnet {command}")
+    assert failed == []

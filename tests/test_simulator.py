@@ -786,7 +786,16 @@ def test_conditional_sample_validates_arguments():
     (lambda: ExactCounts({1: (2, -1)}), "counts must be nonnegative"),
     (lambda: CountBands({1: (-1, 2)}), "bands must satisfy"),
     (lambda: CountBands({1: (3, 2)}), "bands must satisfy"),
-], ids=["total-negative", "exact-negative", "band-negative", "band-empty"])
+    # int() would truncate these to a different condition
+    (lambda: TotalCounts({1: 2.7}), r"count must be an integer, got 2\.7"),
+    (lambda: TotalCounts({1.9: 2}), r"station id must be an integer, got 1\.9"),
+    (lambda: ExactCounts({1: (2, 0.5)}), r"count must be an integer, got 0\.5"),
+    (lambda: ExactCounts({np.float64(1.0): (2,)}), "station id must be an integer"),
+    (lambda: CountBands({1: (1, "3")}), "count must be an integer, got '3'"),
+    (lambda: CountBands({True: (1, 2)}), "station id must be an integer, got True"),
+], ids=["total-negative", "exact-negative", "band-negative", "band-empty",
+        "total-fraction", "total-fractional-station", "exact-fraction",
+        "exact-float-station", "band-string", "band-bool-station"])
 def test_conditions_that_can_never_hold_are_rejected(build, problem):
     """Such a condition would run a sampler to its horizon for nothing."""
     with pytest.raises(ValueError, match=problem):

@@ -1,10 +1,17 @@
 """Rules checked on the package source itself."""
 
 import ast
+import importlib
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "edfnet"
+
+# the modules whose ``__all__`` the package republishes by star import
+PUBLISHED = ("errors", "frontier", "harness", "leadtime", "simulator", "topology")
 
 
 def test_no_assert_statements():
@@ -64,6 +71,24 @@ def test_all_names_are_defined():
                         exported = ast.literal_eval(node.value)
         found += [f"{name}: {export}" for export in exported if export not in defined]
     assert found == []
+
+
+def test_package_republishes_each_module_all():
+    """A fresh ``import edfnet`` binds exactly the published modules'
+    ``__all__`` names and the submodules; no name is in two of those
+    lists, and each package name is its module's own object."""
+    script = ("import edfnet; "
+              "print(*sorted(n for n in vars(edfnet) if not n.startswith('_')))")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(SRC.parent)), check=True)
+    modules = {name: importlib.import_module(f"edfnet.{name}") for name in PUBLISHED}
+    exported = Counter(export for module in modules.values() for export in module.__all__)
+    assert [export for export, n in exported.items() if n > 1] == []
+    assert run.stdout.split() == sorted([*exported, *PUBLISHED, "dists"])
+    package = importlib.import_module("edfnet")
+    assert [f"{name}.{export}" for name, module in modules.items()
+            for export in module.__all__
+            if getattr(package, export) is not getattr(module, export)] == []
 
 
 def test_no_environment_reads():
