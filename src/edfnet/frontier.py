@@ -46,7 +46,6 @@ from .topology import (
     NetworkSpec,
     Topology,
     build_topology,
-    in_frontier_domain,
     traffic_intensity,
 )
 
@@ -398,6 +397,15 @@ def _crossing_spec(rates: Sequence[float], tops: Sequence[float]) -> NetworkSpec
     return NetworkSpec(station_count=2, classes=classes)
 
 
+def _in_crossing_domain(a: float, b: float, d1: float, d2: float, atol: float) -> bool:
+    """Whether frontiers (a, b) lie, within ``atol``, in the domain piece
+    of order (1, 2), b <= a <= d1, or of order (2, 1), a <= b <= d2 and
+    a <= d1: with nonincreasing deadlines a stage's bound is d1, except
+    station 2's when it is placed first, which is d2."""
+    return a <= d1 + atol and ((b - atol <= a and b <= d1 + atol)
+                               or (a - atol <= b and b <= d2 + atol))
+
+
 def two_station_closed_form(
     rates: Sequence[float],
     deadlines: Sequence[float],
@@ -416,7 +424,7 @@ def two_station_closed_form(
     load equations are active, and each activity pattern linearizes
     the equations.  The eight resulting candidate solutions are
     labelled I..VIII.  Every candidate is checked for self-consistency
-    (it must land in the invertible domain and reproduce (q1, q2)
+    (it must land in the domain's two pieces and reproduce (q1, q2)
     through the exact load map, within 1e-8 * max(1, q1, q2)); the
     first consistent one is returned.  Raises NoConsistentRegion if
     none survives, which for valid inputs indicates a numerical
@@ -469,7 +477,7 @@ def two_station_closed_form(
                                                       (d1, d2, d3, d4))))
     atol = 1e-8 * max(1.0, q1, q2)
     for region, a, b in candidates:
-        if in_frontier_domain(model.topology, (a, b), atol=atol) is None:
+        if not _in_crossing_domain(a, b, d1, d2, atol):
             continue
         back = frontier_loads(model, (a, b))
         if abs(back[0] - q1) <= atol and abs(back[1] - q2) <= atol:

@@ -544,15 +544,11 @@ def run_experiment(cfg: ExperimentConfig) -> ProfileReport:
     """
     if cfg.condition is None:
         raise ValidationError("experiment.condition is required to run an experiment")
-    if not isinstance(cfg.condition, (ExactCounts, CountBands)):
-        raise ValidationError(
-            f"experiment.condition: expected a count condition, "
-            f"got {type(cfg.condition).__name__}")
+    _fit_condition(cfg.condition, cfg.network)
     if cfg.weight_kind != "count":
         raise ValidationError(
             f"prediction.weights: an experiment conditions on customer counts, "
             f"so it needs 'count', got {cfg.weight_kind!r}")
-    _fit_condition(cfg.condition, cfg.network)
     J = cfg.network.station_count
     loads = _conditioning_loads(cfg.condition, cfg.network)
     quota = -(-cfg.snapshot_count // len(cfg.seeds))  # ceil division

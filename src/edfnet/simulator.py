@@ -368,6 +368,28 @@ def _whole(value, what: str) -> int:
     return int(value)
 
 
+def _stations(mapping) -> Dict[int, object]:
+    """A condition's mapping with each key read by ``_whole`` as a
+    station id; anything but a mapping raises ValueError naming it."""
+    if not isinstance(mapping, Mapping):
+        raise ValueError(f"a condition maps station ids to counts, got {mapping!r}")
+    return {_whole(j, "station id"): v for j, v in mapping.items()}
+
+
+def _counts(value, j: int, what: str, size: Optional[int] = None) -> Tuple[int, ...]:
+    """The counts given for station j, each read by ``_whole``; a value
+    that is not a sequence, or not one of ``size`` counts, raises
+    ValueError naming the station and the value."""
+    try:
+        vec = tuple(value)
+    except TypeError:
+        vec = None
+    if vec is None or (size is not None and len(vec) != size):
+        shape = "a sequence" if size is None else f"{size} counts"
+        raise ValueError(f"{what} at station {j} must be {shape}, got {value!r}")
+    return tuple(_whole(n, "count") for n in vec)
+
+
 @dataclass(frozen=True)
 class ExactCounts:
     """Condition: per-class queue vector at each listed station."""
@@ -376,8 +398,7 @@ class ExactCounts:
 
     def __post_init__(self):
         object.__setattr__(self, "targets", {
-            _whole(j, "station id"): tuple(_whole(n, "count") for n in vec)
-            for j, vec in self.targets.items()})
+            j: _counts(vec, j, "counts") for j, vec in _stations(self.targets).items()})
         if any(n < 0 for vec in self.targets.values() for n in vec):
             raise ValueError(f"counts must be nonnegative, got {self.targets}")
 
@@ -399,8 +420,7 @@ class CountBands:
 
     def __post_init__(self):
         object.__setattr__(self, "bands", {
-            _whole(j, "station id"): (_whole(lo, "count"), _whole(hi, "count"))
-            for j, (lo, hi) in self.bands.items()})
+            j: _counts(band, j, "band", 2) for j, band in _stations(self.bands).items()})
         if any(not 0 <= lo <= hi for lo, hi in self.bands.values()):
             raise ValueError(f"bands must satisfy 0 <= lo <= hi, got {self.bands}")
 
@@ -428,8 +448,7 @@ class TotalCounts(CountBands):
     its configs hash apart from the band's."""
 
     def __init__(self, targets: Mapping[int, int]):
-        targets = {_whole(j, "station id"): _whole(n, "count")
-                   for j, n in targets.items()}
+        targets = {j: _whole(n, "count") for j, n in _stations(targets).items()}
         if any(n < 0 for n in targets.values()):
             raise ValueError(f"counts must be nonnegative, got {targets}")
         super().__init__({j: (n, n) for j, n in targets.items()})

@@ -12,16 +12,16 @@ once every station before j on its route is placed, and
 ``Topology.reaching`` gives those classes for one station.  The solver
 places stations one stage at a time, each among the stations some
 class reaches.  Each order built this way carves out a piece of the
-domain on which the frontier map is invertible, and membership in the
-domain is shown by a witness order found by a depth-first search over
-these stages.
+domain on which the frontier map is invertible.  The solver checks the
+piece of the order it builds as it places each station; the
+two-station closed form writes out the crossing network's two pieces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import AbstractSet, Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from . import dists
 from .errors import DisconnectedNetwork, EmptyStation, RouteRepeatsStation
@@ -32,7 +32,6 @@ __all__ = [
     "NetworkSpec",
     "Topology",
     "build_topology",
-    "in_frontier_domain",
     "traffic_intensity",
 ]
 
@@ -210,64 +209,6 @@ def build_topology(spec: NetworkSpec) -> Topology:
         visiting={j: frozenset(v) for j, v in visiting.items()},
         upstream=upstream,
     )
-
-
-def in_frontier_domain(
-    topo: Topology,
-    y: Sequence[float],
-    *,
-    atol: float = 1e-9,
-) -> Optional[Tuple[int, ...]]:
-    """Witness permutation if the vector lies in the invertible domain.
-
-    ``y`` lists one frontier value per station (position i is station
-    i+1).  A permutation witnesses membership when each station in it
-    is reachable through the earlier ones, the values are nonincreasing
-    along it, and each value is at most the largest lead upper support
-    among the classes reaching that station through the earlier ones.
-    Orders are searched depth first in lexicographic order, extending a
-    prefix only with a station that passes those checks and skipping a
-    (placed set, last station) state already found to have no
-    completion.  Returns the first complete order, or None.
-    Comparisons allow a slack of ``atol`` so that a vector on a piece
-    boundary is not rejected for roundoff.
-    """
-    if len(y) != topo.station_count:
-        raise ValueError(f"expected {topo.station_count} values, got {len(y)}")
-    if any(math.isnan(v) for v in y):
-        raise ValueError(f"frontier values must not be NaN, got {tuple(y)}")
-    order: List[int] = []
-    # (placed stations, last station) states with no completion: what
-    # can follow depends only on these, so tied values that reach one
-    # state through many orders search it once
-    dead = set()
-
-    def fits(j: int, prev: float, placed: FrozenSet[int]) -> bool:
-        if j in placed:
-            return False
-        reach = topo.reaching(j, placed)
-        if not reach:
-            return False
-        bound = max(topo.lead_dist(k).upper_support for k in reach)
-        return not (prev < y[j - 1] - atol or y[j - 1] > bound + atol)
-
-    def extend(prev: float) -> bool:
-        if len(order) == topo.station_count:
-            return True
-        placed = frozenset(order)
-        state = (placed, order[-1] if order else 0)
-        if state in dead:
-            return False
-        for j in topo.spec.stations:
-            if fits(j, prev, placed):
-                order.append(j)
-                if extend(y[j - 1]):
-                    return True
-                order.pop()
-        dead.add(state)
-        return False
-
-    return tuple(order) if extend(math.inf) else None
 
 
 def traffic_intensity(topo: Topology, j: int) -> float:

@@ -97,8 +97,8 @@ def admissible_permutations(topo):
 
     A permutation is admissible when every position is reached given
     the stations placed before it.  The enumeration is exhaustive and
-    factorial in the worst case; it is the reference that
-    ``in_frontier_domain``'s witness search is checked against.
+    factorial in the worst case; it is the reference for the orders a
+    random domain vector is drawn in.
     """
     J = topo.station_count
     out = []

@@ -257,14 +257,10 @@ def test_each_stage_solved_once_per_reach_set(random_network, monkeypatch):
             assert len(calls) == len(_distinct_stages(topo, sol.permutation))
 
 
-def test_solver_witnesses_its_own_domain_piece(random_network, monkeypatch):
-    """The stage loop checks its own order, so the solver never calls
-    the domain search, and its output on random networks and loads lies
-    in the piece of its permutation by the brute-force oracle."""
-    def no_search(*args, **kwargs):
-        raise AssertionError("solve_frontiers called in_frontier_domain")
-
-    monkeypatch.setattr(frontier, "in_frontier_domain", no_search)
+def test_solver_witnesses_its_own_domain_piece(random_network):
+    """The stage loop checks its own order: the solver's output on
+    random networks and loads lies in the piece of its permutation by
+    the brute-force oracle."""
     assert solve_frontiers(crossing_model((400.0, 300.0, 200.0, 100.0)),
                            (50.0, 58.0)).frontiers == pytest.approx((250.0, 188.0))
     rng = np.random.default_rng(20261019)
@@ -488,6 +484,37 @@ def test_closed_form_agrees_with_staged_solver():
             scale = max(1.0, q1, q2)
             assert max(abs(a - b) for a, b in
                        zip(closed.frontiers, staged.frontiers)) <= 1e-8 * scale
+
+
+def test_closed_form_domain_is_the_crossing_pieces():
+    """The closed form's piece test agrees with the brute-force piece
+    oracle over both orders of the crossing network, on a grid that
+    holds d1, d2 and points 0.5, 1 and 1.5 atol to either side, and on
+    the crossing cases; a point 5e-10 past a boundary passes at a 1e-9
+    slack."""
+    inside = frontier._in_crossing_domain
+    atol = 1e-9
+    for deadlines in ((400.0, 300.0, 200.0, 100.0), (300.0, 300.0, 100.0, 100.0),
+                      (250.0, 120.0, 120.0, 5.0)):
+        topo = crossing_model(deadlines).topology
+        d1, d2 = deadlines[:2]
+        grid = {d + s * atol for d in (d1, d2) for s in (0, 0.5, 1, 1.5, -0.5, -1, -1.5)}
+        grid |= {0.0, 0.5 * d2, 0.5 * (d1 + d2), 1.5 * d1}
+        for a in grid:
+            for b in grid:
+                want = any(in_piece(topo, (a, b), pi, atol) for pi in ((1, 2), (2, 1)))
+                assert inside(a, b, d1, d2, atol) == want, (deadlines, a, b)
+    topo = crossing_model(CASE_A[1]).topology
+    d1, d2 = 400.0, 300.0
+    assert inside(400.0, 400.0, d1, d2, atol) and inside(250.0, 188.0, d1, d2, atol)
+    # (100, 300) lies in order (2, 1)'s piece only
+    assert inside(100.0, 300.0, d1, d2, atol)
+    assert in_piece(topo, (100.0, 300.0), (2, 1)) and not in_piece(topo, (100.0, 300.0), (1, 2))
+    # above every support, and above station 2's first-stage bound max(300, 100)
+    assert not inside(450.0, 100.0, d1, d2, atol)
+    assert not inside(100.0, 350.0, d1, d2, atol)
+    assert inside(200.0, 200.0 + 5e-10, d1, d2, atol)
+    assert inside(400.0 + 5e-10, 100.0, d1, d2, atol)
 
 
 def test_closed_form_validates_input():

@@ -481,7 +481,8 @@ def test_run_experiment_rejects_a_non_condition(monkeypatch):
     """A condition built in code that is not a condition object fails by
     name before any seed runs."""
     monkeypatch.setattr(harness, "new_sim", lambda *a, **k: pytest.fail("a seed ran"))
-    with pytest.raises(ValidationError, match=r"experiment\.condition: .* got str"):
+    with pytest.raises(ValidationError,
+                       match=r"^experiment\.condition: unsupported condition str$"):
         run_experiment(scripted_config(condition="total"))
 
 

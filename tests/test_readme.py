@@ -1,6 +1,8 @@
-"""The README's library example and the ``edfnet`` commands written in
-the README and the shipped configs hold against the current API."""
+"""The README's library example, its package-layout table and the
+``edfnet`` commands written in the README and the shipped configs hold
+against the current API."""
 
+import importlib
 import pathlib
 import re
 import shlex
@@ -42,3 +44,23 @@ def test_documented_commands_parse():
         except SystemExit:
             failed.append(f"{name}: edfnet {command}")
     assert failed == []
+
+
+def test_package_layout_names_resolve():
+    """Every ``edfnet.<module>`` row of the README's package-layout table
+    imports, and every backticked dotted name in a row's contents (such
+    as ``Topology.reaching``) resolves in that module, so a deleted
+    public name cannot linger in the table."""
+    section = README.read_text().split("## Package layout", 1)[1]
+    rows = re.findall(r"^\| `(edfnet\.\w+)` +\|(.*)\|$", section, re.M)
+    assert len(rows) >= 8
+    unresolved = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for dotted in re.findall(r"`(\w+(?:\.\w+)+)`", contents):
+            obj = module
+            for part in dotted.split("."):
+                obj = getattr(obj, part, None)
+            if obj is None:
+                unresolved.append(f"{module_name}: {dotted}")
+    assert unresolved == []

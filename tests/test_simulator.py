@@ -793,9 +793,14 @@ def test_conditional_sample_validates_arguments():
     (lambda: ExactCounts({np.float64(1.0): (2,)}), "station id must be an integer"),
     (lambda: CountBands({1: (1, "3")}), "count must be an integer, got '3'"),
     (lambda: CountBands({True: (1, 2)}), "station id must be an integer, got True"),
+    # wrong shapes name the station and the value
+    (lambda: CountBands({1: (1, 2, 3)}), r"^band at station 1 must be 2 counts, got \(1, 2, 3\)$"),
+    (lambda: ExactCounts({1: 5}), r"^counts at station 1 must be a sequence, got 5$"),
+    (lambda: TotalCounts([1, 2]), r"^a condition maps station ids to counts, got \[1, 2\]$"),
 ], ids=["total-negative", "exact-negative", "band-negative", "band-empty",
         "total-fraction", "total-fractional-station", "exact-fraction",
-        "exact-float-station", "band-string", "band-bool-station"])
+        "exact-float-station", "band-string", "band-bool-station",
+        "band-triple", "exact-scalar", "total-list"])
 def test_conditions_that_can_never_hold_are_rejected(build, problem):
     """Such a condition would run a sampler to its horizon for nothing."""
     with pytest.raises(ValueError, match=problem):

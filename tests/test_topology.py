@@ -19,11 +19,9 @@ from edfnet import (
     Uniform,
     build_topology,
     dists,
-    in_frontier_domain,
     traffic_intensity,
 )
-from edfnet import topology
-from conftest import admissible_permutations, in_piece, reaching
+from conftest import admissible_permutations, reaching
 
 
 def crossing(deadlines=(400.0, 300.0, 200.0, 100.0), lam=0.32, mu=1.0):
@@ -162,44 +160,6 @@ def test_route_out_of_range_rejected():
         build_topology(spec)
 
 
-def test_domain_witness_on_large_chain():
-    """A 12-station chain gets its single order as the witness; values
-    that rise along the chain get none."""
-    J = 12
-    spec = NetworkSpec(J, (
-        ClassSpec(id=1, route=tuple(range(1, J + 1)), arrival_rate=0.5,
-                  lead_time=PointMass(5.0)),
-    ))
-    topo = build_topology(spec)
-    y = tuple(5.0 - 0.25 * m for m in range(J))
-    assert in_frontier_domain(topo, y) == tuple(range(1, J + 1))
-    assert in_frontier_domain(topo, y[::-1]) is None
-
-
-def test_domain_search_skips_dead_states(monkeypatch):
-    """Station 1 feeds ten leaves and every value is 50, but the last
-    leaf's lead is 10: no order fits.  The tied leaves reach each
-    (placed set, last station) state through many orders, and the
-    search expands each state at most once, asking each of the n + 1
-    stations for its reach at most once per expansion."""
-    n = 10
-    spec = NetworkSpec(n + 1, tuple(
-        ClassSpec(id=k, route=(1, k + 1), arrival_rate=0.5,
-                  lead_time=PointMass(10.0 if k == n else 100.0))
-        for k in range(1, n + 1)))
-    topo = build_topology(spec)
-    calls = []
-    reach = topology.Topology.reaching
-
-    def counting(self, j, placed):
-        calls.append(j)
-        return reach(self, j, placed)
-
-    monkeypatch.setattr(topology.Topology, "reaching", counting)
-    assert in_frontier_domain(topo, (50.0,) * (n + 1)) is None
-    assert len(calls) <= 2 ** (n - 1) * n * (n + 1)
-
-
 def test_class_spec_validation():
     with pytest.raises(ValueError):
         ClassSpec(id=0, route=(1,), arrival_rate=0.5, lead_time=PointMass(5.0))
@@ -314,57 +274,6 @@ def test_class_by_id_lookup():
     assert spec == NetworkSpec(1, (c2, c1)) and hash(spec) == hash(NetworkSpec(1, (c2, c1)))
     assert dataclasses.replace(spec, classes=(c1,)).class_by_id(1) is c1
     assert [f.name for f in dataclasses.fields(spec)] == ["station_count", "classes"]
-
-
-def test_domain_membership_crossing():
-    topo = build_topology(crossing())
-    assert in_frontier_domain(topo, (400.0, 400.0)) == (1, 2)
-    assert in_frontier_domain(topo, (250.0, 188.0)) == (1, 2)
-    assert in_frontier_domain(topo, (100.0, 300.0)) == (2, 1)
-    assert in_frontier_domain(topo, (450.0, 100.0)) is None  # above every support
-    # ordering violated in both directions is impossible for 2 stations,
-    # but a value above the reachable bound for its stage is rejected:
-    # along (2, 1) the first station's bound is max(300, 100) = 300
-    assert in_frontier_domain(topo, (100.0, 350.0)) is None
-
-
-def test_domain_membership_tolerates_roundoff():
-    topo = build_topology(crossing())
-    assert in_frontier_domain(topo, (200.0, 200.0 + 5e-10)) is not None
-    assert in_frontier_domain(topo, (400.0 + 5e-10, 100.0)) is not None
-
-
-def test_domain_membership_validates_input():
-    topo = build_topology(crossing())
-    with pytest.raises(ValueError):
-        in_frontier_domain(topo, (1.0, 2.0, 3.0))
-    with pytest.raises(ValueError, match="NaN"):
-        in_frontier_domain(topo, (math.nan, math.nan))
-    with pytest.raises(ValueError, match="NaN"):
-        in_frontier_domain(topo, (1.0, math.nan))
-
-
-def test_domain_witness_matches_oracle(random_network, domain_vector):
-    """The witness search returns the exhaustive oracle's first passing
-    order on domain vectors, uniform random vectors and near-tie
-    vectors (values 0.6e-9 apart, at a random level or at a class's
-    upper support)."""
-    rng = np.random.default_rng(20261018)
-    found = {True: 0, False: 0}
-    for _ in range(50):
-        topo = build_topology(random_network(rng, max_stations=6, max_classes=6))
-        J = topo.station_count
-        supports = [c.lead_time.upper_support for c in topo.spec.classes]
-        orders = admissible_permutations(topo)
-        for _ in range(10):
-            level = float(rng.choice([rng.uniform(0.0, max(supports)), rng.choice(supports)]))
-            ties = level + 0.6e-9 * rng.integers(-1, 2, size=J)
-            for y in (domain_vector(topo, rng), tuple(rng.uniform(0.0, max(supports), J)),
-                      tuple(ties)):
-                want = next((pi for pi in orders if in_piece(topo, y, pi)), None)
-                assert in_frontier_domain(topo, y) == want, (topo.spec, y)
-                found[want is not None] += 1
-    assert min(found.values()) > 300, found
 
 
 def test_traffic_intensity():
