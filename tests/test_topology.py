@@ -21,7 +21,8 @@ from edfnet import (
     dists,
     traffic_intensity,
 )
-from conftest import admissible_permutations, reaching
+from edfnet.frontier import _in_crossing_domain
+from conftest import admissible_permutations, in_piece, reaching
 
 
 def crossing(deadlines=(400.0, 300.0, 200.0, 100.0), lam=0.32, mu=1.0):
@@ -274,6 +275,33 @@ def test_class_by_id_lookup():
     assert spec == NetworkSpec(1, (c2, c1)) and hash(spec) == hash(NetworkSpec(1, (c2, c1)))
     assert dataclasses.replace(spec, classes=(c1,)).class_by_id(1) is c1
     assert [f.name for f in dataclasses.fields(spec)] == ["station_count", "classes"]
+
+
+def _crossing_witness(topo, y):
+    """The first domain piece of the crossing network that holds ``y``,
+    or None, after checking that the closed form's piece test agrees."""
+    d1, d2 = (c.lead_time.upper_support for c in topo.spec.classes[:2])
+    want = next((pi for pi in ((1, 2), (2, 1)) if in_piece(topo, y, pi)), None)
+    assert _in_crossing_domain(*y, d1, d2, 1e-9) == (want is not None), y
+    return want
+
+
+def test_domain_membership_crossing():
+    topo = build_topology(crossing())
+    assert _crossing_witness(topo, (400.0, 400.0)) == (1, 2)
+    assert _crossing_witness(topo, (250.0, 188.0)) == (1, 2)
+    assert _crossing_witness(topo, (100.0, 300.0)) == (2, 1)
+    assert _crossing_witness(topo, (450.0, 100.0)) is None  # above every support
+    # ordering violated in both directions is impossible for 2 stations,
+    # but a value above the reachable bound for its stage is rejected:
+    # along (2, 1) the first station's bound is max(300, 100) = 300
+    assert _crossing_witness(topo, (100.0, 350.0)) is None
+
+
+def test_domain_membership_tolerates_roundoff():
+    topo = build_topology(crossing())
+    assert _crossing_witness(topo, (200.0, 200.0 + 5e-10)) is not None
+    assert _crossing_witness(topo, (400.0 + 5e-10, 100.0)) is not None
 
 
 def test_traffic_intensity():
