@@ -15,9 +15,12 @@ deadline it has ever admitted to service, seeded with a phantom value
 equal to the class's largest possible lead (as if a maximally patient
 customer had entered service at time zero).  The lead-time frontier at
 time t is that stored deadline minus t.  Customers whose deadline is
-strictly below the station's overall frontier are "behind" it; their
-count and residual work are tracked continuously since they measure
-how far the system deviates from the idealized profile ordering.
+strictly below the station's overall frontier are "behind" it; they
+measure how far the system deviates from the idealized profile
+ordering.  Their count is kept as the loop runs; their residual work,
+like the station's workload, is summed from the pending heap and the
+server when it is read, so each reads exactly 0.0 when there is
+nothing to sum.
 
 Everything is deterministic given the seed: every (class, purpose,
 station) stream draws from its own generator derived from the seed, and
@@ -40,14 +43,14 @@ preemption voids the displaced job's departure in the heap.
 ``conditional_sample`` checks its condition between batches of events,
 each as long as the condition's distance allows.
 
-Time integrals (idle time, present count, behind count and behind
-work) are kept per station and brought up to date lazily: the loop
-integrates a station from its own ``last_t`` only when its state is
-about to change, that is, when a customer enters it or its server
-departs.  Advancing the clock touches no station, so an event costs
-the same whatever the number of stations.  The accessors read the
-integrals up to the clock through ``_integrals``, which does the
-loop's arithmetic without writing anything back.
+Time integrals (idle time, present count and behind count) are kept
+per station and brought up to date lazily: the loop integrates a
+station from its own ``last_t`` only when its state is about to
+change, that is, when a customer enters it or its server departs.
+Advancing the clock touches no station, so an event costs the same
+whatever the number of stations.  The accessors read the integrals up
+to the clock through ``_integrals``, which does the loop's arithmetic
+without writing anything back.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import numpy as np
 
 from . import dists
 from .errors import ClassDoesNotVisitStation, ValidationError
-from .topology import NetworkSpec, Topology, build_topology
+from .topology import NetworkSpec, Topology, _whole, build_topology
 
 __all__ = [
     "SimState",
@@ -103,18 +106,15 @@ class _Customer:
 
 
 class _Station:
-    __slots__ = ("sid", "pending", "pending_work", "pending_behind",
-                 "pending_behind_work", "serving", "serving_dep",
+    __slots__ = ("sid", "pending", "pending_behind", "serving", "serving_dep",
                  "serving_behind", "token", "max_by_class", "max_admitted",
                  "class_counts", "present", "last_t", "idle_time",
-                 "arrived_work", "int_present", "int_behind", "int_behind_work")
+                 "arrived_work", "int_present", "int_behind")
 
     def __init__(self, sid: int, class_count: int):
         self.sid = sid
         self.pending: List[tuple] = []
-        self.pending_work = 0.0
         self.pending_behind = 0
-        self.pending_behind_work = 0.0
         self.serving: Optional[_Customer] = None
         self.serving_dep = math.inf
         self.serving_behind = False
@@ -128,7 +128,6 @@ class _Station:
         self.arrived_work = 0.0
         self.int_present = 0.0
         self.int_behind = 0.0
-        self.int_behind_work = 0.0
 
 
 class SimState:
@@ -233,19 +232,13 @@ class SimState:
                     heappush(heap, (now + gap, _ARRIVE, sid, seq, payload))
             while True:
                 # integrate st up to now; its state changes next
-                last = st.last_t
-                dt = now - last
+                dt = now - st.last_t
                 serving = st.serving
                 if serving is None:
                     st.idle_time += dt
                 else:
-                    behind, work = st.pending_behind, st.pending_behind_work * dt
-                    if st.serving_behind:
-                        behind += 1
-                        work += (st.serving_dep - last) * dt - 0.5 * dt * dt
                     st.int_present += st.present * dt
-                    st.int_behind += behind * dt
-                    st.int_behind_work += work
+                    st.int_behind += (st.pending_behind + st.serving_behind) * dt
                 st.last_t = now
                 if moving is None:
                     # the server departs; the most urgent pending customer starts
@@ -254,10 +247,8 @@ class SimState:
                     st.present -= 1
                     if st.pending:
                         start = heappop(st.pending)[2]
-                        st.pending_work -= start.remaining
                         if start.deadline < st.max_admitted:
                             st.pending_behind -= 1
-                            st.pending_behind_work -= start.remaining
                     else:
                         start = None
                         st.serving, st.serving_behind, st.serving_dep = None, False, math.inf
@@ -276,10 +267,8 @@ class SimState:
                         else:
                             serving, start = start, None  # the newcomer waits
                         heappush(st.pending, (serving.deadline, serving.index, serving))
-                        st.pending_work += serving.remaining
                         if serving.deadline < st.max_admitted:
                             st.pending_behind += 1
-                            st.pending_behind_work += serving.remaining
                 if start is not None:
                     deadline = start.deadline
                     st.serving_behind = deadline < st.max_admitted
@@ -313,20 +302,15 @@ class SimState:
         self.clock = t
 
 
-def _integrals(st: _Station, now: float) -> Tuple[float, float, float, float]:
-    """Station st's idle, present, behind and behind-work integrals up
-    to now, given that its state has not changed since st.last_t: the
-    update ``SimState._run`` makes inline, without writing it back."""
+def _integrals(st: _Station, now: float) -> Tuple[float, float, float]:
+    """Station st's idle, present and behind integrals up to now, given
+    that its state has not changed since st.last_t: the update
+    ``SimState._run`` makes inline, without writing it back."""
     dt = now - st.last_t
     if st.serving is None:
-        return st.idle_time + dt, st.int_present, st.int_behind, st.int_behind_work
-    behind = st.pending_behind
-    work = st.pending_behind_work * dt
-    if st.serving_behind:
-        behind += 1
-        work += (st.serving_dep - st.last_t) * dt - 0.5 * dt * dt
+        return st.idle_time + dt, st.int_present, st.int_behind
     return (st.idle_time, st.int_present + st.present * dt,
-            st.int_behind + behind * dt, st.int_behind_work + work)
+            st.int_behind + (st.pending_behind + st.serving_behind) * dt)
 
 
 # -------- snapshots and sampling --------
@@ -356,16 +340,6 @@ class BehindStats:
     time_avg_fraction: float
     behind_count_integral: float
     present_count_integral: float
-    behind_work_integral: float
-
-
-def _whole(value, what: str) -> int:
-    """A Python or numpy integer as an int; a float, a bool or anything
-    else raises ValueError naming the value, where ``int()`` would
-    have truncated it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _stations(mapping) -> Dict[int, object]:
@@ -598,11 +572,13 @@ def station_frontier(sim: SimState, j: int) -> float:
 
 
 def workload(sim: SimState, j: int) -> float:
-    """Residual work sitting at station j (pending plus in service)."""
+    """Residual work sitting at station j (pending plus in service),
+    summed over its queue when read."""
     st = _station(sim, j)
+    work = sum(c.remaining for _, _, c in st.pending)
     if st.serving is None:
-        return st.pending_work
-    return st.pending_work + (st.serving_dep - sim.clock)
+        return work
+    return work + (st.serving_dep - sim.clock)
 
 
 def netput(sim: SimState, j: int) -> float:
@@ -641,15 +617,18 @@ def behind_frontier_stats(sim: SimState, j: int) -> BehindStats:
     Instantaneous count/work/fraction refer to the current instant;
     the time-averaged fraction is the ratio of the time integral of
     the behind count to the time integral of the total count (zero
-    when the station has never held anyone).
+    when the station has never held anyone).  The count is kept as
+    the run goes; ``work``, like ``workload``, is an O(queue length)
+    sum over the pending heap when read, so it is exactly 0.0 when
+    no customer is behind.
     """
     st = _station(sim, j)
-    count = st.pending_behind + (1 if st.serving_behind else 0)
-    work = st.pending_behind_work
+    count = st.pending_behind + st.serving_behind
+    work = sum(c.remaining for d, _, c in st.pending if d < st.max_admitted)
     if st.serving_behind:
         work += st.serving_dep - sim.clock
     fraction = count / st.present if st.present else 0.0
-    _, present, behind, behind_work = _integrals(st, sim.clock)
+    _, present, behind = _integrals(st, sim.clock)
     return BehindStats(
         count=count,
         work=work,
@@ -657,5 +636,4 @@ def behind_frontier_stats(sim: SimState, j: int) -> BehindStats:
         time_avg_fraction=behind / present if present > 0.0 else 0.0,
         behind_count_integral=behind,
         present_count_integral=present,
-        behind_work_integral=behind_work,
     )

@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
+import numpy as np
+
 from . import dists
 from .errors import DisconnectedNetwork, EmptyStation, RouteRepeatsStation
 from .leadtime import LeadTimeDist
@@ -34,6 +36,15 @@ __all__ = [
     "build_topology",
     "traffic_intensity",
 ]
+
+
+def _whole(value, what: str) -> int:
+    """A Python or numpy integer as an int; a float, a bool or anything
+    else raises ValueError naming the value, where ``int()`` would
+    have truncated it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -58,9 +69,10 @@ class ClassSpec:
     service_laws: Optional[Mapping[int, dists.SamplingLaw]] = None
 
     def __post_init__(self):
-        if not isinstance(self.id, int) or self.id < 1:
+        object.__setattr__(self, "id", _whole(self.id, "class id"))
+        if self.id < 1:
             raise ValueError(f"class id must be a positive integer, got {self.id!r}")
-        route = tuple(int(j) for j in self.route)
+        route = tuple(_whole(j, f"class {self.id}: station id") for j in self.route)
         object.__setattr__(self, "route", route)
         rates = self.service_rates
         object.__setattr__(self, "service_rates",
@@ -115,6 +127,8 @@ class NetworkSpec:
     classes: Tuple[ClassSpec, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "station_count",
+                           _whole(self.station_count, "station count"))
         object.__setattr__(self, "classes", tuple(self.classes))
         if self.station_count < 1:
             raise ValueError("need at least one station")

@@ -171,35 +171,30 @@ class ReferenceIntegrator:
     Pass it to ``run_each`` and call it once more after ``run_each``
     returns, for the stretch up to the final clock.  It reads station
     state only, so it changes nothing in the run.
-    ``integrals(j)`` gives station j's (idle, present, behind,
-    behind-work) integrals up to the last call.
+    ``integrals(j)`` gives station j's (idle, present, behind)
+    integrals up to the last call.
     """
 
     def __init__(self, sim):
         self.clock = sim.clock
-        self._sums = {st.sid: [0.0, 0.0, 0.0, 0.0] for st in sim.stations[1:]}
+        self._sums = {st.sid: [0.0, 0.0, 0.0] for st in sim.stations[1:]}
         self._read(sim)
 
     def _read(self, sim):
-        self._held = [(st.sid, st.serving is None, st.present, st.pending_behind,
-                       st.pending_behind_work, st.serving_behind, st.serving_dep)
+        self._held = [(st.sid, st.serving is None, st.present,
+                       st.pending_behind + st.serving_behind)
                       for st in sim.stations[1:]]
 
     def __call__(self, sim):
         dt = sim.clock - self.clock
         if dt > 0.0:
-            for sid, idle, present, behind, work, serving_behind, dep in self._held:
+            for sid, idle, present, behind in self._held:
                 sums = self._sums[sid]
                 if idle:
                     sums[0] += dt
                     continue
                 sums[1] += present * dt
-                work = work * dt
-                if serving_behind:
-                    behind += 1
-                    work += (dep - self.clock) * dt - 0.5 * dt * dt
                 sums[2] += behind * dt
-                sums[3] += work
             self.clock = sim.clock
         self._read(sim)
 

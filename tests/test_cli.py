@@ -188,6 +188,17 @@ def test_simulate_prints_progress(crossing_cfg, capsys):
     assert out[1].startswith("t=200.0")
 
 
+def test_simulate_prints_no_negative_workload(capsys):
+    """An empty station's workload prints as 0.00, never -0.00: it is
+    summed from the queue when read, not kept as a running sum that
+    drifts below zero."""
+    assert main(["simulate", "-c", str(CONFIGS / "mm1.yaml"), "--horizon", "20000",
+                 "--every", "200"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 100
+    assert not [line for line in out if "w=-0.00" in line]
+
+
 def test_simulate_rejects_bad_horizon(crossing_cfg, capsys):
     assert main(["simulate", "-c", crossing_cfg, "--horizon", "-5"]) == 2
     # an interval of 0 is not a request for the default, and an

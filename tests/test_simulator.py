@@ -138,8 +138,6 @@ def test_scripted_behind_frontier_accounting():
     assert stats.behind_count_integral == pytest.approx(7.0)
     assert stats.present_count_integral == pytest.approx(12.0)
     assert stats.time_avg_fraction == pytest.approx(7.0 / 12.0)
-    # behind work: 3 units pending over [2, 6), then decaying 3..0 in service
-    assert stats.behind_work_integral == pytest.approx(12.0 + 4.5)
 
 
 def test_scripted_totals_after_drain():
@@ -175,7 +173,6 @@ def test_preemptive_run():
     assert idleness(sim, 1) == pytest.approx(2.0)
     stats = behind_frontier_stats(sim, 1)
     assert stats.time_avg_fraction == pytest.approx(3.0 / 11.0)
-    assert stats.behind_work_integral == pytest.approx(4.5)
 
 
 def test_preemption_requires_strictly_smaller_key():
@@ -342,10 +339,12 @@ class _Recount:
     (deadline, arrival index, customer) entries, its customers have
     distinct arrival indices, its running counters equal a recount from
     its pending heap and server, its frontier never moves back, its
-    workload equals netput plus idleness, and its server holds the
-    smallest (deadline, arrival index): since service started
-    (non-preemptive) or right now (preempt-resume).  Counts the behind
-    customers and the order checks it saw."""
+    workload equals netput plus idleness, its workload and behind work
+    are never negative and read exactly 0.0 when it holds nobody, or
+    nobody behind, and its server holds the smallest (deadline, arrival
+    index): since service started (non-preemptive) or right now
+    (preempt-resume).  Counts the behind customers and the order checks
+    it saw."""
 
     def __init__(self, sim):
         self.last_max = [-math.inf] * len(sim.stations)
@@ -362,12 +361,7 @@ class _Recount:
             counts = [0] * len(st.class_counts)
             for c in present:
                 counts[c.class_id] += 1
-            assert math.isclose(st.pending_work, sum(c.remaining for c in held),
-                                rel_tol=1e-9, abs_tol=1e-9)
             assert st.pending_behind == len(behind)
-            assert math.isclose(st.pending_behind_work,
-                                sum(c.remaining for c in behind),
-                                rel_tol=1e-9, abs_tol=1e-9)
             assert st.present == len(present)
             assert st.class_counts == counts
             assert st.serving_behind == (st.serving is not None and
@@ -377,7 +371,12 @@ class _Recount:
             self.behind_seen += len(behind)
 
             j = st.sid
-            drift = workload(s, j) - netput(s, j) - idleness(s, j)
+            work, stats = workload(s, j), behind_frontier_stats(s, j)
+            # summed when read: exact, where a running sum would drift
+            assert work >= 0.0 and stats.work >= 0.0
+            assert present or work == 0.0
+            assert stats.count or stats.work == 0.0
+            drift = work - netput(s, j) - idleness(s, j)
             assert abs(drift) <= 1e-9 * max(1.0, s.clock)
 
             started = st.token != self.last_token[j]
@@ -434,10 +433,9 @@ def test_superseded_departures_are_counted_apart(random_network, preemptive):
 
 
 def _station_integrals(sim, j):
-    """Station j's idle, present, behind and behind-work integrals."""
+    """Station j's idle, present and behind integrals."""
     b = behind_frontier_stats(sim, j)
-    return (idleness(sim, j), b.present_count_integral, b.behind_count_integral,
-            b.behind_work_integral)
+    return idleness(sim, j), b.present_count_integral, b.behind_count_integral
 
 
 def _run_state(sim):
@@ -446,8 +444,8 @@ def _run_state(sim):
 
 
 def _integrals_agree(sim, ref):
-    """Each station's lazily integrated idle, present, behind and
-    behind-work integrals equal the reference's to 1e-12 relative."""
+    """Each station's lazily integrated idle, present and behind
+    integrals equal the reference's to 1e-12 relative."""
     for j in sim.spec.stations:
         for lazy, want in zip(_station_integrals(sim, j), ref.integrals(j)):
             assert math.isclose(lazy, want, rel_tol=1e-12, abs_tol=0.0), \

@@ -174,6 +174,6 @@ def test_one_station_block():
     adds = Counter(node.target.attr for node in ast.walk(tree)
                    if isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
                    and isinstance(node.target, ast.Attribute))
-    integrals = ("idle_time", "int_present", "int_behind", "int_behind_work")
+    integrals = ("idle_time", "int_present", "int_behind")
     assert len(pushes) == 1, pushes
     assert {name: adds[name] for name in integrals} == dict.fromkeys(integrals, 1)

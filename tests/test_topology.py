@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from array import array
 
 import numpy as np
@@ -175,6 +176,22 @@ def test_class_spec_validation():
     with pytest.raises(ValueError):
         ClassSpec(id=1, route=(1, 2), arrival_rate=0.5, lead_time=PointMass(5.0),
                   service_rates={1: 1.0})
+    # integer fields name a value that is not a whole number, where
+    # int() would have truncated it or range() failed without a name
+    for make, named in [
+        (lambda: one_class(route=(1.7,)), "station id must be an integer, got 1.7"),
+        (lambda: one_class(route=("1",)), "station id must be an integer, got '1'"),
+        (lambda: one_class(id=True), "class id must be an integer, got True"),
+        (lambda: one_class(id=1.0), "class id must be an integer, got 1.0"),
+        (lambda: NetworkSpec(True, (one_class(),)), "station count must be an integer, got True"),
+        (lambda: NetworkSpec(2.5, (one_class(),)), "station count must be an integer, got 2.5"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            make()
+    # numpy integers are whole numbers, stored as int
+    spec = NetworkSpec(np.int64(1), (one_class(id=np.int32(1), route=(np.int64(1),)),))
+    assert type(spec.station_count) is type(spec.classes[0].id) is int
+    assert [type(j) for j in spec.classes[0].route] == [int]
 
 
 def test_class_spec_law_mean_must_match_rate():
