@@ -63,7 +63,7 @@ class SolverDivergence(EdfnetError):
 
 
 class NoConsistentRegion(EdfnetError):
-    """No closed-form region reproduces the observed queue lengths."""
+    """No closed-form region reproduces the loads within roundoff."""
 
 
 # -------- harness --------

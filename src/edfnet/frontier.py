@@ -23,7 +23,9 @@ the levels in between sum the terms.
 All of this is exact piecewise-polynomial arithmetic: every lead-time
 law is a piecewise-linear CDF, whose integrated tail is piecewise
 quadratic, so each stage inverse is a breakpoint scan plus a
-closed-form quadratic solve on the bracketing piece.
+closed-form quadratic solve on the bracketing piece.  Its roundoff
+scales with weight times level, not with the load: both solvers decide
+every "close enough" by ``_roundoff``, that allowance for one sum.
 """
 
 from __future__ import annotations
@@ -158,6 +160,28 @@ def _mass_above(terms: List[_Term], y: float) -> float:
     return total
 
 
+_ULPS = 64 * 2.220446049250313e-16   # 64 ulps of 1.0
+
+
+def _roundoff(terms: List[_Term], y: float) -> Tuple[float, float]:
+    """How far ``_mass_above(terms, y)`` may stray from the exact sum by
+    rounding alone, in load and in levels: 64 ulps of w * (|y| + |cut|
+    + cap) summed over the terms active at y or whose cut lies within
+    that term's allowance of y (a level that rounds onto a cut), and
+    that over their summed weight.  Both are 0 where no term counts
+    (the sum is exactly 0) or a level or cut is infinite (no answer
+    lies within roundoff of an overflow)."""
+    total = weight = 0.0
+    for w, _, cap, cut in terms:
+        size = abs(y) + abs(cut) + cap
+        if y - cut <= _ULPS * size:
+            total += w * size
+            weight += w
+    if weight == 0.0 or total == math.inf:
+        return 0.0, 0.0
+    return _ULPS * total, _ULPS * total / weight
+
+
 def _station_frontiers(topo: Topology, y: Sequence[float]) -> Dict[int, float]:
     vals = [float(v) for v in y]
     if len(vals) != topo.station_count:
@@ -213,9 +237,11 @@ def _stage_inverse(terms: List[_Term], target: float) -> Tuple[float, float]:
     neighbouring breakpoints it is an exact quadratic: a scan down the
     breakpoints finds the piece that brackets the target, and the
     quadratic through the piece's ends and midpoint is solved in closed
-    form.  Returns (solution, bound).  Raises SolverDivergence when no
-    root of that quadratic reproduces the target, as for a law whose
-    integrated tail is not quadratic between its breakpoints.
+    form from the end whose value lies nearer the target (a piece
+    narrower than the roundoff allowance gives that end).  Returns
+    (solution, bound).  Raises SolverDivergence when no root reproduces
+    the target within the allowance, as for a law whose integrated tail
+    is not quadratic between its breakpoints.
     """
     bound = max(t.cut for t in terms)
     if target == 0.0:
@@ -242,20 +268,20 @@ def _stage_inverse(terms: List[_Term], target: float) -> Tuple[float, float]:
         return hi - (target - val_hi) / slope, bound
 
     # the scan stopped at the piece [lo, hi] with val_hi < target <= val_lo
-    if val_lo == target:
-        return lo, bound
-    width = hi - lo
-    if width <= 1e-12:
+    slack = _roundoff(terms, lo)[1]
+    if hi - lo <= slack:
         return (hi if abs(val_hi - target) <= abs(val_lo - target) else lo), bound
 
+    # Newton form through the end x0 nearer the target, the midpoint and x1
+    (x0, v0), (x1, v1) = sorted(((lo, val_lo), (hi, val_hi)), key=lambda e: abs(e[1] - target))
     mid = 0.5 * (lo + hi)
     val_mid = _mass_above(terms, mid)
-    d1 = (val_mid - val_lo) / (mid - lo)
-    d2 = ((val_hi - val_mid) / (hi - mid) - d1) / (hi - lo)
-    # quadratic in d = y - lo:  d2*d^2 + (d1 - d2*(mid-lo))*d + (val_lo - target)
+    d1 = (val_mid - v0) / (mid - x0)
+    d2 = ((v1 - val_mid) / (x1 - mid) - d1) / (x1 - x0)
+    # quadratic in d = y - x0:  d2*d^2 + (d1 - d2*(mid-x0))*d + (v0 - target)
     a = d2
-    b = d1 - d2 * (mid - lo)
-    c = val_lo - target
+    b = d1 - d2 * (mid - x0)
+    c = v0 - target
 
     candidates = []
     if a == 0.0:
@@ -269,15 +295,15 @@ def _stage_inverse(terms: List[_Term], target: float) -> Tuple[float, float]:
         if q != 0.0:
             candidates.append(c / q)
 
-    slack = 1e-9 * max(width, 1.0)
     best = None
     for d in candidates:
-        if -slack <= d <= width + slack:
-            y = min(max(lo + d, lo), hi)
+        y = x0 + d
+        if lo - slack <= y <= hi + slack:
+            y = min(max(y, lo), hi)
             err = abs(_mass_above(terms, y) - target)
             if best is None or err < best[0]:
                 best = (err, y)
-    if best is not None and best[0] <= 1e-9 * max(1.0, abs(target)):
+    if best is not None and best[0] <= _roundoff(terms, best[1])[0]:
         return best[1], bound
     raise SolverDivergence(f"stage solve failed on [{lo}, {hi}] for target {target}")
 
@@ -292,7 +318,8 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
     A station's stage is solved once per reach set, not once per stage.
     Values must not rise along the order (SolverDivergence otherwise),
     so the vector lies in the order's domain piece, reproduces the
-    loads, and is the componentwise smallest such vector.
+    loads, and is the componentwise smallest such vector, each to the
+    roundoff allowance (``_roundoff``) of the sums involved.
     """
     topo = model.topology
     vec = [float(v) for v in loads]
@@ -304,39 +331,41 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
 
     assigned: Dict[int, float] = {}   # placed stations in placing order
     bounds: List[float] = []
-    # unplaced station -> (reach set, stage value, bound).  A stage reads
-    # only its reach set and the values of placed stations, which never
-    # change, so it is solved again only when its reach set has grown
-    stages: Dict[int, Tuple[FrozenSet[int], float, float]] = {}
+    # unplaced station -> (reach set, terms, stage value, bound).  A stage
+    # reads only its reach set and the values of placed stations, which
+    # never change, so it is solved again only when its reach set has grown
+    stages: Dict[int, Tuple[FrozenSet[int], List[_Term], float, float]] = {}
     last = math.inf
     for _ in range(topo.station_count):
         for j in set(topo.spec.stations).difference(assigned):
             reach = topo.reaching(j, assigned.keys())
             if reach and (j not in stages or stages[j][0] != reach):
-                stages[j] = (reach, *_stage_inverse(_terms(model, j, reach, assigned),
-                                                    vec[j - 1]))
+                terms = _terms(model, j, reach, assigned)
+                stages[j] = (reach, terms, *_stage_inverse(terms, vec[j - 1]))
         # never empty: every station is on a route, and the first
         # unplaced station on a route is reachable.  max keeps the
         # first of tied values, so ties go to the smallest id
-        j = max(sorted(stages), key=lambda i: stages[i][1])
-        _, value, b_j = stages.pop(j)
+        j = max(sorted(stages), key=lambda i: stages[i][2])
+        _, terms, value, b_j = stages.pop(j)
         # stages holds only reached stations and no stage value exceeds its
         # bound, so of the domain piece's conditions only order needs a check
-        if value > last + 1e-9:
+        if value > last + _roundoff(terms, value)[1]:
             raise SolverDivergence(f"station {j} placed at {value}, above {last}")
         assigned[j] = last = value
         bounds.append(b_j)
 
     y = tuple(assigned[j] for j in topo.spec.stations)
-    residual = float(np.max(np.abs(frontier_loads(model, y) - np.array(vec))))
-    scale = max(1.0, max(vec, default=1.0))
-    if residual > 1e-6 * scale:
-        raise SolverDivergence(f"inversion residual {residual} for loads {vec}")
+    misses = []
+    for j in topo.spec.stations:
+        terms = _terms(model, j, topo.visiting[j], assigned)
+        misses.append(abs(_mass_above(terms, assigned[j]) - vec[j - 1]))
+        if misses[-1] > _roundoff(terms, assigned[j])[0]:
+            raise SolverDivergence(f"inversion residual {misses[-1]} at station {j}")
     return FrontierSolution(
         frontiers=y,
         permutation=tuple(assigned),
         stage_bounds=tuple(bounds),
-        residual=residual,
+        residual=max(misses),
         loads=tuple(vec),
     )
 
@@ -425,10 +454,9 @@ def two_station_closed_form(
     the equations.  The eight resulting candidate solutions are
     labelled I..VIII.  Every candidate is checked for self-consistency
     (it must land in the domain's two pieces and reproduce (q1, q2)
-    through the exact load map, within 1e-8 * max(1, q1, q2)); the
-    first consistent one is returned.  Raises NoConsistentRegion if
-    none survives, which for valid inputs indicates a numerical
-    tolerance problem rather than a modelling one.
+    through the exact load map, each to the roundoff allowance of the
+    sums involved, ``_roundoff``); the first consistent one is
+    returned.  Raises NoConsistentRegion if none survives.
     """
     if len(rates) != 4 or len(deadlines) != 4:
         raise ValueError("need exactly four rates and four deadlines")
@@ -475,12 +503,15 @@ def two_station_closed_form(
 
     model = count_model(build_topology(_crossing_spec((l1, l2, l3, l4),
                                                       (d1, d2, d3, d4))))
-    atol = 1e-8 * max(1.0, q1, q2)
+    visiting = model.topology.visiting
     for region, a, b in candidates:
-        if not _in_crossing_domain(a, b, d1, d2, atol):
+        vals = {1: a, 2: b}
+        (load1, level1), (load2, level2) = (
+            _roundoff(_terms(model, j, visiting[j], vals), vals[j]) for j in (1, 2))
+        if not _in_crossing_domain(a, b, d1, d2, max(level1, level2)):
             continue
         back = frontier_loads(model, (a, b))
-        if abs(back[0] - q1) <= atol and abs(back[1] - q2) <= atol:
+        if abs(back[0] - q1) <= load1 and abs(back[1] - q2) <= load2:
             return TwoStationSolution(region, (a, b))
     raise NoConsistentRegion(
         f"no closed-form region reproduces loads ({q1}, {q2})")

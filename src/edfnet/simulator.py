@@ -147,11 +147,11 @@ class SimState:
     """
 
     def __init__(self, spec: NetworkSpec, *, seed: int, preemptive: bool = False):
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        if isinstance(seed, bool) or _whole(seed, "seed") < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
         self.topology: Topology = build_topology(spec)
         self.spec = spec
-        self.seed = seed
+        self.seed = int(seed)
         self.preemptive = preemptive
         self.clock = 0.0
         self.events_processed = 0
@@ -511,7 +511,8 @@ def conditional_sample(
     _check_condition(condition, sim.spec)
     if not 0.0 < threshold < math.inf:
         raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
-    if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+    count = _whole(count, "count")
+    if count < 1:
         raise ValueError(f"count must be an integer of at least 1, got {count!r}")
     if not (math.isfinite(horizon_cap) and horizon_cap >= sim.clock):
         raise ValueError(f"cannot sample to horizon_cap {horizon_cap} from {sim.clock}: "

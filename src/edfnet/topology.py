@@ -76,7 +76,8 @@ class ClassSpec:
         object.__setattr__(self, "route", route)
         rates = self.service_rates
         object.__setattr__(self, "service_rates",
-                           {int(j): float(mu) for j, mu in rates.items()}
+                           {_whole(j, f"class {self.id}: station id"): float(mu)
+                            for j, mu in rates.items()}
                            if isinstance(rates, Mapping) else float(rates))
         if len(route) == 0:
             raise ValueError(f"class {self.id}: route must visit at least one station")

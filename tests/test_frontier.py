@@ -7,16 +7,20 @@ functions, so every case reduces to a small linear solve) and are
 frozen as oracles.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edfnet import (
     ClassSpec,
     NegativeWorkload,
     NetworkSpec,
     NoConsistentRegion,
+    PiecewiseLinearCDF,
     PointMass,
     SolverDivergence,
     Uniform,
@@ -34,7 +38,7 @@ from edfnet import (
 from edfnet import frontier
 from edfnet.frontier import _stage_inverse, _Term
 from edfnet.harness import theory_cdf
-from conftest import fifo_lead_cdf, in_piece, reaching
+from conftest import fifo_lead_cdf, in_piece, reaching, valid_random_spec
 
 THIRD = 1.0 / 3.0
 
@@ -163,6 +167,15 @@ def test_solve_huge_loads_extends_linearly():
     assert sol.frontiers[0] < 0.0 and sol.frontiers[1] < 0.0
     back = frontier_loads(model, sol.frontiers)
     assert back == pytest.approx([1e6, 1e6], rel=1e-9)
+
+
+def test_solve_rejects_a_frontier_that_overflows():
+    """At rates of 1e-300 a load of 1e10 puts the frontier below
+    -1e300: it overflows to -inf, and no infinite frontier passes as a
+    solution on an infinite roundoff allowance."""
+    model = crossing_model((400.0, 300.0, 200.0, 100.0), lam=1e-300)
+    with pytest.raises(SolverDivergence):
+        solve_frontiers(model, (1e10, 1e10))
 
 
 def test_solve_validates_loads():
@@ -529,3 +542,116 @@ def test_closed_form_without_a_consistent_candidate(monkeypatch):
     monkeypatch.setattr(frontier, "frontier_loads", lambda model, y: exact(model, y) + 1.0)
     with pytest.raises(NoConsistentRegion):
         two_station_closed_form(rates, deadlines, 50.0, 58.0)
+
+
+# -------- roundoff at extreme magnitudes --------
+
+def _log_uniform_crossing(rng):
+    """One crossing-network input at extreme magnitudes, each value
+    log-uniform: rates in [1e-6, 1e3], deadlines of magnitude
+    [1e-3, 1e9] and either sign, sorted nonincreasing, and loads in
+    [1e-12, 1e14]."""
+    rates = tuple(float(v) for v in 10.0 ** rng.uniform(-6.0, 3.0, 4))
+    signs = rng.choice((-1.0, 1.0), 4)
+    deadlines = sorted((float(v) for v in signs * 10.0 ** rng.uniform(-3.0, 9.0, 4)),
+                       reverse=True)
+    loads = tuple(float(v) for v in 10.0 ** rng.uniform(-12.0, 14.0, 2))
+    return rates, tuple(deadlines), loads
+
+
+def _assert_reproduces(model, frontiers, loads):
+    """Every station's load at ``frontiers`` is the requested one to
+    within the roundoff allowance of the station's sum there."""
+    vals = dict(zip(model.topology.spec.stations, frontiers))
+    back = frontier_loads(model, frontiers)
+    for j, y in vals.items():
+        terms = frontier._terms(model, j, model.topology.visiting[j], vals)
+        assert abs(back[j - 1] - loads[j - 1]) <= frontier._roundoff(terms, y)[0], (j, vals)
+
+
+def _solve_crossing_both_ways(rates, deadlines, loads):
+    """Both solvers on one crossing input.  Each answers and reproduces
+    both loads within the allowance, and the two agree to 64 ulps of the
+    largest deadline or frontier.  Returns the closed form's answer."""
+    model = count_model(build_topology(frontier._crossing_spec(rates, deadlines)))
+    staged = solve_frontiers(model, loads).frontiers
+    closed = two_station_closed_form(rates, deadlines, *loads)
+    for y in (staged, closed.frontiers):
+        _assert_reproduces(model, y, loads)
+    scale = max(abs(v) for v in (*deadlines, *staged, *closed.frontiers))
+    assert max(abs(a - b) for a, b in zip(staged, closed.frontiers)) <= frontier._ULPS * scale
+    return closed
+
+
+@pytest.mark.parametrize("rates,deadlines,loads", [
+    # both solvers raised: station 2 sits 0.048 below 3.45e7, where one
+    # ulp of level is 2.5e-6 of load
+    ((666.1, 0.0436, 0.0490, 117.2), (3.45e7, 8.19e5, -131.8, -131.8), (0.0, 32.2)),
+    # the closed form returned region V, whose station-2 load is 22 % off
+    ((375.0, 4.84e-6, 0.132, 1.07e-6), (3499.0, 0.045, -545.0, -930.0), (7.83e13, 13516.0)),
+    # the closed form returned region IV, whose station-1 load is 21,203,092
+    ((2.934, 1.148e-4, 1.813e-3, 9.196), (3.532e-3, -0.0791, -1235.0, -6.498e5),
+     (2.119e7, 1.677e13)),
+], ids=["both-raised", "wrong-region-V", "wrong-region-IV"])
+def test_solvers_at_extreme_magnitudes(rates, deadlines, loads):
+    """Inputs whose roundoff the load-scaled tolerances misjudged."""
+    _solve_crossing_both_ways(rates, deadlines, loads)
+
+
+def _rescaled(spec, shift=0.0, time=1.0, rate=1.0):
+    """``spec`` with every lead knot moved from y to time * y + shift and
+    every arrival rate times ``rate``."""
+    return NetworkSpec(spec.station_count, tuple(
+        dataclasses.replace(c, arrival_rate=rate * c.arrival_rate, lead_time=PiecewiseLinearCDF(
+            [(time * y + shift, g) for y, g in c.lead_time.knots]))
+        for c in spec.classes))
+
+
+EXTREME = settings(max_examples=12, deadline=None, derandomize=True)
+
+
+@given(net_seed=st.integers(0, 2**32 - 1), sign=st.sampled_from((-1.0, 1.0)),
+       log_shift=st.floats(0.0, 9.0), log_time=st.floats(-3.0, 6.0),
+       log_rate=st.floats(-6.0, 3.0))
+@EXTREME
+def test_frontiers_follow_shifts_and_scalings(net_seed, sign, log_shift, log_time, log_rate):
+    """On random networks with loads from 1e-12 to 1e6: shifting every
+    deadline by c shifts the frontiers by c, scaling time by s (leads
+    and loads) scales them by s, and scaling the rates by r with the
+    loads leaves them unchanged, each to 64 ulps of the levels
+    involved."""
+    rng = np.random.default_rng(net_seed)
+    spec = valid_random_spec(rng, max_stations=4, max_classes=5)
+    loads = 10.0 ** rng.uniform(-12.0, 6.0, spec.station_count)
+    c, s, r = sign * 10.0 ** log_shift, 10.0 ** log_time, 10.0 ** log_rate
+    top = max(k.lead_time.upper_support for k in spec.classes)
+
+    def solve(network, load_vector):
+        return solve_frontiers(count_model(build_topology(network)), load_vector).frontiers
+
+    # each case: the frontiers, the expected ones, and the largest lead
+    base = solve(spec, loads)
+    for got, want, lead in [
+        (solve(_rescaled(spec, shift=c), loads), [y + c for y in base], top + abs(c)),
+        (solve(_rescaled(spec, time=s), s * loads), [s * y for y in base], s * top),
+        (solve(_rescaled(spec, rate=r), r * loads), base, top),
+    ]:
+        for a, b in zip(got, want):
+            assert abs(a - b) <= frontier._ULPS * (abs(b) + lead), (a, b)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@EXTREME
+def test_closed_form_agrees_with_staged_solver_at_extreme_magnitudes(seed):
+    _solve_crossing_both_ways(*_log_uniform_crossing(np.random.default_rng(seed)))
+
+
+@pytest.mark.slow
+def test_solvers_agree_on_a_log_uniform_sweep():
+    """1,000 crossing inputs at extreme magnitudes, between them in all
+    eight closed-form regions: neither solver fails and the two never
+    disagree."""
+    rng = np.random.default_rng(5)
+    regions = {_solve_crossing_both_ways(*_log_uniform_crossing(rng)).region
+               for _ in range(1000)}
+    assert regions == {"I", "II", "III", "IV", "V", "VI", "VII", "VIII"}

@@ -42,6 +42,16 @@ default grid began to hold Python floats instead of numpy float64s:
 its ``y`` column had printed as ``np.float64(2.0)``, which ``float()``
 cannot read back, and now prints as ``2.0``.  Every ``y`` value and
 every ``theory`` field is unchanged.
+
+The solver sweep digest and the seed-13 prediction digest were
+re-recorded when the stage solve began to fit its piece quadratic from
+the end whose value lies nearer the target, instead of always from the
+piece's lower end: the root then carries the roundoff of the nearer end.
+Solve by solve, no permutation and no error outcome moved; 185 of the
+1,200 sweep solves moved a frontier, by at most 48 ulps, and a stage
+bound moved only where it is a placed frontier (a class's floor) that
+moved with it.  Seed 13 moved one frontier by 1 ulp.  With the fit
+anchored at the lower end as before, every digest holds bit for bit.
 """
 
 import contextlib
@@ -242,7 +252,7 @@ PREDICTION_GRID = tuple(float(v) for v in np.linspace(-20.0, 620.0, 161))
 @pytest.mark.parametrize("net_seed,digest", [
     (4, "e188bda430cdcaadd59791c9bd113c2b6fb7cb8d65eebda1b431b661abdd1f3f"),
     (10, "4ff9642401e49e8e851834ae77c8d81d75000062d687360f132dada4a06a53be"),
-    (13, "0e598bd8dcdbe5224cddc08c2cb244567e91105389d2cde646b3a581cbbba64f"),
+    (13, "803b8a5efe0c76c7e5d79942971f82347e7c2b27da6373d1ae53db512692bec4"),
 ])
 def test_prediction_digest(net_seed, digest):
     rng = np.random.default_rng(net_seed)
@@ -282,7 +292,8 @@ def test_solver_sweep_digest():
     push frontiers far below zero.  Each solve hashes its frontiers,
     permutation and stage bounds, or the name and message of the error
     it raised.  Recorded before the solver began to solve each station's
-    stage once per reach set instead of once per stage."""
+    stage once per reach set instead of once per stage, and again when
+    the stage solve began to fit from the nearer end of its piece."""
     rng = np.random.default_rng(11)
     h = hashlib.sha256()
     solves = 0
@@ -300,4 +311,4 @@ def test_solver_sweep_digest():
             for loads in cases:
                 h.update(repr(_solve_outcome(model, loads)).encode())
                 solves += 1
-    assert h.hexdigest() == "a9af85d4a5c1234a5876411cc5386c9dcb46a68b3889cda8d1c5ddafc3a76d33"
+    assert h.hexdigest() == "9fd64c0d9995c814fec413e9e7e3df25394a516431c3a68c14464e3c1617d663"

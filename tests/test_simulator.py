@@ -770,6 +770,10 @@ def test_conditional_sample_validates_arguments():
     for bad in (2.5, True, "3"):
         with pytest.raises(ValueError, match="count must be an integer"):
             conditional_sample(sim, cond, threshold=1.0, count=bad, horizon_cap=10.0)
+    # a numpy integer is a whole number: the same quota as the int
+    quotas = [conditional_sample(new_sim(single_class_station(), seed=0), cond, threshold=1.0,
+                                 count=n, horizon_cap=1e4) for n in (2, np.int64(2))]
+    assert quotas[0] == quotas[1] and len(quotas[0].snapshots) == 2
     with pytest.raises(ValueError, match=r"horizon_cap inf from 0\.0"):
         conditional_sample(sim, cond, threshold=1.0, count=1,
                            horizon_cap=math.inf)
@@ -1031,6 +1035,12 @@ def test_seed_validation():
     for flag in (True, False):
         with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             new_sim(single_class_station(), seed=flag)
+    # a numpy integer is a whole number: stored as int, the same stream
+    sims = [new_sim(single_class_station(), seed=seed) for seed in (3, np.int64(3))]
+    assert type(sims[1].seed) is int
+    for sim in sims:
+        run_until(sim, 50.0)
+    assert snapshot_profiles(sims[0]) == snapshot_profiles(sims[1])
 
 
 def test_frontier_lookup_validation():

@@ -177,3 +177,16 @@ def test_one_station_block():
     integrals = ("idle_time", "int_present", "int_behind")
     assert len(pushes) == 1, pushes
     assert {name: adds[name] for name in integrals} == dict.fromkeys(integrals, 1)
+
+
+def test_one_roundoff_constant_in_the_solvers():
+    """``frontier.py`` holds exactly one float literal in (0, 1e-3), the
+    scale of ``_roundoff``: every "close enough" in the solvers is that
+    allowance, so a hand-set tolerance cannot come back unseen."""
+    tree = ast.parse((SRC / "frontier.py").read_text())
+    small = [node for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and isinstance(node.value, float) and 0.0 < abs(node.value) < 1e-3]
+    ulps = [node for node in tree.body if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["_ULPS"]]
+    assert len(small) == 1 and len(ulps) == 1
+    assert small[0] in list(ast.walk(ulps[0]))

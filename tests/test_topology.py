@@ -183,15 +183,19 @@ def test_class_spec_validation():
         (lambda: one_class(route=("1",)), "station id must be an integer, got '1'"),
         (lambda: one_class(id=True), "class id must be an integer, got True"),
         (lambda: one_class(id=1.0), "class id must be an integer, got 1.0"),
+        (lambda: one_class(service_rates={1.7: 2.0}), "station id must be an integer, got 1.7"),
+        (lambda: one_class(service_rates={True: 2.0}), "station id must be an integer, got True"),
         (lambda: NetworkSpec(True, (one_class(),)), "station count must be an integer, got True"),
         (lambda: NetworkSpec(2.5, (one_class(),)), "station count must be an integer, got 2.5"),
     ]:
         with pytest.raises(ValueError, match=re.escape(named)):
             make()
     # numpy integers are whole numbers, stored as int
-    spec = NetworkSpec(np.int64(1), (one_class(id=np.int32(1), route=(np.int64(1),)),))
+    spec = NetworkSpec(np.int64(1), (one_class(id=np.int32(1), route=(np.int64(1),),
+                                               service_rates={np.int64(1): 2.0}),))
     assert type(spec.station_count) is type(spec.classes[0].id) is int
     assert [type(j) for j in spec.classes[0].route] == [int]
+    assert [type(j) for j in spec.classes[0].service_rates] == [int]
 
 
 def test_class_spec_law_mean_must_match_rate():
