@@ -22,10 +22,10 @@ the levels in between sum the terms.
 
 All of this is exact piecewise-polynomial arithmetic: every lead-time
 law is a piecewise-linear CDF, whose integrated tail is piecewise
-quadratic, so each stage inverse is a breakpoint scan plus a
-closed-form quadratic solve on the bracketing piece.  Its roundoff
-scales with weight times level, not with the load: both solvers decide
-every "close enough" by ``_roundoff``, that allowance for one sum.
+quadratic, so a stage inverse is a breakpoint scan and a quadratic
+solve.  Its roundoff scales with weight times level, not with the load.
+Both solvers read loads by ``_read_loads`` and check a frontier vector
+by ``_fit``: per station, one table gives the miss and its ``_roundoff``.
 """
 
 from __future__ import annotations
@@ -182,6 +182,26 @@ def _roundoff(terms: List[_Term], y: float) -> Tuple[float, float]:
     return _ULPS * total, _ULPS * total / weight
 
 
+def _fit(model: WeightedModel, y: Mapping[int, float],
+         loads: Sequence[float]) -> List[Tuple[float, float, float]]:
+    """Per station, the miss |``_mass_above`` - load| of frontier vector y
+    (station -> level) and its ``_roundoff`` allowances, from one table."""
+    topo = model.topology
+    tables = ((j, _terms(model, j, topo.visiting[j], y)) for j in topo.spec.stations)
+    return [(abs(_mass_above(t, y[j]) - loads[j - 1]), *_roundoff(t, y[j])) for j, t in tables]
+
+
+def _read_loads(count: int, loads: Sequence[float]) -> List[float]:
+    """``count`` station loads as floats, each finite and >= 0."""
+    vec = [float(v) for v in loads]
+    if len(vec) != count:
+        raise ValueError(f"expected {count} loads, got {len(vec)}")
+    for j, v in enumerate(vec, start=1):
+        if not math.isfinite(v) or v < 0.0:
+            raise NegativeWorkload(f"load at station {j} must be finite and >= 0, got {v}")
+    return vec
+
+
 def _station_frontiers(topo: Topology, y: Sequence[float]) -> Dict[int, float]:
     vals = [float(v) for v in y]
     if len(vals) != topo.station_count:
@@ -318,16 +338,12 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
     A station's stage is solved once per reach set, not once per stage.
     Values must not rise along the order (SolverDivergence otherwise),
     so the vector lies in the order's domain piece, reproduces the
-    loads, and is the componentwise smallest such vector, each to the
-    roundoff allowance (``_roundoff``) of the sums involved.
+    loads (checked by ``_fit``, as in the closed form) and is the
+    componentwise smallest such vector, each to the roundoff allowance
+    (``_roundoff``) of the sums involved.
     """
     topo = model.topology
-    vec = [float(v) for v in loads]
-    if len(vec) != topo.station_count:
-        raise ValueError(f"expected {topo.station_count} loads, got {len(vec)}")
-    for j, v in enumerate(vec, start=1):
-        if not math.isfinite(v) or v < 0.0:
-            raise NegativeWorkload(f"load at station {j} must be finite and >= 0, got {v}")
+    vec = _read_loads(topo.station_count, loads)
 
     assigned: Dict[int, float] = {}   # placed stations in placing order
     bounds: List[float] = []
@@ -354,18 +370,15 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
         assigned[j] = last = value
         bounds.append(b_j)
 
-    y = tuple(assigned[j] for j in topo.spec.stations)
-    misses = []
-    for j in topo.spec.stations:
-        terms = _terms(model, j, topo.visiting[j], assigned)
-        misses.append(abs(_mass_above(terms, assigned[j]) - vec[j - 1]))
-        if misses[-1] > _roundoff(terms, assigned[j])[0]:
-            raise SolverDivergence(f"inversion residual {misses[-1]} at station {j}")
+    fit = _fit(model, assigned, vec)
+    for j, (miss, allowed, _) in zip(topo.spec.stations, fit):
+        if miss > allowed:
+            raise SolverDivergence(f"inversion residual {miss} at station {j}")
     return FrontierSolution(
-        frontiers=y,
+        frontiers=tuple(assigned[j] for j in topo.spec.stations),
         permutation=tuple(assigned),
         stage_bounds=tuple(bounds),
-        residual=max(misses),
+        residual=max(miss for miss, _, _ in fit),
         loads=tuple(vec),
     )
 
@@ -452,11 +465,10 @@ def two_station_closed_form(
     deadlines and to its own ordering, different clip terms in the
     load equations are active, and each activity pattern linearizes
     the equations.  The eight resulting candidate solutions are
-    labelled I..VIII.  Every candidate is checked for self-consistency
-    (it must land in the domain's two pieces and reproduce (q1, q2)
-    through the exact load map, each to the roundoff allowance of the
-    sums involved, ``_roundoff``); the first consistent one is
-    returned.  Raises NoConsistentRegion if none survives.
+    labelled I..VIII.  Each is checked by ``_fit``, as ``solve_frontiers``
+    checks its answer: it must land in the domain's two pieces and
+    reproduce (q1, q2), each to the ``_roundoff`` allowance of its sums;
+    the first that does is returned, else NoConsistentRegion is raised.
     """
     if len(rates) != 4 or len(deadlines) != 4:
         raise ValueError("need exactly four rates and four deadlines")
@@ -467,28 +479,26 @@ def two_station_closed_form(
             raise ZeroIntensity(f"rate of class {i} must be positive, got {lv!r}")
     if not (d1 >= d2 >= d3 >= d4):
         raise ValueError(f"deadlines must be nonincreasing by class, got {deadlines!r}")
-    for j, q in ((1, q1), (2, q2)):
-        if not math.isfinite(q) or q < 0.0:
-            raise NegativeWorkload(f"load at station {j} must be finite and >= 0, got {q}")
+    q1, q2 = _read_loads(2, (q1, q2))
 
+    # each station's frontier with its own classes alone, for the chained ones
+    w1 = (l1 * d1 + l3 * d3 - q1) / (l1 + l3)
+    w2 = (l2 * d2 + l4 * d4 - q2) / (l2 + l4)
     f1 = {
         "top_only": d1 - q1 / l1,
         "with_crossing": (l1 * d1 + l2 * d2 - q2 - q1) / (l1 + l2),
-        "with_local": (l1 * d1 + l3 * d3 - q1) / (l1 + l3),
+        "with_local": w1,
         "all_three": (l1 * d1 + l2 * d2 + l3 * d3 - q1 - q2) / (l1 + l2 + l3),
-        "chained": (l1 * d1 + l3 * d3 - q1) / (l1 + l2 + l3)
-        + l2 * (l2 * d2 + l4 * d4 - q2) / ((l1 + l2 + l3) * (l2 + l4)),
+        "chained": (l1 * d1 + l3 * d3 - q1 + l2 * w2) / (l1 + l2 + l3),
     }
     f2 = {
         "top_only": d2 - q2 / l2,
         "handoff": (l1 * d1 - q2 - q1) / l1,
-        "with_local": (l2 * d2 + l4 * d4 - q2) / (l2 + l4),
+        "with_local": w2,
         "shared": (l1 * d1 + l2 * d2 - q2 - q1) / (l1 + l2),
         "shared_local": (l1 * d1 + l2 * d2 + l4 * d4 - q2 - q1) / (l1 + l2 + l4),
-        "chained": l1 * (l1 * d1 + l3 * d3 - q1) / ((l1 + l2) * (l1 + l3))
-        + (l2 * d2 - q2) / (l1 + l2),
-        "chained_local": l1 * (l1 * d1 + l3 * d3 - q1) / ((l1 + l3) * (l1 + l2 + l4))
-        + (l2 * d2 + l4 * d4 - q2) / (l1 + l2 + l4),
+        "chained": (l1 * w1 + l2 * d2 - q2) / (l1 + l2),
+        "chained_local": (l1 * w1 + l2 * d2 + l4 * d4 - q2) / (l1 + l2 + l4),
     }
     candidates = [
         ("I", f1["top_only"], f2["handoff"]),
@@ -503,15 +513,10 @@ def two_station_closed_form(
 
     model = count_model(build_topology(_crossing_spec((l1, l2, l3, l4),
                                                       (d1, d2, d3, d4))))
-    visiting = model.topology.visiting
     for region, a, b in candidates:
-        vals = {1: a, 2: b}
-        (load1, level1), (load2, level2) = (
-            _roundoff(_terms(model, j, visiting[j], vals), vals[j]) for j in (1, 2))
-        if not _in_crossing_domain(a, b, d1, d2, max(level1, level2)):
-            continue
-        back = frontier_loads(model, (a, b))
-        if abs(back[0] - q1) <= load1 and abs(back[1] - q2) <= load2:
+        (miss1, load1, level1), (miss2, load2, level2) = _fit(model, {1: a, 2: b}, (q1, q2))
+        if (_in_crossing_domain(a, b, d1, d2, max(level1, level2))
+                and miss1 <= load1 and miss2 <= load2):
             return TwoStationSolution(region, (a, b))
     raise NoConsistentRegion(
         f"no closed-form region reproduces loads ({q1}, {q2})")

@@ -172,10 +172,14 @@ def test_solve_huge_loads_extends_linearly():
 def test_solve_rejects_a_frontier_that_overflows():
     """At rates of 1e-300 a load of 1e10 puts the frontier below
     -1e300: it overflows to -inf, and no infinite frontier passes as a
-    solution on an infinite roundoff allowance."""
-    model = crossing_model((400.0, 300.0, 200.0, 100.0), lam=1e-300)
+    solution on an infinite roundoff allowance.  The closed form says so
+    by name too: no candidate divides by a product of rate sums, which
+    would underflow to 0 here."""
+    deadlines = (400.0, 300.0, 200.0, 100.0)
     with pytest.raises(SolverDivergence):
-        solve_frontiers(model, (1e10, 1e10))
+        solve_frontiers(crossing_model(deadlines, lam=1e-300), (1e10, 1e10))
+    with pytest.raises(NoConsistentRegion):
+        two_station_closed_form((1e-300,) * 4, deadlines, 1e10, 1e10)
 
 
 def test_solve_validates_loads():
@@ -441,6 +445,7 @@ def test_predict_profile_validates_input():
 # -------- two-station closed forms --------
 
 CASE_A = ((THIRD,) * 4, (400.0, 300.0, 200.0, 100.0))
+REGIONS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII")
 
 
 @pytest.mark.parametrize(
@@ -456,11 +461,17 @@ CASE_A = ((THIRD,) * 4, (400.0, 300.0, 200.0, 100.0))
         ((80.0, 120.0), "VIII", (180.0, 220.0 / 3.0)),
     ],
 )
-def test_closed_form_regions(loads, region, frontiers):
+def test_closed_form_regions(loads, region, frontiers, monkeypatch):
+    """Each region's hand-solved frontiers, with one table per station
+    built for each candidate tried, in order, up to the one returned."""
     rates, deadlines = CASE_A
+    tables = []
+    exact = frontier._terms
+    monkeypatch.setattr(frontier, "_terms", lambda *args: tables.append(args[1]) or exact(*args))
     sol = two_station_closed_form(rates, deadlines, *loads)
     assert sol.region == region
     assert sol.frontiers == pytest.approx(frontiers, abs=1e-8)
+    assert len(tables) == 2 * (REGIONS.index(region) + 1)
 
 
 def test_closed_form_matches_oracle_cases():
@@ -535,13 +546,39 @@ def test_closed_form_validates_input():
 
 
 def test_closed_form_without_a_consistent_candidate(monkeypatch):
-    """Every candidate is checked against the exact load map, so when
+    """Every candidate is checked by the solvers' one fit check, so when
     no candidate reproduces the loads the closed form says so."""
     rates, deadlines = CASE_A
-    exact = frontier.frontier_loads
-    monkeypatch.setattr(frontier, "frontier_loads", lambda model, y: exact(model, y) + 1.0)
+    exact = frontier._fit
+    monkeypatch.setattr(frontier, "_fit", lambda model, y, loads: [
+        (miss + 1.0, load, level) for miss, load, level in exact(model, y, loads)])
     with pytest.raises(NoConsistentRegion):
         two_station_closed_form(rates, deadlines, 50.0, 58.0)
+
+
+@pytest.mark.parametrize("station", [1, 2])
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf, -math.inf])
+def test_both_solvers_read_loads_alike(bad, station):
+    """A bad load fails the same way in both solvers, naming its station."""
+    rates, deadlines = CASE_A
+    loads = [5.0, 5.0]
+    loads[station - 1] = bad
+    errors = []
+    for solve in (lambda: solve_frontiers(crossing_model(deadlines), loads),
+                  lambda: two_station_closed_form(rates, deadlines, *loads)):
+        with pytest.raises(NegativeWorkload, match=f"station {station}") as info:
+            solve()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+
+
+def test_both_solvers_return_float_frontiers():
+    """Loads given as numpy scalars come back as frontiers of type float."""
+    rates, deadlines = CASE_A
+    loads = (np.float64(50.0), 58.0)
+    for frontiers in (solve_frontiers(crossing_model(deadlines), loads).frontiers,
+                      two_station_closed_form(rates, deadlines, *loads).frontiers):
+        assert [type(v) for v in frontiers] == [float, float]
 
 
 # -------- roundoff at extreme magnitudes --------
