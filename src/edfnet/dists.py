@@ -3,11 +3,16 @@
 These are descriptors, not streams: a law is immutable and stateless;
 ``draws(rng)`` returns a fresh iterator of draws from the given
 generator, and ``sampler(rng)`` its draw() callable.  Random laws draw
-in blocks to keep the per-draw overhead out of the event loop; the
-scripted Sequence law replays a fixed list and then repeats a final
-value (infinity by default, i.e. no further arrivals).  Every iterator
-is built from ``itertools`` parts, so a draw is one C-level step, a
-block refill aside.
+in blocks to keep the per-draw overhead out of the event loop.  The
+blocks grow with use, 16, 32, ..., 512 values and then _BLOCK each, so
+what a stream holds grows with what it has read: a network of many
+rarely read streams does not hold a full block for each.  numpy's
+generators give the same values whether n are drawn in one call or in
+pieces, so the schedule changes no draw.  The scripted Sequence law
+replays a fixed list and then repeats a final value (infinity by
+default, i.e. no further arrivals).  Every iterator is built from
+``itertools`` parts, so a draw is one C-level step, a block refill
+aside.
 """
 
 from __future__ import annotations
@@ -40,12 +45,24 @@ class SamplingLaw:
 
 
 def _blocks(draw_block: Callable[[int], np.ndarray]) -> Iterator[float]:
-    """The values of blocks of _BLOCK draws, each drawn when the last
-    runs out and held as an ``array('d')`` of the same float64 bits, so
-    each value is a Python float."""
-    blocks = (array("d", np.asarray(draw_block(_BLOCK), dtype=np.float64).tobytes())
-              for _ in repeat(None))
-    return chain.from_iterable(blocks)
+    """The values of ``draw_block(n)`` for n = 16, 32, ..., 512 and then
+    _BLOCK for every later block.  Each block is drawn when the last
+    runs out, the first when the first value is read, and is held as an
+    ``array('d')`` of the same float64 bits, so each value is a Python
+    float.  ``draw_block`` must give the same values in pieces as in one
+    call, as numpy's generators do, so the values do not depend on the
+    schedule."""
+    return chain.from_iterable(_grown_blocks(draw_block))
+
+
+def _grown_blocks(draw_block: Callable[[int], np.ndarray]) -> Iterator[array]:
+    """The blocks of ``_blocks``.  One generator frame per stream holds
+    the size, so a stream that has read little costs little more than
+    its block."""
+    n = _BLOCK >> 6
+    while True:
+        yield array("d", np.asarray(draw_block(n), dtype=np.float64).tobytes())
+        n = min(2 * n, _BLOCK)
 
 
 @dataclass(frozen=True)

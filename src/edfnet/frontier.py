@@ -47,6 +47,7 @@ from .topology import (
     ClassSpec,
     NetworkSpec,
     Topology,
+    _whole,
     build_topology,
     traffic_intensity,
 )
@@ -405,6 +406,7 @@ def predict_profile(
     topo = model.topology
     fr = solution.frontiers if isinstance(solution, FrontierSolution) else solution
     vals = _station_frontiers(topo, fr)
+    j = _whole(j, "station id")
     if j not in topo.visiting:
         raise ValueError(f"station {j} is not in the network")
     if np.isnan(y).any():

@@ -553,7 +553,9 @@ def snapshot_profiles(sim: SimState) -> Snapshot:
 
 
 def _station(sim: SimState, j: int) -> _Station:
-    """Station j of the run; ValueError unless the network has it."""
+    """Station j of the run; ValueError unless j is an integer and the
+    network has it."""
+    j = _whole(j, "station id")
     if j not in sim.topology.visiting:
         raise ValueError(f"station {j} is not in the network")
     return sim.stations[j]
@@ -562,7 +564,8 @@ def _station(sim: SimState, j: int) -> _Station:
 def class_frontier(sim: SimState, k: int, j: int) -> float:
     """Lead-time frontier of class k at station j right now."""
     st = _station(sim, j)
-    if k not in sim.topology.visiting[j]:
+    k = _whole(k, "class id")
+    if k not in sim.topology.visiting[st.sid]:
         raise ClassDoesNotVisitStation(f"class {k} does not visit station {j}")
     return st.max_by_class[k] - sim.clock
 

@@ -229,6 +229,7 @@ def build_topology(spec: NetworkSpec) -> Topology:
 def traffic_intensity(topo: Topology, j: int) -> float:
     """Offered load at a station: sum over visiting classes of
     arrival rate divided by service rate there."""
+    j = _whole(j, "station id")
     if j not in topo.visiting:
         raise ValueError(f"station {j} is not in the network")
     classes = (topo.spec.class_by_id(k) for k in topo.visiting[j])

@@ -8,6 +8,8 @@ assertion is plain arithmetic done by hand.
 import dataclasses
 import math
 import pickle
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,18 +40,23 @@ from edfnet import (
     class_counts,
     class_frontier,
     conditional_sample,
+    count_model,
     dists,
     idleness,
     mean_queue_length,
     netput,
     new_sim,
+    predict_profile,
     queue_length,
     run_until,
     snapshot_profiles,
+    solve_frontiers,
     station_frontier,
+    traffic_intensity,
     utilization,
     workload,
 )
+from edfnet.harness import theory_cdf
 
 
 def scripted_class(cid, route, *, gaps, services, lead, rate=1.0):
@@ -534,7 +541,8 @@ def test_each_customer_carries_the_nth_draw_of_its_class_streams():
     (seed, 2, k, 0), and at route station j its service is the n-th
     draw of stream (seed, 3, k, j): every stream is its own generator,
     read once per arrival of its class.  Class 1 visits stations 1 and
-    2; over a thousand customers a class cross the first block seam."""
+    2; over a thousand customers a class cross every seam of the
+    growing blocks, the last at draw 1008, into the full blocks."""
     seed, block = 7, dists._BLOCK
     leads = {1: Uniform(50.0, 90.0),
              2: PiecewiseLinearCDF([(5.0, 0.2), (40.0, 0.7), (90.0, 1.0)])}
@@ -1043,6 +1051,26 @@ def test_seed_validation():
     assert snapshot_profiles(sims[0]) == snapshot_profiles(sims[1])
 
 
+def test_a_new_sim_holds_about_the_draws_it_reads():
+    """A new simulation has read one gap per class, so its streams hold
+    only their first, smallest blocks: on 64 one-station classes the
+    live allocations made in dists.py stay under 256 KiB, where a full
+    first block of gaps per class alone would take 64 x 8 KiB."""
+    spec = NetworkSpec(1, tuple(
+        ClassSpec(id=k, route=(1,), arrival_rate=0.01, lead_time=PointMass(5.0),
+                  service_rates=1.0)
+        for k in range(1, 65)))
+    tracemalloc.start()
+    try:
+        sim = new_sim(spec, seed=1)
+        held = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(True, dists.__file__)])
+    finally:
+        tracemalloc.stop()
+    assert sim.clock == 0.0
+    assert sum(s.size for s in held.statistics("filename")) < 256 * 1024
+
+
 def test_frontier_lookup_validation():
     sim = new_sim(crossing_spec(), seed=0)
     with pytest.raises(ClassDoesNotVisitStation):
@@ -1067,3 +1095,33 @@ def test_station_accessors_reject_unknown_stations(read, j):
     run_until(sim, 500.0)
     with pytest.raises(ValueError, match=f"station {j} is not in the network"):
         read(sim, j)
+
+
+def _predicted_mass(sim, j):
+    model = count_model(sim.topology)
+    return predict_profile(model, solve_frontiers(model, (50.0, 58.0)), j, 0.0)
+
+
+def _theory_cdf(sim, j):
+    model = count_model(sim.topology)
+    return theory_cdf(model, solve_frontiers(model, (50.0, 58.0)), j, [0.0])
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, 2.0, np.float64(1.0), "1"], ids=repr)
+@pytest.mark.parametrize("read", [
+    workload, netput, idleness, utilization, queue_length, class_counts,
+    mean_queue_length, station_frontier, behind_frontier_stats, class_1_frontier,
+    lambda sim, k: class_frontier(sim, k, 1), _predicted_mass, _theory_cdf,
+    lambda sim, j: traffic_intensity(sim.topology, j),
+], ids=["workload", "netput", "idleness", "utilization", "queue_length",
+        "class_counts", "mean_queue_length", "station_frontier",
+        "behind_frontier_stats", "class_frontier-station", "class_frontier-class",
+        "predict_profile", "theory_cdf", "traffic_intensity"])
+def test_accessors_read_ids_as_integers(read, bad):
+    """Station and class ids are integers: ``True == 1`` and ``2.0 == 2``
+    must not pass for an id, nor a float index fail as a bare
+    TypeError, so each raises a ValueError naming the value."""
+    sim = new_sim(crossing_spec(), seed=0)
+    run_until(sim, 500.0)
+    with pytest.raises(ValueError, match=f"must be an integer, got {re.escape(repr(bad))}$"):
+        read(sim, bad)

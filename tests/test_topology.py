@@ -265,15 +265,35 @@ _PIECEWISE = PiecewiseLinearCDF([(5.0, 0.2), (40.0, 0.7), (90.0, 1.0)])
                  _PIECEWISE.sample, id="piecewise"),
 ])
 def test_block_sampler_draws_the_generator_blocks(make_draw, block):
-    """A block sampler's draws are the generator's blocks bit for bit,
-    in order and across the seams (draws 1023-1025 and 2047-2049 of
-    three blocks), each a Python float."""
+    """A block sampler's draws are one large draw of the generator bit
+    for bit, in order and across every seam of the growing blocks
+    (after values 16, 48, 112, 240, 496, 1008, 2032 and 3056), each a
+    Python float."""
     draw = make_draw(np.random.default_rng(11))
-    rng = np.random.default_rng(11)
-    want = np.concatenate([block(rng, dists._BLOCK) for _ in range(3)])
+    want = block(np.random.default_rng(11), 4 * dists._BLOCK)
     got = [draw() for _ in range(len(want))]
     assert all(type(v) is float for v in got)
     assert array("d", got).tobytes() == want.tobytes()
+
+
+def test_blocks_grow_from_the_first_read():
+    """_blocks draws nothing until its first value is read, then asks
+    for blocks of 16, 32, ..., 512 values and _BLOCK after that, each
+    when the last runs out."""
+    asked = []
+
+    def draw_block(n):
+        asked.append(n)
+        return np.arange(n, dtype=np.float64)
+
+    values = dists._blocks(draw_block)
+    assert asked == []
+    sizes = [16, 32, 64, 128, 256, 512, 1024, 1024]
+    for i, size in enumerate(sizes):
+        assert next(values) == 0.0
+        assert asked == sizes[:i + 1]
+        assert list(itertools.islice(values, size - 1)) == list(range(1, size))
+    assert asked == sizes
 
 
 def test_network_spec_requires_contiguous_ids():
