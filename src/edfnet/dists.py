@@ -30,6 +30,15 @@ __all__ = ["SamplingLaw", "Exponential", "Deterministic", "UniformLaw", "Sequenc
 _BLOCK = 1024
 
 
+def _real(value, what: str) -> float:
+    """A Python or numpy real as a float; a bool, a string or anything
+    else raises ValueError naming the value, where ``float()`` would
+    have read it.  The real counterpart of ``topology._whole``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
 class SamplingLaw:
     """Interface: a mean (None when undefined) and a draw-stream factory."""
 
@@ -70,6 +79,7 @@ class Exponential(SamplingLaw):
     rate: float
 
     def __post_init__(self):
+        object.__setattr__(self, "rate", _real(self.rate, "rate"))
         if not 0.0 < self.rate < math.inf:
             raise ValueError(f"rate must be positive and finite, got {self.rate!r}")
 
@@ -87,6 +97,7 @@ class Deterministic(SamplingLaw):
     value: float
 
     def __post_init__(self):
+        object.__setattr__(self, "value", _real(self.value, "value"))
         if not self.value > 0.0 or not math.isfinite(self.value):
             raise ValueError(f"value must be positive and finite, got {self.value!r}")
 
@@ -104,6 +115,8 @@ class UniformLaw(SamplingLaw):
     hi: float
 
     def __post_init__(self):
+        object.__setattr__(self, "lo", _real(self.lo, "lo"))
+        object.__setattr__(self, "hi", _real(self.hi, "hi"))
         if not (0.0 <= self.lo < self.hi) or not math.isfinite(self.hi):
             raise ValueError(f"need 0 <= lo < hi finite, got [{self.lo}, {self.hi}]")
 
@@ -130,7 +143,8 @@ class Sequence(SamplingLaw):
     then: float = math.inf
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(_real(v, "value") for v in self.values))
+        object.__setattr__(self, "then", _real(self.then, "then"))
         if not all(v >= 0.0 for v in self.values):
             raise ValueError(f"scripted draws must be >= 0, got {self.values!r}")
         if not self.then > 0.0:

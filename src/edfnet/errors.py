@@ -58,8 +58,8 @@ class ZeroIntensity(EdfnetError):
 
 
 class SolverDivergence(EdfnetError):
-    """A stage solve found no root that reproduces its load, a placed
-    value rose along the stage order, or the residual check failed."""
+    """A placed frontier rose along the stage order, or a solved vector
+    missed a station's load by more than its roundoff allowance."""
 
 
 class NoConsistentRegion(EdfnetError):

@@ -22,8 +22,9 @@ the levels in between sum the terms.
 
 All of this is exact piecewise-polynomial arithmetic: every lead-time
 law is a piecewise-linear CDF, whose integrated tail is piecewise
-quadratic, so a stage inverse is a breakpoint scan and a quadratic
-solve.  Its roundoff scales with weight times level, not with the load.
+quadratic, so a stage inverse is a breakpoint scan and the root of a
+quadratic whose coefficients the laws give.  Its roundoff scales with
+weight times level, not with the load.
 Both solvers read loads by ``_read_loads`` and check a frontier vector
 by ``_fit``: per station, one table gives the miss and its ``_roundoff``.
 """
@@ -254,15 +255,17 @@ def _stage_inverse(terms: List[_Term], target: float) -> Tuple[float, float]:
 
     The stage function is continuous, zero at the bound (the largest
     cut), and strictly increasing as the lead level moves down, so the
-    preimage of any nonnegative target is a single point.  Between
-    neighbouring breakpoints it is an exact quadratic: a scan down the
-    breakpoints finds the piece that brackets the target, and the
-    quadratic through the piece's ends and midpoint is solved in closed
-    form from the end whose value lies nearer the target (a piece
-    narrower than the roundoff allowance gives that end).  Returns
-    (solution, bound).  Raises SolverDivergence when no root reproduces
-    the target within the allowance, as for a law whose integrated tail
-    is not quadratic between its breakpoints.
+    preimage of any nonnegative target is a single point.  A scan down
+    the breakpoints finds the piece [lo, hi] that brackets the target
+    (below the lowest one, lo is -inf).  On it every active law's CDF is
+    linear, so at y = hi - d the stage function is the exact quadratic
+    val_hi + surv * d + slope * d**2 / 2, whose coefficients sum the
+    active laws' ``survival_below(hi)``.  The root is the distance from
+    the end whose value lies nearer the target over the mean of the
+    stage function's slopes at that end and at the root, the stable
+    form; the slope at the root is positive, so nothing divides by
+    zero.  Returns (solution, bound); ``solve_frontiers`` checks the
+    solution's order and residual.
     """
     bound = max(t.cut for t in terms)
     if target == 0.0:
@@ -271,62 +274,29 @@ def _stage_inverse(terms: List[_Term], target: float) -> Tuple[float, float]:
     points = {bound}
     for t in terms:
         points.add(t.cut)
-        for b in t.dist.breakpoints():
-            if b < t.cut:
-                points.add(b)
-    points = sorted(points)
-
+        points.update(b for b in t.dist.breakpoints() if b < t.cut)
     hi, val_hi = bound, 0.0
-    for lo in reversed(points[:-1]):
-        val_lo = _mass_above(terms, lo)
-        if val_lo >= target:
+    lo, val_lo = -math.inf, math.inf
+    for x in sorted(points, reverse=True)[1:]:
+        val = _mass_above(terms, x)
+        if val >= target:
+            lo, val_lo = x, val
             break
-        hi, val_hi = lo, val_lo
-    else:
-        # below the lowest breakpoint every term is active and every
-        # integrated tail has slope -1, so the stage function is linear
-        slope = sum(t.weight for t in terms)
-        return hi - (target - val_hi) / slope, bound
+        hi, val_hi = x, val
 
-    # the scan stopped at the piece [lo, hi] with val_hi < target <= val_lo
-    slack = _roundoff(terms, lo)[1]
-    if hi - lo <= slack:
-        return (hi if abs(val_hi - target) <= abs(val_lo - target) else lo), bound
-
-    # Newton form through the end x0 nearer the target, the midpoint and x1
-    (x0, v0), (x1, v1) = sorted(((lo, val_lo), (hi, val_hi)), key=lambda e: abs(e[1] - target))
-    mid = 0.5 * (lo + hi)
-    val_mid = _mass_above(terms, mid)
-    d1 = (val_mid - v0) / (mid - x0)
-    d2 = ((v1 - val_mid) / (x1 - mid) - d1) / (x1 - x0)
-    # quadratic in d = y - x0:  d2*d^2 + (d1 - d2*(mid-x0))*d + (v0 - target)
-    a = d2
-    b = d1 - d2 * (mid - x0)
-    c = v0 - target
-
-    candidates = []
-    if a == 0.0:
-        if b != 0.0:
-            candidates.append(-c / b)
-    else:
-        disc = b * b - 4.0 * a * c
-        root = math.sqrt(max(disc, 0.0))
-        q = -0.5 * (b + math.copysign(root, b))
-        candidates.append(q / a)
-        if q != 0.0:
-            candidates.append(c / q)
-
-    best = None
-    for d in candidates:
-        y = x0 + d
-        if lo - slack <= y <= hi + slack:
-            y = min(max(y, lo), hi)
-            err = abs(_mass_above(terms, y) - target)
-            if best is None or err < best[0]:
-                best = (err, y)
-    if best is not None and best[0] <= _roundoff(terms, best[1])[0]:
-        return best[1], bound
-    raise SolverDivergence(f"stage solve failed on [{lo}, {hi}] for target {target}")
+    surv = slope = 0.0
+    for w, dist, _, cut in terms:
+        if hi <= cut:   # active on the piece
+            s, g = dist.survival_below(hi)
+            surv += w * s
+            slope += w * g
+    rise = target - val_hi
+    # the slope at the root, sqrt(surv^2 + 2 * slope * rise), through no
+    # product that could underflow to 0
+    root = math.hypot(surv, math.sqrt(2.0 * slope) * math.sqrt(rise))
+    if rise <= val_lo - target:
+        return hi - 2.0 * (rise / (surv + root)), bound
+    return lo + 2.0 * ((val_lo - target) / (surv + slope * (hi - lo) + root)), bound
 
 
 def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSolution:
@@ -398,10 +368,10 @@ def predict_profile(
     total, so evaluating at -inf (or anything at most the frontier)
     gives the predicted station load; at or above every class cut it
     is 0.  ``y`` is one level, which gives a float, or a sequence of
-    levels, which gives an ndarray of the same length; the per-class
-    terms are built once either way.  A sequence computes the saturated
-    total once and reads 0 above every cut, so only the levels in
-    between sum the terms, each to the float the one-level form gives.
+    levels, which gives an ndarray of the same length.  Either way the
+    per-class terms are built and the saturated total computed once,
+    and 0 is read above every cut, so only the levels in between sum
+    the terms.
     """
     topo = model.topology
     fr = solution.frontiers if isinstance(solution, FrontierSolution) else solution
@@ -413,15 +383,12 @@ def predict_profile(
         raise ValueError(f"levels must not be NaN, got {y!r}")
     terms = _terms(model, j, topo.visiting[j], vals)
     floor = vals[j]
-    if np.ndim(y) == 0:
-        return _mass_above(terms, max(float(y), floor))
     total = _mass_above(terms, floor)
     top = max(t.cut for t in terms)
-    out = np.empty(len(y))
-    for i, v in enumerate(y):
-        v = float(v)
-        out[i] = total if v <= floor else 0.0 if v >= top else _mass_above(terms, v)
-    return out
+    one = np.ndim(y) == 0
+    out = np.array([total if v <= floor else 0.0 if v >= top else _mass_above(terms, v)
+                    for v in map(float, (y,) if one else y)])
+    return float(out[0]) if one else out
 
 
 # -------- two-station closed forms --------

@@ -17,18 +17,22 @@ which is finite for all y, convex, strictly decreasing up to
 ``upper_support``, and identically zero afterwards.  Between knots the
 CDF is linear and the tail quadratic, so the tail is evaluated in
 closed form, with no numerical integration.  The solver inverts weighted
-sums of these tails stage by stage (``frontier.solve_frontiers``); a
-one-term sum is the inverse of a single law's tail.
+sums of these tails stage by stage (``frontier.solve_frontiers``),
+reading each piece's quadratic from ``survival_below``; a one-term sum
+is the inverse of a single law's tail.  Every parameter is read as a
+float by ``dists._real``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
+
+from .dists import _real
 
 __all__ = ["LeadTimeDist", "PointMass", "Uniform", "PiecewiseLinearCDF"]
 
@@ -53,8 +57,8 @@ class PiecewiseLinearCDF:
     def __post_init__(self):
         if len(self.knots) == 0:
             raise ValueError("need at least one knot")
-        ys = [float(y) for y, _ in self.knots]
-        gs = [float(g) for _, g in self.knots]
+        ys = [_real(y, "knot lead") for y, _ in self.knots]
+        gs = [_real(g, "knot value") for _, g in self.knots]
         if not all(map(math.isfinite, ys + gs)):
             raise ValueError("knots must be finite")
         if any(b <= a for a, b in zip(ys, ys[1:])):
@@ -106,6 +110,20 @@ class PiecewiseLinearCDF:
         slope = (gs[i + 1] - gs[i]) / (ys[i + 1] - ys[i])
         return tails[i + 1] + (1.0 - gs[i + 1]) * gap + 0.5 * slope * gap * gap
 
+    def survival_below(self, y: float) -> Tuple[float, float]:
+        """(1 - cdf, cdf slope) on the stretch of leads just below y:
+        (1, 0) up to the first knot and (0, 0) past the last.  As the
+        level rises the integrated tail falls at the first rate, and
+        the first falls at the second."""
+        ys, gs = self._ys, self._gs
+        i = bisect_left(ys, y)
+        if i == 0:
+            return 1.0, 0.0
+        if i == len(ys):
+            return 0.0, 0.0
+        slope = (gs[i] - gs[i - 1]) / (ys[i] - ys[i - 1])
+        return (1.0 - gs[i]) + slope * (ys[i] - y), slope
+
     def breakpoints(self) -> Tuple[float, ...]:
         """Ascending lead levels where the tail integral changes
         polynomial piece (the knots).  Below the first breakpoint the
@@ -115,7 +133,10 @@ class PiecewiseLinearCDF:
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """``size`` inverse-CDF draws: for each u from ``rng.random``,
-        the smallest lead y with cdf(y) >= u."""
+        the smallest lead y with cdf(y) >= u.  A one-knot law draws
+        nothing: every value is its knot."""
+        if len(self._ys) == 1:
+            return np.full(size, self._ys[0])
         ys, gs = np.array(self._ys), np.array(self._gs)
         u = rng.random(size)
         i = np.searchsorted(gs, u, side="left")
@@ -137,6 +158,7 @@ class PointMass(PiecewiseLinearCDF):
     (value, 1)."""
 
     def __init__(self, value: float):
+        value = _real(value, "point mass location")
         if not math.isfinite(value):
             raise ValueError("point mass location must be finite")
         super().__init__([(value, 1.0)])
@@ -156,6 +178,7 @@ class Uniform(PiecewiseLinearCDF):
     A draw is lo + u * (hi - lo), bit for bit ``rng.uniform(lo, hi)``."""
 
     def __init__(self, lo: float, hi: float):
+        lo, hi = _real(lo, "uniform lo"), _real(hi, "uniform hi")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("uniform bounds must be finite")
         if not lo < hi:

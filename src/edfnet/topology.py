@@ -74,11 +74,13 @@ class ClassSpec:
             raise ValueError(f"class id must be a positive integer, got {self.id!r}")
         route = tuple(_whole(j, f"class {self.id}: station id") for j in self.route)
         object.__setattr__(self, "route", route)
-        rates = self.service_rates
+        rates, what = self.service_rates, f"class {self.id}: service rate"
         object.__setattr__(self, "service_rates",
-                           {_whole(j, f"class {self.id}: station id"): float(mu)
+                           {_whole(j, f"class {self.id}: station id"): dists._real(mu, what)
                             for j, mu in rates.items()}
-                           if isinstance(rates, Mapping) else float(rates))
+                           if isinstance(rates, Mapping) else dists._real(rates, what))
+        object.__setattr__(self, "arrival_rate",
+                           dists._real(self.arrival_rate, f"class {self.id}: arrival rate"))
         if len(route) == 0:
             raise ValueError(f"class {self.id}: route must visit at least one station")
         if any(j < 1 for j in route):

@@ -201,23 +201,35 @@ def test_package_attribute_is_the_solver_module():
     assert fr.solve_frontiers is solve_frontiers
 
 
-class _CubicTail:
-    """A stub law whose integrated tail, (2 - y)^3 on its one piece
-    [0, 2], is cubic where a piecewise-linear CDF's is quadratic."""
+@pytest.mark.parametrize("dist,roots", [
+    (Uniform(0.0, 2.0), (-1.0, 0.25, 0.5, 1.0, 1.5, 1.75)),
+    (PiecewiseLinearCDF([(0.0, 0.0), (2.0, 0.5), (3.0, 1.0)]),
+     (-1.0, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 2.75)),
+], ids=["uniform", "piecewise"])
+def test_stage_inverse_returns_dyadic_roots_exactly(dist, roots):
+    """The stage solve reads its quadratic from the law, so a target
+    whose root is a dyadic rational gives that root bit for bit, on
+    either side of a piece's midpoint and below the first knot."""
+    terms = [_Term(weight=1.0, dist=dist, cap=0.0, cut=dist.upper_support)]
+    for y in roots:
+        assert _stage_inverse(terms, dist.integrated_tail(y)) == (y, dist.upper_support)
 
-    def integrated_tail(self, y):
-        return (2.0 - min(max(y, 0.0), 2.0)) ** 3
 
-    def breakpoints(self):
-        return (0.0, 2.0)
+def test_residual_check_catches_a_wrong_stage_slope(monkeypatch):
+    """A law that reports twice its CDF slope sends the stage solve to
+    the wrong root, and the solver's own residual check says so."""
+    model = count_model(build_topology(NetworkSpec(1, (
+        ClassSpec(id=1, route=(1,), arrival_rate=1.0, lead_time=Uniform(0.0, 2.0)),))))
+    assert solve_frontiers(model, (0.25,)).frontiers == (1.0,)
+    survival_below = PiecewiseLinearCDF.survival_below
 
+    def doubled(self, y):
+        surv, slope = survival_below(self, y)
+        return surv, 2.0 * slope
 
-def test_stage_inverse_rejects_a_tail_it_cannot_solve_exactly():
-    """The quadratic through the piece's ends and midpoint misses the
-    cubic's root, and the stage solve says so instead of searching."""
-    terms = [_Term(weight=1.0, dist=_CubicTail(), cap=0.0, cut=2.0)]
-    with pytest.raises(SolverDivergence, match=r"\[0\.0, 2\.0\]"):
-        _stage_inverse(terms, 4.0)
+    monkeypatch.setattr(PiecewiseLinearCDF, "survival_below", doubled)
+    with pytest.raises(SolverDivergence, match=r"^inversion residual .* at station 1$"):
+        solve_frontiers(model, (0.25,))
 
 
 # -------- round trip on random networks --------
@@ -401,11 +413,13 @@ def _saturation_cases(random_network):
 
 
 def test_predict_profile_sequence_equals_one_level_bit_for_bit(random_network):
-    """Saturated levels read the station total and levels above every
-    cut read 0, bit for bit what the one-level form sums."""
+    """One level gives a float, bit for bit the sequence form's entry:
+    the station total at or below the frontier, 0 at or above every cut,
+    and the summed terms in between."""
     for model, fr, j, levels, _, _ in _saturation_cases(random_network):
-        scalar = np.array([predict_profile(model, fr, j, v) for v in levels])
-        assert predict_profile(model, fr, j, levels).tobytes() == scalar.tobytes()
+        scalar = [predict_profile(model, fr, j, v) for v in levels]
+        assert {type(v) for v in scalar} == {float}
+        assert predict_profile(model, fr, j, levels).tobytes() == np.array(scalar).tobytes()
 
 
 def test_predict_profile_sums_only_live_levels(random_network, monkeypatch):

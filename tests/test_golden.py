@@ -52,6 +52,17 @@ Solve by solve, no permutation and no error outcome moved; 185 of the
 bound moved only where it is a placed frontier (a class's floor) that
 moved with it.  Seed 13 moved one frontier by 1 ulp.  With the fit
 anchored at the lower end as before, every digest holds bit for bit.
+
+The solver sweep digest was re-recorded once more when the stage solve
+stopped fitting a quadratic through three of its piece's points and
+began to read the exact quadratic from the laws (each one's 1 - cdf and
+CDF slope just below the piece's top).  Solve by solve, no permutation
+and no error outcome moved; 145 of the 1,200 solves moved a frontier,
+by a median of 1 ulp and at most 256 ulps of the frontier itself, which
+is at most 2 ulps of the solve's largest frontier or stage bound, and a
+stage bound moved only where it is a frontier that moved with it.  The
+largest miss over the sweep stays 0.027 of its ``_roundoff`` allowance,
+before and after.  Every other digest here held bit for bit.
 """
 
 import contextlib
@@ -292,8 +303,9 @@ def test_solver_sweep_digest():
     push frontiers far below zero.  Each solve hashes its frontiers,
     permutation and stage bounds, or the name and message of the error
     it raised.  Recorded before the solver began to solve each station's
-    stage once per reach set instead of once per stage, and again when
-    the stage solve began to fit from the nearer end of its piece."""
+    stage once per reach set instead of once per stage, again when the
+    stage solve began to fit from the nearer end of its piece, and again
+    when it began to read each piece's quadratic from the laws."""
     rng = np.random.default_rng(11)
     h = hashlib.sha256()
     solves = 0
@@ -311,4 +323,4 @@ def test_solver_sweep_digest():
             for loads in cases:
                 h.update(repr(_solve_outcome(model, loads)).encode())
                 solves += 1
-    assert h.hexdigest() == "9fd64c0d9995c814fec413e9e7e3df25394a516431c3a68c14464e3c1617d663"
+    assert h.hexdigest() == "28dd77854d87e405d3522ea5ffd0ebfcb93258f54cbd45c0959df26907140b1a"

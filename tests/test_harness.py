@@ -11,9 +11,11 @@ import pytest
 import yaml
 
 from edfnet import (
+    ClassSpec,
     CountBands,
     ExactCounts,
     GridMismatch,
+    NetworkSpec,
     NoSnapshots,
     ParseError,
     PointMass,
@@ -393,6 +395,21 @@ def test_config_hash_distinguishes():
     cfg = scripted_config()
     other = scripted_config(threshold=0.75)
     assert config_hash(cfg) != config_hash(other)
+
+
+def test_int_and_float_built_configs_hash_equal():
+    """Every real field of a network built in code is stored as a float,
+    so integer rates and law parameters hash as their float forms."""
+    def network(*reals):
+        rate, mu, lo, hi, gap, top = reals
+        return NetworkSpec(1, (ClassSpec(
+            id=1, route=(1,), arrival_rate=rate, lead_time=Uniform(lo, hi),
+            service_rates={1: mu}, interarrival=dists.Exponential(rate),
+            service_laws={1: dists.UniformLaw(gap, top)}),))
+
+    ints = scripted_config(network=network(1, 2, 0, 2, 0, 1))
+    floats = scripted_config(network=network(1.0, 2.0, 0.0, 2.0, 0.0, 1.0))
+    assert config_hash(ints) == config_hash(floats)
 
 
 # -------- empirical bands and comparison --------

@@ -17,7 +17,7 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from edfnet import (
@@ -108,6 +108,23 @@ def test_inverse_round_trip(dist):
     for h in np.linspace(0.0, dist.integrated_tail(min(dist.breakpoints())) + 4.0, 17):
         y = tail_inverse(dist, float(h))
         assert dist.integrated_tail(y) == pytest.approx(float(h), abs=1e-8)
+
+
+@pytest.mark.parametrize("dist", DISTS, ids=law_id)
+def test_survival_below_gives_the_tail_on_the_stretch_below(dist):
+    """Just below a level y the integrated tail falls at rate 1 - cdf
+    and that rate falls at the CDF's slope, so a step h down the stretch
+    below y adds h * (1 - cdf) + h**2 * slope / 2 to the tail: (1, 0)
+    up to the first knot, (0, 0) past the last."""
+    knots = dist.breakpoints()
+    assert dist.survival_below(knots[0]) == (1.0, 0.0)
+    assert dist.survival_below(dist.upper_support + 1.0) == (0.0, 0.0)
+    for y in np.linspace(knots[0] - 2.0, dist.upper_support, 23):
+        y = float(y)
+        surv, slope = dist.survival_below(y)
+        h = 0.5 * (y - max([b for b in knots if b < y], default=y - 1.0))
+        rise = dist.integrated_tail(y - h) - dist.integrated_tail(y)
+        assert rise == pytest.approx(h * surv + 0.5 * slope * h * h, rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("dist", DISTS, ids=law_id)
@@ -281,6 +298,7 @@ def test_tail_monotone_decrement_bounded(y, d):
 
 
 @given(h=st.floats(min_value=0.0, max_value=500.0))
+@example(h=5e-324)   # underflows 2 * slope * h on a law's last segment
 @settings(max_examples=150, deadline=None)
 def test_inverse_is_right_inverse_everywhere(h):
     for dist in DISTS:

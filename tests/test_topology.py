@@ -198,6 +198,43 @@ def test_class_spec_validation():
     assert [type(j) for j in spec.classes[0].service_rates] == [int]
 
 
+@pytest.mark.parametrize("make,field", [
+    (lambda: one_class(arrival_rate=True), "class 1: arrival rate"),
+    (lambda: one_class(arrival_rate="0.5"), "class 1: arrival rate"),
+    (lambda: one_class(service_rates=True), "class 1: service rate"),
+    (lambda: one_class(service_rates="2.5"), "class 1: service rate"),
+    (lambda: one_class(service_rates={1: "3"}), "class 1: service rate"),
+    (lambda: dists.Exponential(True), "rate"),
+    (lambda: dists.Exponential("1"), "rate"),
+    (lambda: dists.Deterministic(True), "value"),
+    (lambda: dists.UniformLaw(0.0, "2"), "hi"),
+    (lambda: dists.Sequence([1.0, True]), "value"),
+    (lambda: dists.Sequence([1.0], then="2"), "then"),
+    (lambda: PointMass(True), "point mass location"),
+    (lambda: Uniform("0", 2.0), "uniform lo"),
+    (lambda: PiecewiseLinearCDF([(0.0, 0.0), (1.0, True)]), "knot value"),
+    (lambda: PiecewiseLinearCDF([("1", 1.0)]), "knot lead"),
+])
+def test_real_fields_reject_bools_and_strings(make, field):
+    """Rates and law parameters are real numbers: ``float()`` would have
+    read ``True`` as 1.0 and ``"2.5"`` as 2.5 without a word.  The
+    error names the field and the value."""
+    named = rf"^{re.escape(field)} must be a real number, got (True|'.*')$"
+    with pytest.raises(ValueError, match=named):
+        make()
+
+
+def test_real_fields_store_floats():
+    """Python and numpy reals are stored as floats."""
+    cls = one_class(arrival_rate=np.float32(0.5), service_rates={1: np.int64(2)},
+                    lead_time=Uniform(np.int64(0), 2),
+                    interarrival=dists.Exponential(np.float32(0.5)))
+    reals = [cls.arrival_rate, cls.service_rates[1], *cls.lead_time.knots[0],
+             cls.interarrival.rate, PointMass(np.int64(3)).value,
+             *dists.Sequence([1], then=2).values, dists.Sequence([1], then=2).then]
+    assert [type(v) for v in reals] == [float] * len(reals)
+
+
 def test_class_spec_law_mean_must_match_rate():
     with pytest.raises(ValueError):
         ClassSpec(id=1, route=(1,), arrival_rate=0.5, lead_time=PointMass(5.0),
