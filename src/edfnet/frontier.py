@@ -8,17 +8,16 @@ at station j equals a weighted sum over visiting classes of integrated
 lead-time tails, clipped between the station's own frontier and the
 smallest frontier among the class's upstream stations.
 
-That sum is written once: ``_terms`` builds a station's per-class
-table and ``_mass_above`` evaluates it at a lead level.
-``frontier_loads`` evaluates it at each station's own frontier;
-``solve_frontiers`` inverts it station by station, placing at each stage
-the station whose stage-local inverse is largest and checking that the
-values do not rise along the order it builds; ``predict_profile``
-evaluates it above a level, giving the predicted queue mass that the
-experiment harness compares against simulated profiles.  On a grid of
-levels it computes the saturated level (the station total, read at and
-below the frontier) once and reads 0 above every class cut, so only
-the levels in between sum the terms.
+That sum is written once: ``_term`` builds one class's term, ``_terms``
+a station's table of them, and ``_mass_above`` evaluates a table at a
+lead level.  ``frontier_loads`` evaluates it at each station's own
+frontier; ``solve_frontiers`` inverts it station by station, placing
+at each stage the station whose stage-local inverse is largest and
+checking that the values do not rise along the order it builds;
+``predict_profile`` evaluates it above a level, giving the predicted
+queue mass that the experiment harness compares against simulated
+profiles, and sums the terms only at levels strictly between the
+frontier and the top cut.
 
 All of this is exact piecewise-polynomial arithmetic: every lead-time
 law is a piecewise-linear CDF, whose integrated tail is piecewise
@@ -133,24 +132,20 @@ class _Term(NamedTuple):
     cut: float    # lead level above which the term vanishes
 
 
+def _term(model: WeightedModel, k: int, j: int, floor: float) -> _Term:
+    """Class k's term at station j, clipped at ``floor``: the smallest
+    frontier it clears before j, or +inf (tail zero) if it enters here."""
+    dist = model.topology.lead_dist(k)
+    return _Term(model.weights[(k, j)], dist, dist.integrated_tail(floor),
+                 min(dist.upper_support, floor))
+
+
 def _terms(model: WeightedModel, j: int, classes: FrozenSet[int],
            floors: Mapping[int, float]) -> List[_Term]:
-    """Per-class terms at station j in ascending class id.  A class's
-    floor is the smallest of ``floors`` (station -> frontier) over the
-    stations it clears before j, or +inf (tail zero) if it enters here."""
-    topo = model.topology
-    terms = []
-    for k in sorted(classes):
-        dist = topo.lead_dist(k)
-        ups = topo.upstream[(k, j)]
-        floor = min(floors[i] for i in ups) if ups else math.inf
-        terms.append(_Term(
-            weight=model.weights[(k, j)],
-            dist=dist,
-            cap=dist.integrated_tail(floor),
-            cut=min(dist.upper_support, floor),
-        ))
-    return terms
+    """Terms at station j in ascending class id, floors from ``floors``."""
+    ups = model.topology.upstream
+    return [_term(model, k, j, min((floors[i] for i in ups[(k, j)]), default=math.inf))
+            for k in sorted(classes)]
 
 
 def _mass_above(terms: List[_Term], y: float) -> float:
@@ -302,44 +297,54 @@ def _stage_inverse(terms: List[_Term], target: float) -> Tuple[float, float]:
 def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSolution:
     """Invert the load map: find the frontier vector producing ``loads``.
 
-    Stations are placed one stage at a time.  At each stage every
-    still-unplaced station that some class reaches through the placed
-    ones gets a stage-local inverse of its own load; the station with
+    Stations are placed one stage at a time.  A class waits at the first
+    unplaced station on its route, its floor there the smallest value
+    placed before it on the route.  Each station some class waits at has
+    a stage-local inverse of its own load over its waiting classes, and
     the largest value (ties to the smallest station id) is placed next.
-    A station's stage is solved once per reach set, not once per stage.
-    Values must not rise along the order (SolverDivergence otherwise),
-    so the vector lies in the order's domain piece, reproduces the
-    loads (checked by ``_fit``, as in the closed form) and is the
-    componentwise smallest such vector, each to the roundoff allowance
-    (``_roundoff``) of the sums involved.
+    Only the classes waiting there move on, so each (class, station)
+    term is built once, on arrival, and a stage is solved again only
+    when a class arrives.  Values must not rise along the order
+    (SolverDivergence otherwise), so the vector lies in the order's
+    domain piece, reproduces the loads (checked by ``_fit``, as in the
+    closed form) and is the componentwise smallest such vector, each to
+    the roundoff allowance (``_roundoff``) of the sums involved.
     """
     topo = model.topology
     vec = _read_loads(topo.station_count, loads)
 
     assigned: Dict[int, float] = {}   # placed stations in placing order
     bounds: List[float] = []
-    # unplaced station -> (reach set, terms, stage value, bound).  A stage
-    # reads only its reach set and the values of placed stations, which
-    # never change, so it is solved again only when its reach set has grown
-    stages: Dict[int, Tuple[FrozenSet[int], List[_Term], float, float]] = {}
+    # unplaced station -> its waiting classes as (class id, route, position,
+    # floor, term); sorted by class id, every sum adds its terms in one order
+    waiting: Dict[int, list] = {j: [] for j in topo.spec.stations}
+    stages: Dict[int, Tuple[List[_Term], float, float]] = {}   # -> (terms, value, bound)
+    moving = [(c.id, c.route, 0, math.inf, None) for c in topo.spec.classes]
     last = math.inf
     for _ in range(topo.station_count):
-        for j in set(topo.spec.stations).difference(assigned):
-            reach = topo.reaching(j, assigned.keys())
-            if reach and (j not in stages or stages[j][0] != reach):
-                terms = _terms(model, j, reach, assigned)
-                stages[j] = (reach, terms, *_stage_inverse(terms, vec[j - 1]))
-        # never empty: every station is on a route, and the first
-        # unplaced station on a route is reachable.  max keeps the
-        # first of tied values, so ties go to the smallest id
-        j = max(sorted(stages), key=lambda i: stages[i][2])
-        _, terms, value, b_j = stages.pop(j)
-        # stages holds only reached stations and no stage value exceeds its
-        # bound, so of the domain piece's conditions only order needs a check
+        arrived = set()
+        for k, route, at, floor, _ in moving:
+            while at < len(route) and route[at] in assigned:
+                floor = min(floor, assigned[route[at]])
+                at += 1
+            if at < len(route):
+                j = route[at]
+                waiting[j].append((k, route, at, floor, _term(model, k, j, floor)))
+                arrived.add(j)
+        for j in arrived:
+            terms = [entry[4] for entry in sorted(waiting[j])]
+            stages[j] = (terms, *_stage_inverse(terms, vec[j - 1]))
+        # never empty: a class waits at the first unplaced station on a
+        # route.  max keeps the first of tied values: ties to the smallest id
+        j = max(sorted(stages), key=lambda i: stages[i][1])
+        terms, value, b_j = stages.pop(j)
+        # every stage has waiting classes and a value within its bound, so
+        # of the domain piece's conditions only order needs a check
         if value > last + _roundoff(terms, value)[1]:
             raise SolverDivergence(f"station {j} placed at {value}, above {last}")
         assigned[j] = last = value
         bounds.append(b_j)
+        moving = waiting.pop(j)
 
     fit = _fit(model, assigned, vec)
     for j, (miss, allowed, _) in zip(topo.spec.stations, fit):
@@ -370,8 +375,8 @@ def predict_profile(
     is 0.  ``y`` is one level, which gives a float, or a sequence of
     levels, which gives an ndarray of the same length.  Either way the
     per-class terms are built and the saturated total computed once,
-    and 0 is read above every cut, so only the levels in between sum
-    the terms.
+    and the saturated levels and those at or above every cut are filled
+    in one array pass, so only the levels in between sum the terms.
     """
     topo = model.topology
     fr = solution.frontiers if isinstance(solution, FrontierSolution) else solution
@@ -379,16 +384,15 @@ def predict_profile(
     j = _whole(j, "station id")
     if j not in topo.visiting:
         raise ValueError(f"station {j} is not in the network")
-    if np.isnan(y).any():
+    levels = np.asarray(y, dtype=float)
+    if np.isnan(levels).any():
         raise ValueError(f"levels must not be NaN, got {y!r}")
     terms = _terms(model, j, topo.visiting[j], vals)
-    floor = vals[j]
-    total = _mass_above(terms, floor)
-    top = max(t.cut for t in terms)
-    one = np.ndim(y) == 0
-    out = np.array([total if v <= floor else 0.0 if v >= top else _mass_above(terms, v)
-                    for v in map(float, (y,) if one else y)])
-    return float(out[0]) if one else out
+    floor, top = vals[j], max(t.cut for t in terms)
+    out = np.where(levels <= floor, _mass_above(terms, floor), 0.0)
+    live = np.flatnonzero((levels > floor) & (levels < top))
+    out.flat[live] = [_mass_above(terms, v) for v in levels.flat[live].tolist()]
+    return float(out) if out.ndim == 0 else out
 
 
 # -------- two-station closed forms --------

@@ -59,7 +59,7 @@ from .simulator import (
     conditional_sample,
     new_sim,
 )
-from .topology import ClassSpec, NetworkSpec, build_topology
+from .topology import ClassSpec, NetworkSpec, _whole, build_topology
 
 __all__ = [
     "ExperimentConfig",
@@ -144,15 +144,17 @@ def _reject_unknown(mapping: Mapping, allowed: Sequence[str], where: str) -> Non
 
 
 def _as_float(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return dists._real(value, where)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: expected a number, got {value!r}") from exc
 
 
 def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where}: expected an integer, got {value!r}")
-    return value
+    try:
+        return _whole(value, where)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: expected an integer, got {value!r}") from exc
 
 
 def _as_bool(value, where: str) -> bool:

@@ -7,13 +7,12 @@ we derive the station-level sets that every other module consumes:
 which classes visit a station, and which stations a class has already
 cleared when it reaches a given station.
 
-One rule links the routes to the solver: a class *reaches* station j
-once every station before j on its route is placed, and
-``Topology.reaching`` gives those classes for one station.  The solver
-places stations one stage at a time, each among the stations some
-class reaches.  Each order built this way carves out a piece of the
-domain on which the frontier map is invertible.  The solver checks the
-piece of the order it builds as it places each station; the
+One rule links the routes to the solver: a class waits at the first
+unplaced station on its route and moves on when that station is placed.
+The solver places stations one stage at a time, each among the stations
+some class waits at; each order built this way carves out a piece of
+the domain on which the frontier map is invertible.  The solver checks
+the piece of the order it builds as it places each station; the
 two-station closed form writes out the crossing network's two pieces.
 """
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Mapping, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -169,11 +168,6 @@ class Topology:
 
     def lead_dist(self, k: int) -> LeadTimeDist:
         return self.spec.class_by_id(k).lead_time
-
-    def reaching(self, j: int, placed: AbstractSet[int]) -> FrozenSet[int]:
-        """Classes visiting station j whose stations before j all lie in
-        ``placed``."""
-        return frozenset(k for k in self.visiting[j] if self.upstream[(k, j)] <= placed)
 
 
 def build_topology(spec: NetworkSpec) -> Topology:

@@ -1,8 +1,9 @@
 """Shared fixtures: random network generation, the route-based reach
-rule and the exhaustive admissible-order oracle built on it, the all-station reference integrator, the
-sampler that checks its condition after every event, the exact lead
-law of a FIFO M/M/1 station conditioned on its count, and acceptance
-reporting."""
+rule and the exhaustive admissible-order oracle built on it, a staged
+solve with its stage tables read out, the all-station reference
+integrator, the sampler that checks its condition after every event,
+the exact lead law of a FIFO M/M/1 station conditioned on its count,
+and acceptance reporting."""
 
 import math
 
@@ -17,6 +18,7 @@ from edfnet import (
     SampleResult,
     Uniform,
     build_topology,
+    frontier,
     snapshot_profiles,
 )
 
@@ -85,10 +87,51 @@ def random_network():
 
 def reaching(topo, j, placed):
     """Classes whose route reaches station j through ``placed`` stations
-    only, read from the routes themselves: the oracle for
-    ``Topology.reaching``."""
+    only, read from the routes themselves: the oracle for the classes
+    the staged solver has waiting at an unplaced station."""
     return frozenset(c.id for c in topo.spec.classes
                      if j in c.route and set(c.route[:c.route.index(j)]) <= set(placed))
+
+
+def logged_solve(model, loads):
+    """``solve_frontiers`` with its stage bookkeeping read out.
+
+    Returns the solution, every stage term the stage loop built as
+    (class, station, floor) in build order, and per stage m the classes
+    in each unplaced station's table when the m-th station was picked
+    (stations with an empty table left out).  The stage loop checks
+    each pick's order by one ``_roundoff`` call, which marks the picks;
+    the terms and allowances of the final ``_fit`` are not logged."""
+    log, fitting = [], []
+    term, roundoff, fit = frontier._term, frontier._roundoff, frontier._fit
+
+    def logged_term(model, k, j, floor):
+        if not fitting:
+            log.append((k, j, floor))
+        return term(model, k, j, floor)
+
+    def logged_roundoff(terms, y):
+        if not fitting:
+            log.append(None)
+        return roundoff(terms, y)
+
+    def logged_fit(*args):
+        fitting.append(True)
+        return fit(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontier, "_term", logged_term)
+        mp.setattr(frontier, "_roundoff", logged_roundoff)
+        mp.setattr(frontier, "_fit", logged_fit)
+        sol = frontier.solve_frontiers(model, loads)
+    tables, held = [], {}
+    for entry in log:
+        if entry is None:
+            tables.append({j: frozenset(ks) for j, ks in held.items()})
+            held.pop(sol.permutation[len(tables) - 1], None)
+        else:
+            held.setdefault(entry[1], set()).add(entry[0])
+    return sol, [entry for entry in log if entry is not None], tables
 
 
 def admissible_permutations(topo):

@@ -38,7 +38,7 @@ from edfnet import (
 from edfnet import frontier
 from edfnet.frontier import _stage_inverse, _Term
 from edfnet.harness import theory_cdf
-from conftest import fifo_lead_cdf, in_piece, reaching, valid_random_spec
+from conftest import fifo_lead_cdf, in_piece, logged_solve, reaching, valid_random_spec
 
 THIRD = 1.0 / 3.0
 
@@ -261,9 +261,10 @@ def _distinct_stages(topo, perm):
 def test_each_stage_solved_once_per_reach_set(random_network, monkeypatch):
     """A station's stage is solved again only when its reach set has
     grown, so one solve runs one stage inverse per distinct (station,
-    reach set) pair along its permutation.  Besides random networks,
-    a 16-station chain with four classes forking off station 1 keeps
-    five stations reachable for many stages."""
+    reach set) pair along its permutation, and builds each (class,
+    station) term at most once.  Besides random networks, a 16-station
+    chain with four classes forking off station 1 keeps five stations
+    reachable for many stages."""
     calls = []
 
     def counting(terms, target):
@@ -282,8 +283,9 @@ def test_each_stage_solved_once_per_reach_set(random_network, monkeypatch):
         topo = build_topology(spec)
         for model in (count_model(topo), normalize_by_intensity(work_model(topo))):
             calls.clear()
-            sol = solve_frontiers(model, rng.uniform(0.0, 40.0, spec.station_count))
+            sol, builds, _ = logged_solve(model, rng.uniform(0.0, 40.0, spec.station_count))
             assert len(calls) == len(_distinct_stages(topo, sol.permutation))
+            assert len(builds) == len({(k, j) for k, j, _ in builds})
 
 
 def test_solver_witnesses_its_own_domain_piece(random_network):
@@ -438,6 +440,47 @@ def test_predict_profile_sums_only_live_levels(random_network, monkeypatch):
         predict_profile(model, fr, j, levels)
         live = sum(floor < v < top for v in levels)
         assert len(calls) <= live + 1
+
+
+@given(net_seed=st.integers(0, 2**32 - 1), work=st.booleans(), data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_predict_profile_matches_the_per_level_reference(net_seed, work, data):
+    """On random networks and solutions, levels unsorted, repeated,
+    infinite, on the frontier and on the cuts give, bit for bit, the
+    per-level reference: the station total at or below the frontier, 0
+    at or above the top cut, and the summed terms in between.  A list,
+    a tuple and an array give the same array; a scalar or a 0-d array
+    gives a float; a NaN anywhere raises."""
+    rng = np.random.default_rng(net_seed)
+    topo = build_topology(valid_random_spec(rng, max_stations=5, max_classes=8))
+    model = work_model(topo) if work else count_model(topo)
+    fr = solve_frontiers(model, rng.uniform(0.0, 40.0, topo.station_count)).frontiers
+    j = data.draw(st.integers(1, topo.station_count), label="station")
+    terms = frontier._terms(model, j, topo.visiting[j], dict(zip(topo.spec.stations, fr)))
+    floor, top = fr[j - 1], max(t.cut for t in terms)
+    total = frontier._mass_above(terms, floor)
+    marks = [floor, top, math.nextafter(floor, math.inf), math.nextafter(top, -math.inf),
+             *(t.cut for t in terms), math.inf, -math.inf, 0.0, -0.0]
+    level = st.one_of(st.sampled_from(marks),
+                      st.floats(min(floor, top) - 50.0, max(floor, top) + 50.0))
+    levels = data.draw(st.lists(level, max_size=30), label="levels")
+    if levels:
+        levels += data.draw(st.lists(st.sampled_from(levels), max_size=5), label="repeats")
+
+    def reference(v):
+        return total if v <= floor else 0.0 if v >= top else frontier._mass_above(terms, v)
+
+    want = np.array([reference(v) for v in levels], dtype=float).tobytes()
+    for form in (levels, tuple(levels), np.array(levels, dtype=float)):
+        assert predict_profile(model, fr, j, form).tobytes() == want
+    for v in levels[:4]:
+        for form in (v, np.float64(v), np.array(v)):
+            got = predict_profile(model, fr, j, form)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(reference(v)).tobytes()
+    at = data.draw(st.integers(0, len(levels)), label="nan position")
+    with pytest.raises(ValueError, match="NaN"):
+        predict_profile(model, fr, j, levels[:at] + [math.nan] + levels[at:])
 
 
 def test_predict_profile_validates_input():

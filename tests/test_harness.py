@@ -316,6 +316,54 @@ def test_invalid_fields_rejected(patch, field):
         config_from_dict(raw)
 
 
+def _numeric_raw(whole, real):
+    """A config dict whose integers pass through ``whole`` and whose
+    reals pass through ``real``."""
+    return {
+        "network": {"stations": whole(1), "classes": [
+            {"id": whole(1), "route": [whole(1)], "arrival_rate": real(0.5),
+             "service_rates": {whole(1): real(1.0)},
+             "lead_time": {"kind": "piecewise", "knots": [[real(0.0), real(0.0)],
+                                                          [real(8.0), real(1.0)]]}}]},
+        "experiment": {"seeds": [whole(1), whole(2)], "threshold": real(0.75),
+                       "snapshots": whole(4), "horizon_cap": real(1e4),
+                       "condition": {"kind": "total", "targets": {whole(1): whole(2)}}},
+        "prediction": {"grid": {"lo": real(0.0), "hi": real(8.0), "points": whole(5)}},
+    }
+
+
+@pytest.mark.parametrize("whole,real", [(np.int64, np.float32), (np.int32, np.float64),
+                                        (np.uint16, np.float16)],
+                         ids=["int64-float32", "int32-float64", "uint16-float16"])
+def test_numpy_scalars_read_as_python_values(whole, real):
+    """The codec reads numbers as the specs do: a numpy integer is an
+    integer and any numpy real a number, each stored as its Python
+    value, so the config and its digest equal the plain one's."""
+    plain = config_from_dict(_numeric_raw(int, float))
+    cfg = config_from_dict(_numeric_raw(whole, real))
+    assert cfg == plain and config_hash(cfg) == config_hash(plain)
+    assert type(cfg.seeds[0]) is int and type(cfg.threshold) is float
+
+
+@pytest.mark.parametrize("patch,message", [
+    ({"experiment": {"seeds": [np.float64(1.0)]}},
+     "experiment.seeds[0]: expected an integer, got np.float64(1.0)"),
+    ({"experiment": {"seeds": [np.bool_(True)]}},
+     "experiment.seeds[0]: expected an integer, got np.True_"),
+    ({"experiment": {"threshold": np.str_("1")}},
+     "experiment.threshold: expected a number, got np.str_('1')"),
+    ({"experiment": {"threshold": np.bool_(False)}},
+     "experiment.threshold: expected a number, got np.False_"),
+], ids=["float-seed", "bool-seed", "str-threshold", "bool-threshold"])
+def test_numpy_scalars_of_the_wrong_kind_rejected(patch, message):
+    raw = {"network": {"stations": 1, "classes": [
+        {"id": 1, "route": [1], "arrival_rate": 0.5,
+         "lead_time": {"kind": "point", "value": 10.0}}]}}
+    raw.update(patch)
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        config_from_dict(raw)
+
+
 def test_embedded_class_errors_become_validation_errors():
     raw = {"network": {"stations": 1, "classes": [
         {"id": 1, "route": [1], "arrival_rate": -0.5,

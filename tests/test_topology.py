@@ -19,11 +19,13 @@ from edfnet import (
     RouteRepeatsStation,
     Uniform,
     build_topology,
+    count_model,
     dists,
     traffic_intensity,
+    work_model,
 )
 from edfnet.frontier import _in_crossing_domain
-from conftest import admissible_permutations, in_piece, reaching
+from conftest import admissible_permutations, in_piece, logged_solve, reaching
 
 
 def crossing(deadlines=(400.0, 300.0, 200.0, 100.0), lam=0.32, mu=1.0):
@@ -49,26 +51,48 @@ def test_crossing_sets():
 
 
 def test_reaching_empty_prefix():
-    topo = build_topology(crossing())
-    assert topo.reaching(1, frozenset()) == frozenset({1, 3})
-    assert topo.reaching(2, frozenset()) == frozenset({2, 4})
+    """Before any station is placed, each class waits at its route's
+    first station, so the solver's first tables hold the classes that
+    enter there."""
+    model = count_model(build_topology(crossing()))
+    for loads in ((50.0, 58.0), (100.0, 2.0)):
+        _, _, tables = logged_solve(model, loads)
+        assert tables[0] == {1: frozenset({1, 3}), 2: frozenset({2, 4})}
 
 
 def test_reaching_after_first_station():
-    topo = build_topology(crossing())
-    assert topo.reaching(2, frozenset({1})) == frozenset({1, 2, 4})
-    assert topo.reaching(1, frozenset({1})) == frozenset({1, 3})  # placed stations too
+    """Placing one station moves on only the crossing class waiting
+    there; the local class's route ends, and the class waiting at the
+    other station stays."""
+    model = count_model(build_topology(crossing()))
+    sol, _, tables = logged_solve(model, (50.0, 58.0))
+    assert sol.permutation == (1, 2)
+    assert tables[1] == {2: frozenset({1, 2, 4})}
+    sol, _, tables = logged_solve(model, (100.0, 2.0))
+    assert sol.permutation == (2, 1)
+    assert tables[1] == {1: frozenset({1, 2, 3})}
 
 
 def test_reaching_matches_routes_on_random_networks(random_network):
+    """At every stage of a solve, each unplaced station's table holds the
+    classes that reach it through the placed stations, read from the
+    routes, and each term's floor is the smallest placed value before
+    its station on the class's route."""
     rng = np.random.default_rng(20261019)
     for _ in range(40):
         topo = build_topology(random_network(rng))
-        for placed in itertools.chain.from_iterable(
-                itertools.combinations(topo.spec.stations, r)
-                for r in range(topo.station_count + 1)):
-            for j in topo.spec.stations:
-                assert topo.reaching(j, frozenset(placed)) == reaching(topo, j, placed)
+        for model in (count_model(topo), work_model(topo)):
+            for _ in range(3):
+                sol, builds, tables = logged_solve(
+                    model, rng.uniform(0.0, 40.0, topo.station_count))
+                perm = sol.permutation
+                for m, held in enumerate(tables):
+                    assert held == {j: reaching(topo, j, perm[:m])
+                                    for j in topo.spec.stations
+                                    if j not in perm[:m] and reaching(topo, j, perm[:m])}
+                for k, j, floor in builds:
+                    assert floor == min((sol.frontiers[i - 1] for i in topo.upstream[(k, j)]),
+                                        default=math.inf)
 
 
 def test_crossing_permutations():
