@@ -12,7 +12,7 @@ pieces, so the schedule changes no draw.  The scripted Sequence law
 replays a fixed list and then repeats a final value (infinity by
 default, i.e. no further arrivals).  Every iterator is built from
 ``itertools`` parts, so a draw is one C-level step, a block refill
-aside.
+aside.  Every parameter is read as a float by ``errors._real``.
 """
 
 from __future__ import annotations
@@ -25,18 +25,11 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
+from .errors import _real
+
 __all__ = ["SamplingLaw", "Exponential", "Deterministic", "UniformLaw", "Sequence"]
 
 _BLOCK = 1024
-
-
-def _real(value, what: str) -> float:
-    """A Python or numpy real as a float; a bool, a string or anything
-    else raises ValueError naming the value, where ``float()`` would
-    have read it.  The real counterpart of ``topology._whole``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
-    return float(value)
 
 
 class SamplingLaw:

@@ -1,4 +1,4 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the scalar readers.
 
 Every package-specific failure derives from EdfnetError, so callers
 can catch them with a single except clause; the CLI maps these to exit
@@ -6,7 +6,13 @@ code 2.  A bad argument to a library call, such as a run time that is
 not finite or lies before the clock, raises a plain ValueError instead;
 the config parser reports such values as ValidationError naming their
 path.
+
+The scalar readers ``_whole``, ``_real`` and ``_flag`` live here too:
+this module imports no other package module, so every module can read
+its integers, reals and bools through them.
 """
+
+import numpy as np
 
 __all__ = [
     "EdfnetError",
@@ -81,4 +87,34 @@ class NoSnapshots(EdfnetError):
 
 
 class GridMismatch(EdfnetError):
-    """Two profiles were compared on different evaluation grids."""
+    """Two profiles were compared on different evaluation grids, or on
+    a grid that does not strictly increase, or with a value (grid
+    point or curve value) that is not finite."""
+
+
+# -------- scalar readers --------
+
+def _whole(value, what: str) -> int:
+    """A Python or numpy integer as an int; a float, a bool or anything
+    else raises ValueError naming the value, where ``int()`` would
+    have truncated it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value, what: str) -> float:
+    """A Python or numpy real as a float; a bool, a string or anything
+    else raises ValueError naming the value, where ``float()`` would
+    have read it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _flag(value, what: str) -> bool:
+    """``True`` or ``False`` itself; anything else, a numpy bool or a
+    truthy number or string too, raises ValueError naming the value."""
+    if value is not True and value is not False:
+        raise ValueError(f"{what} must be True or False, got {value!r}")
+    return value

@@ -9,15 +9,15 @@ lead-time tails, clipped between the station's own frontier and the
 smallest frontier among the class's upstream stations.
 
 That sum is written once: ``_term`` builds one class's term, ``_terms``
-a station's table of them, and ``_mass_above`` evaluates a table at a
-lead level.  ``frontier_loads`` evaluates it at each station's own
-frontier; ``solve_frontiers`` inverts it station by station, placing
-at each stage the station whose stage-local inverse is largest and
-checking that the values do not rise along the order it builds;
-``predict_profile`` evaluates it above a level, giving the predicted
-queue mass that the experiment harness compares against simulated
-profiles, and sums the terms only at levels strictly between the
-frontier and the top cut.
+a station's table of them, floors read from the routes, and
+``_mass_above`` evaluates a table at a lead level.  ``solve_frontiers``
+inverts it station by station, placing at each stage the station whose
+stage-local inverse is largest and checking that the values do not
+rise along the order it builds; ``predict_profile`` evaluates it above
+a level, giving the predicted queue mass that the experiment harness
+compares against simulated profiles (at -inf, the station load), and
+sums the terms only at levels strictly between the frontier and the
+top cut.
 
 All of this is exact piecewise-polynomial arithmetic: every lead-time
 law is a piecewise-linear CDF, whose integrated tail is piecewise
@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, NamedTuple, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .topology import (
     ClassSpec,
     NetworkSpec,
     Topology,
-    _whole,
+    _station_id,
     build_topology,
     traffic_intensity,
 )
@@ -59,7 +59,6 @@ __all__ = [
     "count_model",
     "work_model",
     "normalize_by_intensity",
-    "frontier_loads",
     "solve_frontiers",
     "predict_profile",
     "two_station_closed_form",
@@ -140,12 +139,16 @@ def _term(model: WeightedModel, k: int, j: int, floor: float) -> _Term:
                  min(dist.upper_support, floor))
 
 
-def _terms(model: WeightedModel, j: int, classes: FrozenSet[int],
-           floors: Mapping[int, float]) -> List[_Term]:
-    """Terms at station j in ascending class id, floors from ``floors``."""
-    ups = model.topology.upstream
-    return [_term(model, k, j, min((floors[i] for i in ups[(k, j)]), default=math.inf))
-            for k in sorted(classes)]
+def _terms(model: WeightedModel, j: int, y: Mapping[int, float]) -> List[_Term]:
+    """Terms at station j in ascending class id.  Each visiting class's
+    floor is the smallest level ``y`` (station -> level) gives the
+    stations before j on its route, the rule the stage loop walks."""
+    terms = []
+    for k in sorted(model.topology.visiting[j]):
+        route = model.topology.spec.class_by_id(k).route
+        terms.append(_term(model, k, j, min((y[i] for i in route[:route.index(j)]),
+                                            default=math.inf)))
+    return terms
 
 
 def _mass_above(terms: List[_Term], y: float) -> float:
@@ -183,8 +186,7 @@ def _fit(model: WeightedModel, y: Mapping[int, float],
          loads: Sequence[float]) -> List[Tuple[float, float, float]]:
     """Per station, the miss |``_mass_above`` - load| of frontier vector y
     (station -> level) and its ``_roundoff`` allowances, from one table."""
-    topo = model.topology
-    tables = ((j, _terms(model, j, topo.visiting[j], y)) for j in topo.spec.stations)
+    tables = ((j, _terms(model, j, y)) for j in model.topology.spec.stations)
     return [(abs(_mass_above(t, y[j]) - loads[j - 1]), *_roundoff(t, y[j])) for j, t in tables]
 
 
@@ -206,21 +208,6 @@ def _station_frontiers(topo: Topology, y: Sequence[float]) -> Dict[int, float]:
     if any(math.isnan(v) for v in vals):
         raise ValueError(f"frontier values must not be NaN, got {tuple(vals)}")
     return dict(zip(topo.spec.stations, vals))
-
-
-def frontier_loads(model: WeightedModel, y: Sequence[float]) -> np.ndarray:
-    """Station loads produced by a frontier vector.
-
-    Entry j-1 of the result is the weighted tail mass at station j:
-    each visiting class contributes its integrated tail at the
-    station's frontier minus the tail at the class's upstream floor,
-    clipped at zero (work the class has already carried past its
-    upstream stations cannot sit here).
-    """
-    topo = model.topology
-    vals = _station_frontiers(topo, y)
-    return np.array([_mass_above(_terms(model, j, topo.visiting[j], vals), vals[j])
-                     for j in topo.spec.stations])
 
 
 # -------- staged inversion --------
@@ -381,13 +368,11 @@ def predict_profile(
     topo = model.topology
     fr = solution.frontiers if isinstance(solution, FrontierSolution) else solution
     vals = _station_frontiers(topo, fr)
-    j = _whole(j, "station id")
-    if j not in topo.visiting:
-        raise ValueError(f"station {j} is not in the network")
+    j = _station_id(topo, j)
     levels = np.asarray(y, dtype=float)
     if np.isnan(levels).any():
         raise ValueError(f"levels must not be NaN, got {y!r}")
-    terms = _terms(model, j, topo.visiting[j], vals)
+    terms = _terms(model, j, vals)
     floor, top = vals[j], max(t.cut for t in terms)
     out = np.where(levels <= floor, _mass_above(terms, floor), 0.0)
     live = np.flatnonzero((levels > floor) & (levels < top))

@@ -37,6 +37,9 @@ from .errors import (
     ParseError,
     RouteRepeatsStation,
     ValidationError,
+    _flag,
+    _real,
+    _whole,
 )
 from .frontier import (
     FrontierSolution,
@@ -59,7 +62,7 @@ from .simulator import (
     conditional_sample,
     new_sim,
 )
-from .topology import ClassSpec, NetworkSpec, _whole, build_topology
+from .topology import ClassSpec, NetworkSpec, build_topology
 
 __all__ = [
     "ExperimentConfig",
@@ -145,7 +148,7 @@ def _reject_unknown(mapping: Mapping, allowed: Sequence[str], where: str) -> Non
 
 def _as_float(value, where: str) -> float:
     try:
-        return dists._real(value, where)
+        return _real(value, where)
     except ValueError as exc:
         raise ValidationError(f"{where}: expected a number, got {value!r}") from exc
 
@@ -158,9 +161,10 @@ def _as_int(value, where: str) -> int:
 
 
 def _as_bool(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ValidationError(f"{where}: expected true/false, got {value!r}")
-    return value
+    try:
+        return _flag(value, where)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: expected true/false, got {value!r}") from exc
 
 
 def _as_str(value, where: str) -> str:
@@ -421,10 +425,13 @@ def empirical_bands(
 
     Each snapshot's station content defines one empirical CDF on the
     grid; a snapshot with nothing at the station counts as the
-    constant CDF 1 (all of nothing is below every level).
+    constant CDF 1 (all of nothing is below every level).  ValueError
+    when a snapshot does not hold station j.
     """
     if len(snapshots) == 0:
         raise NoSnapshots(f"no snapshots to build bands for station {j}")
+    if any(j not in snap.stations for snap in snapshots):
+        raise ValueError(f"station {j} is not held by every snapshot")
     pts = np.asarray(grid, dtype=float)
     curves = np.empty((len(snapshots), len(pts)))
     for i, snap in enumerate(snapshots):
@@ -443,7 +450,9 @@ def compare_profiles(
 
     The L1 part is the trapezoidal integral of |a - b| over the grid
     divided by the grid span, so both numbers are scale-free and
-    comparable.  GridMismatch when the lengths disagree.
+    comparable.  GridMismatch when the lengths disagree, the grid has
+    fewer than two points or does not strictly increase, or a value is
+    not finite.
     """
     pts = np.asarray(grid, dtype=float)
     av = np.asarray(a, dtype=float)
@@ -453,9 +462,13 @@ def compare_profiles(
                            f"grid length {len(pts)}")
     if len(pts) < 2:
         raise GridMismatch("need at least two grid points")
+    if not (np.isfinite(pts).all() and np.isfinite(av).all() and np.isfinite(bv).all()):
+        raise GridMismatch("grid and curve values must be finite")
+    steps = np.diff(pts)
+    if not (steps > 0.0).all():
+        raise GridMismatch("grid must strictly increase")
     diff = np.abs(av - bv)
     sup = float(diff.max())
-    steps = np.diff(pts)
     area = float(np.sum(0.5 * (diff[1:] + diff[:-1]) * steps))
     return sup, area / float(pts[-1] - pts[0])
 

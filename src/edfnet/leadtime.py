@@ -20,7 +20,7 @@ closed form, with no numerical integration.  The solver inverts weighted
 sums of these tails stage by stage (``frontier.solve_frontiers``),
 reading each piece's quadratic from ``survival_below``; a one-term sum
 is the inverse of a single law's tail.  Every parameter is read as a
-float by ``dists._real``.
+float by ``errors._real``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .dists import _real
+from .errors import _real
 
 __all__ = ["LeadTimeDist", "PointMass", "Uniform", "PiecewiseLinearCDF"]
 

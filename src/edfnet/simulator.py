@@ -64,8 +64,8 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import dists
-from .errors import ClassDoesNotVisitStation, ValidationError
-from .topology import NetworkSpec, Topology, _whole, build_topology
+from .errors import ClassDoesNotVisitStation, ValidationError, _flag, _whole
+from .topology import NetworkSpec, Topology, _station_id, build_topology
 
 __all__ = [
     "SimState",
@@ -152,7 +152,7 @@ class SimState:
         self.topology: Topology = build_topology(spec)
         self.spec = spec
         self.seed = int(seed)
-        self.preemptive = preemptive
+        self.preemptive = _flag(preemptive, "preemptive")
         self.clock = 0.0
         self.events_processed = 0
         self.superseded = 0
@@ -459,7 +459,9 @@ def _check_condition(condition: Condition, spec: NetworkSpec) -> None:
 # -------- public operations --------
 
 def new_sim(spec: NetworkSpec, *, seed: int, preemptive: bool = False) -> SimState:
-    """Build a simulation at time zero with empty queues."""
+    """Build a simulation at time zero with empty queues.  ``seed`` is a
+    nonnegative integer and ``preemptive`` True or False; anything else
+    raises ValueError."""
     return SimState(spec, seed=seed, preemptive=preemptive)
 
 
@@ -555,10 +557,7 @@ def snapshot_profiles(sim: SimState) -> Snapshot:
 def _station(sim: SimState, j: int) -> _Station:
     """Station j of the run; ValueError unless j is an integer and the
     network has it."""
-    j = _whole(j, "station id")
-    if j not in sim.topology.visiting:
-        raise ValueError(f"station {j} is not in the network")
-    return sim.stations[j]
+    return sim.stations[_station_id(sim.topology, j)]
 
 
 def class_frontier(sim: SimState, k: int, j: int) -> float:

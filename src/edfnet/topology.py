@@ -3,9 +3,10 @@
 A network is a set of stations 1..J and a set of customer classes
 1..K.  Each class follows a fixed acyclic route (no station is visited
 twice) and carries an initial lead-time distribution.  From the routes
-we derive the station-level sets that every other module consumes:
-which classes visit a station, and which stations a class has already
-cleared when it reaches a given station.
+we derive the station-level set other modules consume, the classes
+that visit each station (``Topology.visiting``), and check station ids
+against it (``_station_id``).  The stations a class clears before a
+station are its route's prefix there.
 
 One rule links the routes to the solver: a class waits at the first
 unplaced station on its route and moves on when that station is placed.
@@ -22,10 +23,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
-import numpy as np
-
 from . import dists
-from .errors import DisconnectedNetwork, EmptyStation, RouteRepeatsStation
+from .errors import DisconnectedNetwork, EmptyStation, RouteRepeatsStation, _real, _whole
 from .leadtime import LeadTimeDist
 
 __all__ = [
@@ -35,15 +34,6 @@ __all__ = [
     "build_topology",
     "traffic_intensity",
 ]
-
-
-def _whole(value, what: str) -> int:
-    """A Python or numpy integer as an int; a float, a bool or anything
-    else raises ValueError naming the value, where ``int()`` would
-    have truncated it."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -75,11 +65,11 @@ class ClassSpec:
         object.__setattr__(self, "route", route)
         rates, what = self.service_rates, f"class {self.id}: service rate"
         object.__setattr__(self, "service_rates",
-                           {_whole(j, f"class {self.id}: station id"): dists._real(mu, what)
+                           {_whole(j, f"class {self.id}: station id"): _real(mu, what)
                             for j, mu in rates.items()}
-                           if isinstance(rates, Mapping) else dists._real(rates, what))
+                           if isinstance(rates, Mapping) else _real(rates, what))
         object.__setattr__(self, "arrival_rate",
-                           dists._real(self.arrival_rate, f"class {self.id}: arrival rate"))
+                           _real(self.arrival_rate, f"class {self.id}: arrival rate"))
         if len(route) == 0:
             raise ValueError(f"class {self.id}: route must visit at least one station")
         if any(j < 1 for j in route):
@@ -151,16 +141,11 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class Topology:
-    """Validated network with its derived route sets.
-
-    visiting[j]      classes whose route passes through station j
-    upstream[(k, j)] stations class k clears before reaching j; only
-                     pairs with j on the route of k are keys
-    """
+    """Validated network; ``visiting[j]`` holds the classes whose route
+    passes through station j."""
 
     spec: NetworkSpec
     visiting: Mapping[int, FrozenSet[int]]
-    upstream: Mapping[Tuple[int, int], FrozenSet[int]]
 
     @property
     def station_count(self) -> int:
@@ -188,11 +173,9 @@ def build_topology(spec: NetworkSpec) -> Topology:
                                  f"but the network has only {J}")
 
     visiting: Dict[int, set] = {j: set() for j in spec.stations}
-    upstream: Dict[Tuple[int, int], FrozenSet[int]] = {}
     for c in spec.classes:
-        for pos, j in enumerate(c.route):
+        for j in c.route:
             visiting[j].add(c.id)
-            upstream[(c.id, j)] = frozenset(c.route[:pos])
 
     for j in spec.stations:
         if not visiting[j]:
@@ -215,18 +198,21 @@ def build_topology(spec: NetworkSpec) -> Topology:
         missing = sorted(set(spec.stations) - seen)
         raise DisconnectedNetwork(f"stations {missing} are not connected to station 1")
 
-    return Topology(
-        spec=spec,
-        visiting={j: frozenset(v) for j, v in visiting.items()},
-        upstream=upstream,
-    )
+    return Topology(spec=spec, visiting={j: frozenset(v) for j, v in visiting.items()})
+
+
+def _station_id(topo: Topology, j) -> int:
+    """Station id j as an int, read by ``_whole``; ValueError unless the
+    network has that station."""
+    j = _whole(j, "station id")
+    if j not in topo.visiting:
+        raise ValueError(f"station {j} is not in the network")
+    return j
 
 
 def traffic_intensity(topo: Topology, j: int) -> float:
     """Offered load at a station: sum over visiting classes of
     arrival rate divided by service rate there."""
-    j = _whole(j, "station id")
-    if j not in topo.visiting:
-        raise ValueError(f"station {j} is not in the network")
+    j = _station_id(topo, j)
     classes = (topo.spec.class_by_id(k) for k in topo.visiting[j])
     return sum(c.arrival_rate / c.service_rate(j) for c in classes)

@@ -1,9 +1,10 @@
 """Shared fixtures: random network generation, the route-based reach
-rule and the exhaustive admissible-order oracle built on it, a staged
-solve with its stage tables read out, the all-station reference
-integrator, the sampler that checks its condition after every event,
-the exact lead law of a FIFO M/M/1 station conditioned on its count,
-and acceptance reporting."""
+rule and the exhaustive admissible-order oracle built on it, the
+station loads of a frontier vector, a staged solve with its stage
+tables read out, the all-station reference integrator, the sampler
+that checks its condition after every event, the exact lead law of a
+FIFO M/M/1 station conditioned on its count, and acceptance
+reporting."""
 
 import math
 
@@ -19,6 +20,7 @@ from edfnet import (
     Uniform,
     build_topology,
     frontier,
+    predict_profile,
     snapshot_profiles,
 )
 
@@ -91,6 +93,13 @@ def reaching(topo, j, placed):
     the staged solver has waiting at an unplaced station."""
     return frozenset(c.id for c in topo.spec.classes
                      if j in c.route and set(c.route[:c.route.index(j)]) <= set(placed))
+
+
+def station_loads(model, y):
+    """The load map: each station's load at frontier vector y, as an
+    array in station order, read as the prediction at level -inf."""
+    return np.array([predict_profile(model, y, j, -math.inf)
+                     for j in model.topology.spec.stations])
 
 
 def logged_solve(model, loads):

@@ -26,7 +26,6 @@ from edfnet import (
     behind_frontier_stats,
     build_topology,
     count_model,
-    frontier_loads,
     mean_queue_length,
     new_sim,
     normalize_by_intensity,
@@ -38,7 +37,7 @@ from edfnet import (
     work_model,
 )
 from edfnet.harness import render_report_csv, render_report_yaml, report_to_dict
-from conftest import in_piece
+from conftest import in_piece, station_loads
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -79,7 +78,7 @@ def check_hand_case(deadlines, loads, frontiers, permutation, region):
     assert closed.frontiers == pytest.approx(sol.frontiers, abs=1e-9)
 
     # the forward map reproduces the observed loads
-    assert frontier_loads(model, sol.frontiers) == pytest.approx(loads, abs=1e-9)
+    assert station_loads(model, sol.frontiers) == pytest.approx(loads, abs=1e-9)
 
     # the near-saturation parameterization, with weights normalized by
     # station intensity, solves to the same frontiers
@@ -117,9 +116,9 @@ def test_criterion_4_round_trip_random_networks(
             model = normalize_by_intensity(model)
         for _ in range(20):
             y = domain_vector(topo, rng)
-            loads = frontier_loads(model, y)
+            loads = station_loads(model, y)
             sol = solve_frontiers(model, loads)
-            back = frontier_loads(model, sol.frontiers)
+            back = station_loads(model, sol.frontiers)
             err = max(abs(a - b) for a, b in zip(back, loads))
             worst = max(worst, err)
             assert err <= 1e-8
@@ -151,7 +150,7 @@ def test_criterion_5_closed_form_matches_staged_solver(acceptance_note):
             assert diff <= 1e-8
             # each region's formula pair must solve the frontier
             # equations it claims to: back-substitution closes the loop
-            back = frontier_loads(model, closed.frontiers)
+            back = station_loads(model, closed.frontiers)
             assert back == pytest.approx((q1, q2), abs=1e-8)
             seen.add(closed.region)
             total += 1

@@ -301,6 +301,21 @@ def test_compare_grid_mismatch(scripted_cfg, tmp_path, capsys):
     assert "station sets differ: [1] vs [2]" in capsys.readouterr().err
 
 
+def test_compare_rejects_a_backward_grid_and_nan(tmp_path, capsys):
+    """A profile CSV is outside input: a grid that runs backwards or a
+    NaN value fails as GridMismatch, exit code 2, not as distances."""
+    header = "station,y,emp_min,emp_mean,emp_max,theory\n"
+    backward = tmp_path / "backward.csv"
+    backward.write_text(header + "1,2.0,0.0,0.0,0.0,1.0\n1,1.0,0.0,0.0,0.0,0.5\n"
+                                 "1,0.0,0.0,0.0,0.0,0.0\n")
+    assert main(["compare", str(backward), str(backward)]) == 2
+    assert "grid must strictly increase" in capsys.readouterr().err
+    nan = tmp_path / "nan.csv"
+    nan.write_text(header + "1,0.0,0.0,0.0,0.0,nan\n1,1.0,0.0,0.0,0.0,0.5\n")
+    assert main(["compare", str(nan), str(nan)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_compare_default_columns(scripted_cfg, tmp_path, capsys):
     """Defaults pit the empirical mean against the prediction."""
     csv_path = tmp_path / "out.csv"

@@ -28,7 +28,6 @@ from edfnet import (
     ZeroIntensity,
     build_topology,
     count_model,
-    frontier_loads,
     normalize_by_intensity,
     predict_profile,
     solve_frontiers,
@@ -38,7 +37,8 @@ from edfnet import (
 from edfnet import frontier
 from edfnet.frontier import _stage_inverse, _Term
 from edfnet.harness import theory_cdf
-from conftest import fifo_lead_cdf, in_piece, logged_solve, reaching, valid_random_spec
+from conftest import (fifo_lead_cdf, in_piece, logged_solve, reaching, station_loads,
+                      valid_random_spec)
 
 THIRD = 1.0 / 3.0
 
@@ -60,20 +60,20 @@ def test_load_map_hand_case():
     station 1 sees classes 1-3 clipped at y=80 against upstream 110,
     station 2 sees only class 2 (class 1's tail is fully upstream)."""
     model = crossing_model((200.0, 200.0, 110.0, 100.0))
-    loads = frontier_loads(model, (80.0, 110.0))
+    loads = station_loads(model, (80.0, 110.0))
     assert loads[0] == pytest.approx(60.0)
     assert loads[1] == pytest.approx(30.0)
 
 
 def test_load_map_zero_above_supports():
     model = crossing_model((400.0, 300.0, 200.0, 100.0))
-    assert frontier_loads(model, (400.0, 400.0)) == pytest.approx([0.0, 0.0])
+    assert station_loads(model, (400.0, 400.0)) == pytest.approx([0.0, 0.0])
 
 
 def test_load_map_rejects_wrong_length():
     model = crossing_model((400.0, 300.0, 200.0, 100.0))
     with pytest.raises(ValueError):
-        frontier_loads(model, (1.0,))
+        station_loads(model, (1.0,))
 
 
 # -------- weighted models --------
@@ -100,6 +100,11 @@ def test_normalize_by_intensity():
     # each station's intensity is 3 * 0.32 = 0.96
     assert normed.weights[(1, 1)] == pytest.approx(THIRD)
     assert normed.weights[(4, 2)] == pytest.approx(THIRD)
+    # positive rates whose ratio underflows leave the station no offered load
+    tiny = NetworkSpec(1, (ClassSpec(id=1, route=(1,), arrival_rate=1e-200,
+                                     lead_time=PointMass(5.0), service_rates=1e200),))
+    with pytest.raises(ZeroIntensity, match="station 1 has zero offered load"):
+        normalize_by_intensity(count_model(build_topology(tiny)))
 
 
 def test_weighted_model_validation():
@@ -125,7 +130,7 @@ def test_solve_case_a():
     assert sol.stage_bounds == pytest.approx((400.0, 300.0))
     assert sol.residual <= 1e-9 * 58.0
     assert sol.loads == (50.0, 58.0)
-    back = frontier_loads(model, sol.frontiers)
+    back = station_loads(model, sol.frontiers)
     assert back == pytest.approx([50.0, 58.0], abs=1e-9)
 
 
@@ -165,7 +170,7 @@ def test_solve_huge_loads_extends_linearly():
     model = crossing_model((400.0, 300.0, 200.0, 100.0))
     sol = solve_frontiers(model, (1e6, 1e6))
     assert sol.frontiers[0] < 0.0 and sol.frontiers[1] < 0.0
-    back = frontier_loads(model, sol.frontiers)
+    back = station_loads(model, sol.frontiers)
     assert back == pytest.approx([1e6, 1e6], rel=1e-9)
 
 
@@ -244,7 +249,7 @@ def test_round_trip_on_random_networks(random_network, domain_vector):
             model = normalize_by_intensity(model)
         for _ in range(8):
             y = domain_vector(topo, rng)
-            loads = frontier_loads(model, y)
+            loads = station_loads(model, y)
             sol = solve_frontiers(model, loads)
             scale = max(1.0, max(abs(v) for v in y))
             assert max(abs(a - b) for a, b in zip(sol.frontiers, y)) <= 1e-8 * scale
@@ -345,9 +350,24 @@ def test_predict_profile_is_nonincreasing_in_level():
         assert all(a >= b - 1e-12 for a, b in zip(masses, masses[1:]))
 
 
+def _load_from_routes(model, fr, j):
+    """Station j's load at frontier vector fr, written from the routes:
+    over the visiting classes in ascending id, the weight times the
+    class's integrated tail at fr[j] less its tail at its floor (the
+    smallest frontier before j on its route), clipped at 0."""
+    total = 0.0
+    for k in sorted(model.topology.visiting[j]):
+        c = model.topology.spec.class_by_id(k)
+        floor = min((fr[i - 1] for i in c.route[:c.route.index(j)]), default=math.inf)
+        tail = c.lead_time.integrated_tail
+        total += model.weights[(k, j)] * max(0.0, tail(fr[j - 1]) - tail(floor))
+    return total
+
+
 def test_load_map_and_prediction_share_one_sum(random_network):
-    """The load map is the prediction at -inf, the sequence form equals
-    the scalar calls bit for bit, and theory_cdf is 1 - mass / total."""
+    """The prediction at -inf is the load map written from the routes,
+    bit for bit, the sequence form equals the scalar calls bit for bit,
+    and theory_cdf is 1 - mass / total."""
     rng = np.random.default_rng(24680)
     levels = tuple(float(v) for v in np.linspace(-20.0, 620.0, 65))
     for _ in range(30):
@@ -356,9 +376,9 @@ def test_load_map_and_prediction_share_one_sum(random_network):
         sol = solve_frontiers(model, rng.uniform(0.0, 40.0, size=len(stations)))
         y = tuple(float(v) for v in rng.uniform(-50.0, 500.0, size=len(stations)))
         for fr in (sol.frontiers, y):
-            loads = frontier_loads(model, fr)
+            loads = station_loads(model, fr)
             for j in stations:
-                assert loads[j - 1] == predict_profile(model, fr, j, -math.inf)
+                assert loads[j - 1] == _load_from_routes(model, fr, j)
         for j in stations:
             scalar = [predict_profile(model, sol, j, v) for v in levels]
             masses = predict_profile(model, sol, j, levels)
@@ -404,7 +424,7 @@ def _saturation_cases(random_network):
             for j in topo.spec.stations:
                 floor = fr[j - 1]
                 vals = dict(zip(topo.spec.stations, fr))
-                terms = frontier._terms(model, j, topo.visiting[j], vals)
+                terms = frontier._terms(model, j, vals)
                 top = max(t.cut for t in terms)
                 levels = [-math.inf, floor - 25.0, math.nextafter(floor, -math.inf), floor,
                           math.nextafter(floor, math.inf), top, math.nextafter(top, -math.inf),
@@ -456,7 +476,7 @@ def test_predict_profile_matches_the_per_level_reference(net_seed, work, data):
     model = work_model(topo) if work else count_model(topo)
     fr = solve_frontiers(model, rng.uniform(0.0, 40.0, topo.station_count)).frontiers
     j = data.draw(st.integers(1, topo.station_count), label="station")
-    terms = frontier._terms(model, j, topo.visiting[j], dict(zip(topo.spec.stations, fr)))
+    terms = frontier._terms(model, j, dict(zip(topo.spec.stations, fr)))
     floor, top = fr[j - 1], max(t.cut for t in terms)
     total = frontier._mass_above(terms, floor)
     marks = [floor, top, math.nextafter(floor, math.inf), math.nextafter(top, -math.inf),
@@ -496,7 +516,7 @@ def test_predict_profile_validates_input():
     with pytest.raises(ValueError, match="NaN"):
         predict_profile(model, (250.0, 188.0), 1, (0.0, math.nan))
     with pytest.raises(ValueError, match="NaN"):
-        frontier_loads(model, (math.nan, 1.0))
+        station_loads(model, (math.nan, 1.0))
 
 
 # -------- two-station closed forms --------
@@ -657,9 +677,9 @@ def _assert_reproduces(model, frontiers, loads):
     """Every station's load at ``frontiers`` is the requested one to
     within the roundoff allowance of the station's sum there."""
     vals = dict(zip(model.topology.spec.stations, frontiers))
-    back = frontier_loads(model, frontiers)
+    back = station_loads(model, frontiers)
     for j, y in vals.items():
-        terms = frontier._terms(model, j, model.topology.visiting[j], vals)
+        terms = frontier._terms(model, j, vals)
         assert abs(back[j - 1] - loads[j - 1]) <= frontier._roundoff(terms, y)[0], (j, vals)
 
 

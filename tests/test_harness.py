@@ -305,6 +305,10 @@ def test_unknown_fields_rejected(mutate):
         ({"prediction": {"grid": [-math.inf, 0.0]}}, "prediction.grid[0]: must be finite"),
         ({"prediction": {"grid": {"lo": 0.0, "hi": math.inf, "points": 5}}},
          "prediction.grid.hi: must be finite"),
+        ({"network": {"stations": 1, "classes": [
+            {"id": 1, "route": [1], "arrival_rate": 0.5, "lead_time": {"value": 10.0}}]}},
+         "network.classes[0].lead_time: missing required field 'kind'"),
+        ({"prediction": {"weights": 1}}, "prediction.weights: expected a string, got 1"),
     ],
 )
 def test_invalid_fields_rejected(patch, field):
@@ -314,6 +318,11 @@ def test_invalid_fields_rejected(patch, field):
     raw.update(patch)
     with pytest.raises(ValidationError, match=re.escape(field)):
         config_from_dict(raw)
+
+
+def test_config_requires_network():
+    with pytest.raises(ValidationError, match="config: missing required field 'network'"):
+        config_from_dict({"experiment": {"seeds": [1]}})
 
 
 def _numeric_raw(whole, real):
@@ -486,6 +495,15 @@ def test_empirical_bands_need_snapshots():
         empirical_bands([], 1, [0.0, 1.0])
 
 
+def test_empirical_bands_name_a_station_the_snapshots_lack():
+    """A station some snapshot does not hold fails by name, where it
+    raised a bare KeyError."""
+    with pytest.raises(ValueError, match="station 2 is not held by every snapshot"):
+        empirical_bands([snap((1.0,))], 2, [0.0, 1.0])
+    with pytest.raises(ValueError, match="station 2 is not held by every snapshot"):
+        empirical_bands([snap((1.0,), j=2), snap((1.0,))], 2, [0.0, 1.0])
+
+
 def test_compare_profiles_hand_case():
     sup, l1 = compare_profiles([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, 0.5, 0.0])
     assert sup == pytest.approx(1.0)
@@ -497,6 +515,16 @@ def test_compare_profiles_mismatch():
         compare_profiles([0.0, 1.0], [0.0], [0.0, 0.0])
     with pytest.raises(GridMismatch):
         compare_profiles([0.0], [0.0], [0.0])
+    # a grid that runs backwards or repeats a point, and a value that is
+    # not finite, would give distances that mean nothing
+    with pytest.raises(GridMismatch, match="strictly increase"):
+        compare_profiles([2.0, 1.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.5, 0.0])
+    with pytest.raises(GridMismatch, match="strictly increase"):
+        compare_profiles([0.0, 1.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.5, 0.0])
+    with pytest.raises(GridMismatch, match="finite"):
+        compare_profiles([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, math.nan, 0.0])
+    with pytest.raises(GridMismatch, match="finite"):
+        compare_profiles([0.0, 1.0, math.inf], [0.0, 0.0, 0.0], [1.0, 0.5, 0.0])
 
 
 # -------- running experiments --------
@@ -510,6 +538,8 @@ def test_run_experiment_scripted():
     assert not report.partial
     assert report.sim_time == pytest.approx(11.5)
     sp = report.station(1)
+    with pytest.raises(KeyError):
+        report.station(2)
     assert len(sp.emp_mean) == len(report.grid)
     assert all(0.0 <= v <= 1.0 for v in sp.emp_mean)
     assert all(b >= a - 1e-12 for a, b in zip(sp.emp_mean, sp.emp_mean[1:]))

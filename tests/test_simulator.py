@@ -182,6 +182,20 @@ def test_preemptive_run():
     assert stats.time_avg_fraction == pytest.approx(3.0 / 11.0)
 
 
+def test_preemptive_must_be_a_bool():
+    """Only True and False choose a service discipline: a truthy string
+    or number, None or a numpy bool raises a ValueError naming the
+    value, where it used to switch preempt-resume on or off."""
+    for flag in (False, True):
+        sim = new_sim(two_class_station(), seed=0, preemptive=flag)
+        run_until(sim, 10.0)
+        assert sim.preemptive is flag and queue_length(sim, 1) == 0
+    for bad in ("no", 0, 1, None, np.bool_(True)):
+        with pytest.raises(ValueError, match=re.escape(f"preemptive must be True or "
+                                                       f"False, got {bad!r}")):
+            new_sim(two_class_station(), seed=0, preemptive=bad)
+
+
 def test_preemption_requires_strictly_smaller_key():
     """An equal-deadline arrival must not preempt: the running job's
     earlier arrival index wins the tie."""

@@ -132,6 +132,34 @@ def test_one_yaml_reader():
     assert found == []
 
 
+def test_one_reader_per_scalar_kind():
+    """``_whole``, ``_real`` and ``_flag`` are defined only in
+    ``errors.py`` and imported only from there, so an integer, a real
+    and a flag read alike wherever the package takes one."""
+    readers = {"_whole", "_real", "_flag"}
+    defined, found = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in readers:
+                if path.name == "errors.py":
+                    defined.add(node.name)
+                else:
+                    found.append(f"{path.name}:{node.lineno} defines {node.name}")
+            if (isinstance(node, ast.ImportFrom) and node.module != "errors"
+                    and readers & {alias.name for alias in node.names}):
+                found.append(f"{path.name}:{node.lineno} imports from {node.module}")
+    assert found == []
+    assert defined == readers
+
+
+def test_station_id_checked_once():
+    """Every station id is checked by ``topology._station_id``: its
+    message is written once in the package."""
+    counts = {path.name: path.read_text().count("is not in the network")
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: n for name, n in counts.items() if n} == {"topology.py": 1}
+
+
 def _private(name):
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 

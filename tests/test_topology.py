@@ -43,11 +43,6 @@ def test_crossing_sets():
     topo = build_topology(crossing())
     assert topo.visiting[1] == frozenset({1, 2, 3})
     assert topo.visiting[2] == frozenset({1, 2, 4})
-    assert topo.upstream[(1, 1)] == frozenset()
-    assert topo.upstream[(1, 2)] == frozenset({1})
-    assert topo.upstream[(2, 1)] == frozenset({2})
-    assert topo.upstream[(4, 2)] == frozenset()
-    assert (3, 2) not in topo.upstream
 
 
 def test_reaching_empty_prefix():
@@ -91,7 +86,8 @@ def test_reaching_matches_routes_on_random_networks(random_network):
                                     for j in topo.spec.stations
                                     if j not in perm[:m] and reaching(topo, j, perm[:m])}
                 for k, j, floor in builds:
-                    assert floor == min((sol.frontiers[i - 1] for i in topo.upstream[(k, j)]),
+                    route = topo.spec.class_by_id(k).route
+                    assert floor == min((sol.frontiers[i - 1] for i in route[:route.index(j)]),
                                         default=math.inf)
 
 
@@ -191,6 +187,8 @@ def test_class_spec_validation():
         ClassSpec(id=0, route=(1,), arrival_rate=0.5, lead_time=PointMass(5.0))
     with pytest.raises(ValueError):
         ClassSpec(id=1, route=(), arrival_rate=0.5, lead_time=PointMass(5.0))
+    with pytest.raises(ValueError, match="station ids must be positive"):
+        ClassSpec(id=1, route=(1, 0), arrival_rate=0.5, lead_time=PointMass(5.0))
     with pytest.raises(ValueError):
         ClassSpec(id=1, route=(1,), arrival_rate=0.0, lead_time=PointMass(5.0))
     with pytest.raises(ValueError):
@@ -419,6 +417,8 @@ def test_traffic_intensity():
     topo = build_topology(mixed)
     assert traffic_intensity(topo, 1) == pytest.approx(0.2)
     assert traffic_intensity(topo, 2) == pytest.approx(0.4 + 0.5)
+    with pytest.raises(ValueError, match="station 2 is not in the network"):
+        traffic_intensity(build_topology(NetworkSpec(1, (one_class(),))), 2)
 
 
 def test_service_rate_lookup():
