@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .errors import _real
+from .errors import _positive, _real
 
 __all__ = ["SamplingLaw", "Exponential", "Deterministic", "UniformLaw", "Sequence"]
 
@@ -72,9 +72,7 @@ class Exponential(SamplingLaw):
     rate: float
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", _real(self.rate, "rate"))
-        if not 0.0 < self.rate < math.inf:
-            raise ValueError(f"rate must be positive and finite, got {self.rate!r}")
+        object.__setattr__(self, "rate", _positive(self.rate, "rate"))
 
     @property
     def mean(self) -> float:
@@ -90,9 +88,7 @@ class Deterministic(SamplingLaw):
     value: float
 
     def __post_init__(self):
-        object.__setattr__(self, "value", _real(self.value, "value"))
-        if not self.value > 0.0 or not math.isfinite(self.value):
-            raise ValueError(f"value must be positive and finite, got {self.value!r}")
+        object.__setattr__(self, "value", _positive(self.value, "value"))
 
     @property
     def mean(self) -> float:

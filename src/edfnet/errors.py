@@ -7,9 +7,9 @@ not finite or lies before the clock, raises a plain ValueError instead;
 the config parser reports such values as ValidationError naming their
 path.
 
-The scalar readers ``_whole``, ``_real`` and ``_flag`` live here too:
-this module imports no other package module, so every module can read
-its integers, reals and bools through them.
+The number readers ``_whole``, ``_real``, ``_positive``, ``_reals`` and
+``_flag`` live here too: this module imports no other package module, so
+every module reads its spec fields and call arguments through them.
 """
 
 import numpy as np
@@ -60,7 +60,7 @@ class NegativeWorkload(EdfnetError):
 
 
 class ZeroIntensity(EdfnetError):
-    """A class weight or rate that must be positive is zero."""
+    """A class weight or rate that must be positive and finite is not."""
 
 
 class SolverDivergence(EdfnetError):
@@ -107,9 +107,28 @@ def _real(value, what: str) -> float:
     """A Python or numpy real as a float; a bool, a string or anything
     else raises ValueError naming the value, where ``float()`` would
     have read it."""
+    if type(value) is float:   # the common case, read on every prediction
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
         raise ValueError(f"{what} must be a real number, got {value!r}")
     return float(value)
+
+
+def _positive(value, what: str, error=ValueError) -> float:
+    """``_real(value)``; ``error`` names it unless positive and finite."""
+    value = _real(value, what)
+    if not 0.0 < value < np.inf:
+        raise error(f"{what} must be positive and finite, got {value!r}")
+    return value
+
+
+def _reals(values, what: str, error=ValueError) -> np.ndarray:
+    """A real or a sequence of reals as a float64 array; ``error`` names
+    a bool, a string or anything else ``np.asarray`` would have cast."""
+    out = np.asarray(values)
+    if out.dtype.kind not in "iuf":
+        raise error(f"{what} must be real numbers, got {values!r}")
+    return out.astype(float, copy=False)
 
 
 def _flag(value, what: str) -> bool:

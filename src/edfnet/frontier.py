@@ -41,6 +41,9 @@ from .errors import (
     NoConsistentRegion,
     SolverDivergence,
     ZeroIntensity,
+    _positive,
+    _real,
+    _reals,
 )
 from .leadtime import LeadTimeDist, PointMass
 from .topology import (
@@ -73,7 +76,8 @@ class WeightedModel:
 
     With weights equal to arrival rates the frontier map returns
     customer counts; with arrival rate over service rate it returns
-    workloads.  Any other positive weights are accepted as well.
+    workloads.  Any other weights are stored as floats if positive and
+    finite; others raise ZeroIntensity.
     """
 
     topology: Topology
@@ -86,10 +90,8 @@ class WeightedModel:
             for k in topo.visiting[j]:
                 if (k, j) not in w:
                     raise ValueError(f"missing weight for class {k} at station {j}")
-                if not w[(k, j)] > 0.0:
-                    raise ZeroIntensity(
-                        f"weight for class {k} at station {j} must be positive, "
-                        f"got {w[(k, j)]!r}")
+                w[(k, j)] = _positive(w[(k, j)], f"weight for class {k} at station {j}",
+                                      ZeroIntensity)
         object.__setattr__(self, "weights", w)
 
 
@@ -192,7 +194,7 @@ def _fit(model: WeightedModel, y: Mapping[int, float],
 
 def _read_loads(count: int, loads: Sequence[float]) -> List[float]:
     """``count`` station loads as floats, each finite and >= 0."""
-    vec = [float(v) for v in loads]
+    vec = [_real(v, f"load at station {j}") for j, v in enumerate(loads, start=1)]
     if len(vec) != count:
         raise ValueError(f"expected {count} loads, got {len(vec)}")
     for j, v in enumerate(vec, start=1):
@@ -202,7 +204,8 @@ def _read_loads(count: int, loads: Sequence[float]) -> List[float]:
 
 
 def _station_frontiers(topo: Topology, y: Sequence[float]) -> Dict[int, float]:
-    vals = [float(v) for v in y]
+    # read on every prediction, so the name is not formatted per value
+    vals = [_real(v, "frontier") for v in y]
     if len(vals) != topo.station_count:
         raise ValueError(f"expected {topo.station_count} frontier values, got {len(vals)}")
     if any(math.isnan(v) for v in vals):
@@ -369,7 +372,7 @@ def predict_profile(
     fr = solution.frontiers if isinstance(solution, FrontierSolution) else solution
     vals = _station_frontiers(topo, fr)
     j = _station_id(topo, j)
-    levels = np.asarray(y, dtype=float)
+    levels = _reals(y, "levels")
     if np.isnan(levels).any():
         raise ValueError(f"levels must not be NaN, got {y!r}")
     terms = _terms(model, j, vals)
@@ -417,7 +420,8 @@ def two_station_closed_form(
     The network has four classes: class 1 runs station 1 then 2,
     class 2 runs station 2 then 1, and classes 3 and 4 visit only
     stations 1 and 2 respectively.  Each class k has a fixed deadline
-    ``deadlines[k-1]``; the values must be nonincreasing in k.
+    ``deadlines[k-1]``; the values must be nonincreasing in k.  A rate
+    that is not positive and finite raises ZeroIntensity.
 
     Depending on where the frontier pair falls relative to the four
     deadlines and to its own ordering, different clip terms in the
@@ -430,11 +434,10 @@ def two_station_closed_form(
     """
     if len(rates) != 4 or len(deadlines) != 4:
         raise ValueError("need exactly four rates and four deadlines")
-    l1, l2, l3, l4 = (float(v) for v in rates)
-    d1, d2, d3, d4 = (float(v) for v in deadlines)
-    for i, lv in enumerate((l1, l2, l3, l4), start=1):
-        if not lv > 0.0:
-            raise ZeroIntensity(f"rate of class {i} must be positive, got {lv!r}")
+    l1, l2, l3, l4 = (_positive(v, f"rate of class {i}", ZeroIntensity)
+                      for i, v in enumerate(rates, start=1))
+    d1, d2, d3, d4 = (_real(v, f"deadline of class {i}")
+                      for i, v in enumerate(deadlines, start=1))
     if not (d1 >= d2 >= d3 >= d4):
         raise ValueError(f"deadlines must be nonincreasing by class, got {deadlines!r}")
     q1, q2 = _read_loads(2, (q1, q2))

@@ -39,6 +39,7 @@ from .errors import (
     ValidationError,
     _flag,
     _real,
+    _reals,
     _whole,
 )
 from .frontier import (
@@ -146,25 +147,20 @@ def _reject_unknown(mapping: Mapping, allowed: Sequence[str], where: str) -> Non
         raise ValidationError(f"{where}: unknown fields {unknown}")
 
 
-def _as_float(value, where: str) -> float:
-    try:
-        return _real(value, where)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: expected a number, got {value!r}") from exc
+def _as(reader, expected: str):
+    """Parser reading a value with one of the ``errors`` readers; its
+    ValueError becomes ValidationError("{where}: expected ...")."""
+    def parse(value, where):
+        try:
+            return reader(value, where)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: expected {expected}, got {value!r}") from exc
+    return parse
 
 
-def _as_int(value, where: str) -> int:
-    try:
-        return _whole(value, where)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: expected an integer, got {value!r}") from exc
-
-
-def _as_bool(value, where: str) -> bool:
-    try:
-        return _flag(value, where)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: expected true/false, got {value!r}") from exc
+_as_float = _as(_real, "a number")
+_as_int = _as(_whole, "an integer")
+_as_bool = _as(_flag, "true/false")
 
 
 def _as_str(value, where: str) -> str:
@@ -287,6 +283,7 @@ def _kind_of(table: Mapping, what: str):
 
 _as_seed = _checked(_as_int, lambda v: v >= 0, "must be nonnegative")
 _as_finite = _checked(_as_float, math.isfinite, "must be finite")
+_as_positive = _checked(_as_float, lambda v: 0 < v < math.inf, "must be positive and finite")
 
 # kind -> (class, ((field, parser), ...)) for each kind-tagged family
 _LEAD_TIMES = {
@@ -357,12 +354,10 @@ def _grid(value, where: str) -> Optional[Tuple[float, ...]]:
 _EXPERIMENT_ROWS = (
     ("seeds", "seeds", _checked(_list_of(_as_seed), len, "must not be empty"), (0,)),
     ("condition", "condition", _kind_of(_CONDITIONS, "condition"), None),
-    ("threshold", "threshold",
-     _checked(_as_float, lambda v: 0 < v < math.inf, "must be positive and finite"), 1.0),
+    ("threshold", "threshold", _as_positive, 1.0),
     ("snapshots", "snapshot_count",
      _checked(_as_int, lambda v: v >= 1, "must be at least 1"), 50),
-    ("horizon_cap", "horizon_cap",
-     _checked(_as_float, lambda v: 0 < v < math.inf, "must be positive and finite"), 1e6),
+    ("horizon_cap", "horizon_cap", _as_positive, 1e6),
     ("preemptive", "preemptive", _as_bool, False),
 )
 _PREDICTION_ROWS = (
@@ -426,13 +421,13 @@ def empirical_bands(
     Each snapshot's station content defines one empirical CDF on the
     grid; a snapshot with nothing at the station counts as the
     constant CDF 1 (all of nothing is below every level).  ValueError
-    when a snapshot does not hold station j.
+    when a snapshot lacks station j or a grid value is not a real.
     """
     if len(snapshots) == 0:
         raise NoSnapshots(f"no snapshots to build bands for station {j}")
     if any(j not in snap.stations for snap in snapshots):
         raise ValueError(f"station {j} is not held by every snapshot")
-    pts = np.asarray(grid, dtype=float)
+    pts = _reals(grid, "grid")
     curves = np.empty((len(snapshots), len(pts)))
     for i, snap in enumerate(snapshots):
         leads = np.sort(np.asarray(snap.leads(j), dtype=float))
@@ -452,11 +447,11 @@ def compare_profiles(
     divided by the grid span, so both numbers are scale-free and
     comparable.  GridMismatch when the lengths disagree, the grid has
     fewer than two points or does not strictly increase, or a value is
-    not finite.
+    not a finite real number.
     """
-    pts = np.asarray(grid, dtype=float)
-    av = np.asarray(a, dtype=float)
-    bv = np.asarray(b, dtype=float)
+    pts = _reals(grid, "grid", GridMismatch)
+    av = _reals(a, "curve", GridMismatch)
+    bv = _reals(b, "curve", GridMismatch)
     if len(av) != len(pts) or len(bv) != len(pts):
         raise GridMismatch(f"curve lengths {len(av)}, {len(bv)} do not match "
                            f"grid length {len(pts)}")
@@ -507,7 +502,7 @@ class ProfileReport:
         for sp in self.stations:
             if sp.station == j:
                 return sp
-        raise KeyError(j)
+        raise ValueError(f"station {j!r} is not in the report")
 
 
 def _conditioning_loads(condition: Condition, network: NetworkSpec) -> List[float]:

@@ -64,7 +64,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import dists
-from .errors import ClassDoesNotVisitStation, ValidationError, _flag, _whole
+from .errors import ClassDoesNotVisitStation, ValidationError, _flag, _positive, _real, _whole
 from .topology import NetworkSpec, Topology, _station_id, build_topology
 
 __all__ = [
@@ -323,6 +323,9 @@ class Snapshot:
     stations: Mapping[int, Tuple[Tuple[int, float], ...]]
 
     def leads(self, j: int) -> Tuple[float, ...]:
+        """The lead times at station j; ValueError if the snapshot lacks j."""
+        if j not in self.stations:
+            raise ValueError(f"station {j!r} is not in the snapshot")
         return tuple(lead for _, lead in self.stations[j])
 
 
@@ -469,12 +472,12 @@ def run_until(sim: SimState, until: float) -> int:
     """Advance the simulation to a finite time.
 
     Every event at or before ``until`` is processed and the clock then
-    advances to exactly ``until``.  A time that is not finite or lies
-    before the clock raises ValueError before any event is processed.
+    advances to exactly ``until``.  A time other than a finite real at
+    or after the clock raises ValueError before any event is processed.
     Returns the number of events processed, including departures that a
     preemption superseded (see SimState).
     """
-    t = float(until)
+    t = _real(until, "until")
     if not (math.isfinite(t) and t >= sim.clock):
         raise ValueError(f"cannot run to {t} from {sim.clock}: the time must "
                          f"be finite and not before the clock")
@@ -511,11 +514,11 @@ def conditional_sample(
     clock and event count are those of a check after every event.
     """
     _check_condition(condition, sim.spec)
-    if not 0.0 < threshold < math.inf:
-        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
+    threshold = _positive(threshold, "threshold")
     count = _whole(count, "count")
     if count < 1:
         raise ValueError(f"count must be an integer of at least 1, got {count!r}")
+    horizon_cap = _real(horizon_cap, "horizon_cap")
     if not (math.isfinite(horizon_cap) and horizon_cap >= sim.clock):
         raise ValueError(f"cannot sample to horizon_cap {horizon_cap} from {sim.clock}: "
                          f"it must be finite and not before the clock")

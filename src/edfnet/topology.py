@@ -19,12 +19,12 @@ two-station closed form writes out the crossing network's two pieces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from . import dists
-from .errors import DisconnectedNetwork, EmptyStation, RouteRepeatsStation, _real, _whole
+from .errors import (DisconnectedNetwork, EmptyStation, RouteRepeatsStation, _positive,
+                     _real, _whole)
 from .leadtime import LeadTimeDist
 
 __all__ = [
@@ -69,22 +69,17 @@ class ClassSpec:
                             for j, mu in rates.items()}
                            if isinstance(rates, Mapping) else _real(rates, what))
         object.__setattr__(self, "arrival_rate",
-                           _real(self.arrival_rate, f"class {self.id}: arrival rate"))
+                           _positive(self.arrival_rate, f"class {self.id}: arrival rate"))
         if len(route) == 0:
             raise ValueError(f"class {self.id}: route must visit at least one station")
         if any(j < 1 for j in route):
             raise ValueError(f"class {self.id}: station ids must be positive")
-        if not 0.0 < self.arrival_rate < math.inf:
-            raise ValueError(f"class {self.id}: arrival rate must be positive and "
-                             f"finite, got {self.arrival_rate!r}")
         if self.interarrival is not None:
             _check_rate(self.interarrival, self.arrival_rate,
                         f"class {self.id} interarrival")
         for j in route:
-            mu = self.service_rate(j)
-            if not 0.0 < mu < math.inf:
-                raise ValueError(f"class {self.id}: service rate at station {j} "
-                                 f"must be positive and finite, got {mu!r}")
+            mu = _positive(self.service_rate(j),
+                           f"class {self.id}: service rate at station {j}")
             law = self.service_law(j)
             if law is not None:
                 _check_rate(law, mu, f"class {self.id} service at station {j}")

@@ -113,10 +113,9 @@ def test_weighted_model_validation():
     WeightedModel(topo, good)
     with pytest.raises(ValueError):
         WeightedModel(topo, {kj: w for kj, w in good.items() if kj != (3, 1)})
-    bad = dict(good)
-    bad[(2, 2)] = 0.0
-    with pytest.raises(ZeroIntensity):
-        WeightedModel(topo, bad)
+    for weight in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ZeroIntensity, match="class 2 at station 2 must be positive"):
+            WeightedModel(topo, {**good, (2, 2): weight})
 
 
 # -------- staged inversion: frozen cases --------
@@ -517,6 +516,9 @@ def test_predict_profile_validates_input():
         predict_profile(model, (250.0, 188.0), 1, (0.0, math.nan))
     with pytest.raises(ValueError, match="NaN"):
         station_loads(model, (math.nan, 1.0))
+    for levels in (["300"], "300", True, [True, False]):
+        with pytest.raises(ValueError, match="levels must be real numbers"):
+            predict_profile(model, (250.0, 188.0), 1, levels)
 
 
 # -------- two-station closed forms --------

@@ -497,11 +497,17 @@ def test_empirical_bands_need_snapshots():
 
 def test_empirical_bands_name_a_station_the_snapshots_lack():
     """A station some snapshot does not hold fails by name, where it
-    raised a bare KeyError."""
+    raised a bare KeyError; so does a grid of strings or bools, which
+    ``np.asarray(grid, dtype=float)`` would have read."""
     with pytest.raises(ValueError, match="station 2 is not held by every snapshot"):
         empirical_bands([snap((1.0,))], 2, [0.0, 1.0])
     with pytest.raises(ValueError, match="station 2 is not held by every snapshot"):
         empirical_bands([snap((1.0,), j=2), snap((1.0,))], 2, [0.0, 1.0])
+    with pytest.raises(ValueError, match="station 2 is not in the snapshot"):
+        snap((1.0,)).leads(2)
+    for grid in (["0", "1"], [False, True]):
+        with pytest.raises(ValueError, match="grid must be real numbers"):
+            empirical_bands([snap((1.0,))], 1, grid)
 
 
 def test_compare_profiles_hand_case():
@@ -525,6 +531,11 @@ def test_compare_profiles_mismatch():
         compare_profiles([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [1.0, math.nan, 0.0])
     with pytest.raises(GridMismatch, match="finite"):
         compare_profiles([0.0, 1.0, math.inf], [0.0, 0.0, 0.0], [1.0, 0.5, 0.0])
+    # strings and bools, which np.asarray(..., dtype=float) would have read
+    with pytest.raises(GridMismatch, match="curve must be real numbers"):
+        compare_profiles([0, 1], ["0", "1"], [0, 1])
+    with pytest.raises(GridMismatch, match="grid must be real numbers"):
+        compare_profiles([False, True], [0, 1], [0, 1])
 
 
 # -------- running experiments --------
@@ -538,7 +549,7 @@ def test_run_experiment_scripted():
     assert not report.partial
     assert report.sim_time == pytest.approx(11.5)
     sp = report.station(1)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="station 2 is not in the report"):
         report.station(2)
     assert len(sp.emp_mean) == len(report.grid)
     assert all(0.0 <= v <= 1.0 for v in sp.emp_mean)

@@ -133,10 +133,11 @@ def test_one_yaml_reader():
 
 
 def test_one_reader_per_scalar_kind():
-    """``_whole``, ``_real`` and ``_flag`` are defined only in
-    ``errors.py`` and imported only from there, so an integer, a real
-    and a flag read alike wherever the package takes one."""
-    readers = {"_whole", "_real", "_flag"}
+    """``_whole``, ``_real``, ``_positive``, ``_reals`` and ``_flag`` are
+    defined only in ``errors.py`` and imported only from there, so an
+    integer, a real, a positive real, an array of reals and a flag read
+    alike wherever the package takes one."""
+    readers = {"_whole", "_real", "_positive", "_reals", "_flag"}
     defined, found = set(), []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
@@ -150,6 +151,25 @@ def test_one_reader_per_scalar_kind():
                 found.append(f"{path.name}:{node.lineno} imports from {node.module}")
     assert found == []
     assert defined == readers
+
+
+def test_no_argument_read_by_float():
+    """``frontier.py`` and ``simulator.py`` read every real argument
+    through ``errors._real``, which rejects the bools and strings that
+    ``float()`` reads.  The only ``float()`` calls left convert results
+    the module computed itself; each is listed by function and call."""
+    results = {("frontier.py", "predict_profile", "float(out)"),
+               ("simulator.py", "totals", "float(sum(vec))")}
+    found = set()
+    for name in ("frontier.py", "simulator.py"):
+        tree = ast.parse((SRC / name).read_text())
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found |= {(name, function.name, ast.unparse(node))
+                          for node in ast.walk(function)
+                          if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                          and node.func.id == "float"}
+    assert found == results
 
 
 def test_station_id_checked_once():

@@ -17,11 +17,20 @@ from edfnet import (
     PiecewiseLinearCDF,
     PointMass,
     RouteRepeatsStation,
+    TotalCounts,
     Uniform,
+    WeightedModel,
     build_topology,
+    conditional_sample,
     count_model,
     dists,
+    new_sim,
+    normalize_by_intensity,
+    predict_profile,
+    run_until,
+    solve_frontiers,
     traffic_intensity,
+    two_station_closed_form,
     work_model,
 )
 from edfnet.frontier import _in_crossing_domain
@@ -255,6 +264,67 @@ def test_real_fields_store_floats():
              cls.interarrival.rate, PointMass(np.int64(3)).value,
              *dists.Sequence([1], then=2).values, dists.Sequence([1], then=2).then]
     assert [type(v) for v in reals] == [float] * len(reals)
+
+
+def _crossing_model():
+    return normalize_by_intensity(count_model(build_topology(crossing())))
+
+
+def _sample(**limits):
+    sim = new_sim(crossing(), seed=1)
+    return conditional_sample(sim, TotalCounts({1: 1, 2: 1}), count=2,
+                              **{"threshold": 1.0, "horizon_cap": 500.0, **limits})
+
+
+def _run(until):
+    sim = new_sim(crossing(), seed=1)
+    return run_until(sim, until), sim.clock
+
+
+_RATES, _DEADLINES = (0.32,) * 4, (400.0, 300.0, 200.0, 100.0)
+
+
+# (argument as the error names it, a good value, the call with it replaced)
+@pytest.mark.parametrize("what,good,call", [
+    pytest.param("load at station 1", 50.0,
+                 lambda v: solve_frontiers(_crossing_model(), (v, 58.0)),
+                 id="solve_frontiers-loads"),
+    pytest.param("frontier", 250.0,
+                 lambda v: predict_profile(_crossing_model(), (v, 188.0), 1, 300.0),
+                 id="predict_profile-frontiers"),
+    pytest.param("rate of class 1", 0.32,
+                 lambda v: two_station_closed_form((v, *_RATES[1:]), _DEADLINES, 50.0, 58.0),
+                 id="closed_form-rates"),
+    pytest.param("deadline of class 1", 400.0,
+                 lambda v: two_station_closed_form(_RATES, (v, *_DEADLINES[1:]), 50.0, 58.0),
+                 id="closed_form-deadlines"),
+    pytest.param("load at station 1", 50.0,
+                 lambda v: two_station_closed_form(_RATES, _DEADLINES, v, 58.0),
+                 id="closed_form-loads"),
+    pytest.param("weight for class 1 at station 1", 1.0,
+                 lambda v: WeightedModel(_crossing_model().topology,
+                                         {**_crossing_model().weights, (1, 1): v}),
+                 id="WeightedModel-weight"),
+    pytest.param("until", 200.0, _run, id="run_until-time"),
+    pytest.param("threshold", 1.0, lambda v: _sample(threshold=v),
+                 id="conditional_sample-threshold"),
+    pytest.param("horizon_cap", 500.0, lambda v: _sample(horizon_cap=v),
+                 id="conditional_sample-horizon_cap"),
+])
+@pytest.mark.parametrize("kind", ["string", "bool", "numpy"])
+def test_call_arguments_read_like_spec_fields(what, good, call, kind):
+    """A real call argument is read by ``errors._real`` as spec fields
+    are: ``float()`` would have read ``"50.0"`` as 50.0 and ``True`` as
+    1.0, so each raises ValueError naming the argument.  A numpy scalar
+    gives the result of the float, bit for bit (repr shows each float's
+    type and every digit)."""
+    if kind == "numpy":
+        assert repr(call(np.float64(good))) == repr(call(good))
+        return
+    bad = str(good) if kind == "string" else True
+    named = rf"^{re.escape(what)} must be a real number, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=named):
+        call(bad)
 
 
 def test_class_spec_law_mean_must_match_rate():
