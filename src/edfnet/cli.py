@@ -5,16 +5,20 @@ CSV), simulate (free run with periodic stats), experiment (full
 conditioned-sampling pipeline with report export), compare (distances
 between two exported profile CSVs).  Solve, predict and experiment
 all use the prediction model the config sets (``prediction.weights``,
-``prediction.normalize``); experiment needs count weights.  Exit codes: 0 on success, 2 on bad input
-or config, 3 when an experiment hit its horizon cap and produced only
-partial results.
+``prediction.normalize``); experiment needs count weights.  The module
+keeps no text rule of its own: ``harness._number`` reads each number
+flag and the config field's parser checks it (``--horizon`` and
+``--every`` by ``_as_positive``, ``--seed`` by ``_as_seed``, ``--grid``
+by ``_grid``), the harness reader reads every file, and the report's
+CSV writer writes the predict CSV.  Exit codes: 0 on success, 2 on bad
+input or config, 3 when an experiment hit its horizon cap and produced
+only partial results.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 from typing import List, Optional
 
@@ -32,16 +36,9 @@ from .simulator import (
 )
 
 
-def _parse_floats(text: str, what: str) -> List[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise EdfnetError(f"{what}: expected comma-separated numbers, got {text!r}")
-
-
 def _solve(model, text: str):
     """Solve for the --loads value, which must give one load per station."""
-    loads = _parse_floats(text, "--loads")
+    loads = [harness._number(part, "--loads") for part in text.split(",")]
     count = model.topology.station_count
     if len(loads) != count:
         raise EdfnetError(f"--loads: expected {count} values, got {len(loads)}")
@@ -64,18 +61,15 @@ def _cmd_predict(args) -> int:
     sol = _solve(model, args.loads)
     grid = cfg.grid
     if args.grid:
-        try:
-            lo, hi, n = args.grid.split(":")
-            span = {"lo": float(lo), "hi": float(hi), "points": int(n)}
-        except ValueError:
+        parts = args.grid.split(":")
+        if len(parts) != 3:
             raise EdfnetError(f"--grid: expected lo:hi:points, got {args.grid!r}")
+        span = {key: harness._number(part, f"--grid.{key}", kind=kind)
+                for key, kind, part in zip(("lo", "hi", "points"), (float, float, int), parts)}
         grid = harness._grid(span, "--grid")
-    lines = ["station,y,theory"]
-    for j in range(1, cfg.network.station_count + 1):
-        curve = harness.theory_cdf(model, sol, j, grid)
-        for y, t in zip(grid, curve):
-            lines.append(f"{j},{y!r},{float(t)!r}")
-    text = "\n".join(lines) + "\n"
+    rows = [(j, y, t) for j in range(1, cfg.network.station_count + 1)
+            for y, t in zip(grid, harness.theory_cdf(model, sol, j, grid).tolist())]
+    text = harness._csv_text(("station", "y", "theory"), rows)
     if args.output:
         with open(args.output, "w", newline="") as handle:
             handle.write(text)
@@ -91,11 +85,11 @@ _MAX_REPORT_LINES = 10**6
 
 def _cmd_simulate(args) -> int:
     cfg = harness.parse_config(args.config)
-    seed = cfg.seeds[0] if args.seed is None else harness._as_seed(args.seed, "--seed")
-    horizon = args.horizon
-    every = horizon / 10.0 if args.every is None else args.every
-    if not (0 < horizon < math.inf and every > 0):
-        raise EdfnetError("--horizon must be positive and finite, --every positive")
+    seed = (cfg.seeds[0] if args.seed is None
+            else harness._number(args.seed, "--seed", harness._as_seed, int))
+    horizon = harness._number(args.horizon, "--horizon", harness._as_positive)
+    every = (horizon / 10.0 if args.every is None
+             else harness._number(args.every, "--every", harness._as_positive))
     if horizon / every > _MAX_REPORT_LINES:
         raise EdfnetError(f"--every: {horizon} / {every} asks for more than "
                           f"{_MAX_REPORT_LINES} report lines")
@@ -119,7 +113,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_experiment(args) -> int:
     cfg = harness.parse_config(args.config)
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, seeds=(harness._as_seed(args.seed, "--seed"),))
+        seed = harness._number(args.seed, "--seed", harness._as_seed, int)
+        cfg = dataclasses.replace(cfg, seeds=(seed,))
     report = harness.run_experiment(cfg)
     harness.export_report(report, csv_path=args.output, yaml_path=args.structured)
     print(f"snapshots: {report.snapshot_count}"
@@ -172,14 +167,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="free run with periodic statistics")
     add_config(p)
-    p.add_argument("--horizon", type=float, default=10000.0)
-    p.add_argument("--every", type=float, help="reporting interval")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--horizon", default="10000")
+    p.add_argument("--every", help="reporting interval")
+    p.add_argument("--seed")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("experiment", help="conditioned sampling vs prediction")
     add_config(p)
-    p.add_argument("--seed", type=int, help="replace the config seed list")
+    p.add_argument("--seed", help="replace the config seed list")
     p.add_argument("-o", "--output", help="write the profile CSV here")
     p.add_argument("--structured", help="write the full YAML report here")
     p.set_defaults(func=_cmd_experiment)

@@ -75,7 +75,9 @@ class NoConsistentRegion(EdfnetError):
 # -------- harness --------
 
 class ParseError(EdfnetError):
-    """A config or report file could not be parsed; carries location."""
+    """A config, report or profile file, or the text of a number flag,
+    could not be parsed (a file that is not UTF-8 text too); carries the
+    location."""
 
 
 class ValidationError(EdfnetError):
@@ -122,11 +124,17 @@ def _positive(value, what: str, error=ValueError) -> float:
     return value
 
 
+_BOOLS = frozenset((bool, np.bool_))
+
+
 def _reals(values, what: str, error=ValueError) -> np.ndarray:
     """A real or a sequence of reals as a float64 array; ``error`` names
-    a bool, a string or anything else ``np.asarray`` would have cast."""
+    a bool, a string or anything else ``np.asarray`` would have cast, a
+    bool among numbers too.  An ndarray's dtype says whether it holds
+    bools, so only the items of other sequences are looked at."""
     out = np.asarray(values)
-    if out.dtype.kind not in "iuf":
+    if out.dtype.kind not in "iuf" or (out.ndim and not isinstance(values, np.ndarray)
+                                       and _BOOLS & set(map(type, values))):
         raise error(f"{what} must be real numbers, got {values!r}")
     return out.astype(float, copy=False)
 

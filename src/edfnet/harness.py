@@ -38,6 +38,7 @@ from .errors import (
     RouteRepeatsStation,
     ValidationError,
     _flag,
+    _positive,
     _real,
     _reals,
     _whole,
@@ -73,9 +74,16 @@ __all__ = [
     "parse_config",
     "config_from_dict",
     "config_to_dict",
+    "config_hash",
+    "prediction_model",
+    "theory_cdf",
     "run_experiment",
     "empirical_bands",
     "compare_profiles",
+    "report_to_dict",
+    "report_from_dict",
+    "render_report_csv",
+    "render_report_yaml",
     "export_report",
     "parse_report",
     "read_profile_csv",
@@ -107,11 +115,30 @@ class ExperimentConfig:
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def _load_yaml(path) -> Dict:
-    with open(path, "r") as handle:
-        text = handle.read()
+def _read_text(path) -> str:
+    """A config, report or profile file's text, with universal newlines;
+    ParseError names a file that is not UTF-8 text."""
     try:
-        raw = yaml.load(text, Loader=_LOADER)
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _number(text: str, what: str, parse=None, kind=float):
+    """``kind(text)`` for a profile-CSV field or a CLI flag, checked by the codec
+    parser ``parse`` if given; ParseError names a text that does not read."""
+    try:
+        value = kind(text)
+    except ValueError:
+        expected = "an integer" if kind is int else "a number"
+        raise ParseError(f"{what}: expected {expected}, got {text!r}") from None
+    return value if parse is None else parse(value, what)
+
+
+def _load_yaml(path) -> Dict:
+    try:
+        raw = yaml.load(_read_text(path), Loader=_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
@@ -161,6 +188,10 @@ def _as(reader, expected: str):
 _as_float = _as(_real, "a number")
 _as_int = _as(_whole, "an integer")
 _as_bool = _as(_flag, "true/false")
+
+
+def _as_positive(value, where: str) -> float:
+    return _positive(_as_float(value, where), f"{where}:", ValidationError)
 
 
 def _as_str(value, where: str) -> str:
@@ -283,7 +314,6 @@ def _kind_of(table: Mapping, what: str):
 
 _as_seed = _checked(_as_int, lambda v: v >= 0, "must be nonnegative")
 _as_finite = _checked(_as_float, math.isfinite, "must be finite")
-_as_positive = _checked(_as_float, lambda v: 0 < v < math.inf, "must be positive and finite")
 
 # kind -> (class, ((field, parser), ...)) for each kind-tagged family
 _LEAD_TIMES = {
@@ -644,17 +674,17 @@ def report_from_dict(raw: Mapping) -> ProfileReport:
     return _read_report(raw, "report")
 
 
+def _csv_text(header: Sequence[str], rows) -> str:
+    """CSV text: the header, then each row's values by ``repr``, one line each."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def render_report_csv(report: ProfileReport) -> str:
     """CSV text for a report; formatting is repr-exact and stable."""
-    lines = []
-    if report.partial:
-        lines.append("# partial=true")
-    lines.append(",".join(CSV_HEADER))
-    for sp in report.stations:
-        for y, a, b, c, t in zip(report.grid, sp.emp_min, sp.emp_mean,
-                                 sp.emp_max, sp.theory):
-            lines.append(f"{sp.station},{y!r},{a!r},{b!r},{c!r},{t!r}")
-    return "\n".join(lines) + "\n"
+    rows = [(sp.station, *values) for sp in report.stations
+            for values in zip(report.grid, sp.emp_min, sp.emp_mean, sp.emp_max, sp.theory)]
+    return ("# partial=true\n" if report.partial else "") + _csv_text(CSV_HEADER, rows)
 
 
 def render_report_yaml(report: ProfileReport) -> str:
@@ -689,37 +719,23 @@ def read_profile_csv(path: str) -> Tuple[Dict[int, Dict[str, List[float]]], bool
     name (y, emp_min, emp_mean, emp_max, theory) to its values in file
     order.  The header must match the export format exactly.
     """
-    stations: Dict[int, Dict[str, List[float]]] = {}
-    partial = False
-    with open(path, "r", newline="") as handle:
-        rows = []
-        for line in handle:
-            if line.startswith("#"):
-                if "partial=true" in line:
-                    partial = True
-                continue
-            rows.append(line)
-    reader = csv.reader(rows)
-    try:
-        header = tuple(next(reader))
-    except StopIteration:
-        raise ParseError(f"{path}: empty file")
+    lines = _read_text(path).split("\n")
+    partial = any(line.startswith("#") and "partial=true" in line for line in lines)
+    reader = csv.reader(line for line in lines if not line.startswith("#"))
+    header = tuple(next(reader, ()))
     if header != CSV_HEADER:
         raise ParseError(f"{path}: header {header} does not match {CSV_HEADER}")
+    stations: Dict[int, Dict[str, List[float]]] = {}
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
+        where = f"{path}: line {lineno}"
         if len(row) != len(CSV_HEADER):
-            raise ParseError(f"{path}: line {lineno}: expected "
-                             f"{len(CSV_HEADER)} fields, got {len(row)}")
-        try:
-            j = int(row[0])
-            values = [float(v) for v in row[1:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}: line {lineno}: {exc}")
-        cols = stations.setdefault(j, {name: [] for name in CSV_HEADER[1:]})
-        for name, v in zip(CSV_HEADER[1:], values):
-            cols[name].append(v)
+            raise ParseError(f"{where}: expected {len(CSV_HEADER)} fields, got {len(row)}")
+        cols = stations.setdefault(_number(row[0], f"{where}: station", kind=int),
+                                   {name: [] for name in CSV_HEADER[1:]})
+        for name, text in zip(CSV_HEADER[1:], row[1:]):
+            cols[name].append(_number(text, f"{where}: {name}"))
     if not stations:
         raise ParseError(f"{path}: no data rows")
     return stations, partial

@@ -110,6 +110,15 @@ def test_solve_bad_loads(crossing_cfg, capsys):
         assert capsys.readouterr().err.startswith("error: --loads: expected 2 values")
 
 
+@pytest.mark.parametrize("loads", ["50,,58", ",50,58", "50,58,"])
+def test_loads_skip_no_empty_field(crossing_cfg, capsys, loads):
+    """An empty --loads field is an error, not a field to skip: it used to
+    solve as (50, 58)."""
+    for command in ("solve", "predict"):
+        assert main([command, "-c", crossing_cfg, "--loads", loads]) == 2
+        assert capsys.readouterr().err == "error: --loads: expected a number, got ''\n"
+
+
 def test_solve_malformed_config(tmp_path, capsys):
     path = tmp_path / "bad.yaml"
     path.write_text(textwrap.dedent(CROSSING_CONFIG).replace("seeds: [1]", "seeds: 5"))
@@ -210,6 +219,18 @@ def test_simulate_rejects_bad_horizon(crossing_cfg, capsys):
     assert "report lines" in capsys.readouterr().err
     assert main(["simulate", "-c", crossing_cfg, "--seed", "-1"]) == 2
     assert "--seed: must be nonnegative" in capsys.readouterr().err
+
+
+def test_simulate_reads_its_numbers_like_config_fields(crossing_cfg, capsys):
+    """--horizon and --every are positive and finite, as the config's
+    horizon_cap is: an infinite interval used to print one line and exit
+    0.  A flag that is not a number fails by name with exit code 2."""
+    for flags, error in [(["--every", "inf"], "--every: must be positive and finite"),
+                         (["--horizon", "x"], "--horizon: expected a number, got 'x'"),
+                         (["--seed", "1.5"], "--seed: expected an integer, got '1.5'")]:
+        assert main(["simulate", "-c", crossing_cfg, *flags]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(f"error: {error}")
 
 
 def test_experiment_end_to_end(scripted_cfg, tmp_path, capsys):
@@ -314,6 +335,17 @@ def test_compare_rejects_a_backward_grid_and_nan(tmp_path, capsys):
     nan.write_text(header + "1,0.0,0.0,0.0,0.0,nan\n1,1.0,0.0,0.0,0.0,0.5\n")
     assert main(["compare", str(nan), str(nan)]) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+def test_files_that_are_not_text_exit_2(crossing_cfg, tmp_path, capsys):
+    """A config or profile CSV that is not UTF-8 text exits 2 naming the
+    file, where a UnicodeDecodeError traceback exited 1."""
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(pathlib.Path(crossing_cfg).read_bytes() + b"# caf\xe9\n")
+    for command in (["solve", "-c", str(path), "--loads", "50,58"],
+                    ["compare", str(path), str(path)]):
+        assert main(command) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8 text")
 
 
 def test_compare_default_columns(scripted_cfg, tmp_path, capsys):

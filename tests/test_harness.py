@@ -505,7 +505,7 @@ def test_empirical_bands_name_a_station_the_snapshots_lack():
         empirical_bands([snap((1.0,), j=2), snap((1.0,))], 2, [0.0, 1.0])
     with pytest.raises(ValueError, match="station 2 is not in the snapshot"):
         snap((1.0,)).leads(2)
-    for grid in (["0", "1"], [False, True]):
+    for grid in (["0", "1"], [False, True], [False, 1.0]):
         with pytest.raises(ValueError, match="grid must be real numbers"):
             empirical_bands([snap((1.0,))], 1, grid)
 
@@ -536,6 +536,9 @@ def test_compare_profiles_mismatch():
         compare_profiles([0, 1], ["0", "1"], [0, 1])
     with pytest.raises(GridMismatch, match="grid must be real numbers"):
         compare_profiles([False, True], [0, 1], [0, 1])
+    # a bool among numbers, which np.asarray would have read as 1.0
+    with pytest.raises(GridMismatch, match="curve must be real numbers"):
+        compare_profiles([0.0, 1.0], (True, 0.5), (0.0, 0.5))
 
 
 # -------- running experiments --------
@@ -699,6 +702,29 @@ def test_parse_report_rejects_malformed(tmp_path):
     path.write_text("grid: [0.0, 1.0\n")
     with pytest.raises(ParseError):
         parse_report(str(path))
+
+
+@pytest.mark.parametrize("read", [parse_config, parse_report, read_profile_csv],
+                         ids=["config", "report", "profile-csv"])
+def test_undecodable_file_raises_parse_error(tmp_path, read):
+    """A file that is not UTF-8 text, here a Latin-1 comment, fails as
+    ParseError naming the file, where it escaped as UnicodeDecodeError."""
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"# caf\xe9\n")
+    with pytest.raises(ParseError, match=re.escape(f"{path}: not UTF-8 text")):
+        read(str(path))
+
+
+def test_read_profile_csv_names_the_bad_field(tmp_path):
+    """Every field is read by one number reader, which names the line and
+    column and skips no empty field."""
+    path = tmp_path / "bad.csv"
+    header = ",".join(harness.CSV_HEADER)
+    for row, where in [("1,0.0,0.0,,0.0,1.0", "line 2: emp_mean: expected a number, got ''"),
+                       ("1.5,0.0,0.0,0.0,0.0,1.0", "line 2: station: expected an integer")]:
+        path.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{path}: {where}")):
+            read_profile_csv(str(path))
 
 
 def test_report_from_dict_names_the_bad_field():

@@ -73,6 +73,25 @@ def test_all_names_are_defined():
     assert found == []
 
 
+def test_public_names_are_in_all():
+    """Every public top-level function and class of a library module (all
+    but ``cli.py``, which publishes only its entry point) is in that
+    module's ``__all__``, so ``import edfnet`` publishes it."""
+    found = []
+    for name, tree in _modules().items():
+        if name == "cli.py":
+            continue
+        exported = [ast.literal_eval(node.value) for node in tree.body
+                    if isinstance(node, ast.Assign)
+                    and [getattr(t, "id", None) for t in node.targets] == ["__all__"]]
+        public = [node.name for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")]
+        found += [f"{name}: {public_name}" for public_name in public
+                  if public_name not in sum(exported, [])]
+    assert found == []
+
+
 def test_package_republishes_each_module_all():
     """A fresh ``import edfnet`` binds exactly the published modules'
     ``__all__`` names and the submodules; no name is in two of those
@@ -129,6 +148,57 @@ def test_one_yaml_reader():
     assert paths
     for path in paths:
         visit(ast.parse(path.read_text(), str(path)), path.name, None)
+    assert found == []
+
+
+def _opens_for_reading(node):
+    """Whether a call opens a file for reading: ``open`` or a ``.open``
+    method with no mode or a mode without w, a or x, or a path's
+    ``read_text``/``read_bytes``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("read_text", "read_bytes"):
+        return True
+    if name != "open":
+        return False
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+    return not (modes and isinstance(modes[0], ast.Constant)
+                and set("wax") & set(str(modes[0].value)))
+
+
+def test_one_file_reader():
+    """Only ``harness._read_text`` opens a file for reading, so every
+    config, report and profile file decodes one way, and a file that is
+    not text fails as ParseError naming it."""
+    found = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if _opens_for_reading(node) and (module, function) != ("harness.py", "_read_text"):
+            found.append(f"{module}:{node.lineno} in {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    for path in paths:
+        visit(ast.parse(path.read_text(), str(path)), path.name, None)
+    assert found == []
+
+
+def test_cli_reads_no_number_itself():
+    """``cli.py`` reads every number flag through ``harness._number`` and
+    the codec's parsers: it makes no ``float()`` or ``int()`` call, and
+    gives argparse no ``type=float`` or ``type=int``."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    found = [f"cli.py:{node.lineno} {ast.unparse(node.func)}" for node in calls
+             if isinstance(node.func, ast.Name) and node.func.id in ("float", "int")]
+    found += [f"cli.py:{node.lineno} type={ast.unparse(kw.value)}" for node in calls
+              for kw in node.keywords if kw.arg == "type"]
     assert found == []
 
 
