@@ -124,9 +124,6 @@ def _positive(value, what: str, error=ValueError) -> float:
     return value
 
 
-_BOOLS = frozenset((bool, np.bool_))
-
-
 def _reals(values, what: str, error=ValueError) -> np.ndarray:
     """A real or a sequence of reals as a float64 array; ``error`` names
     a bool, a string or anything else ``np.asarray`` would have cast, a
@@ -134,7 +131,7 @@ def _reals(values, what: str, error=ValueError) -> np.ndarray:
     bools, so only the items of other sequences are looked at."""
     out = np.asarray(values)
     if out.dtype.kind not in "iuf" or (out.ndim and not isinstance(values, np.ndarray)
-                                       and _BOOLS & set(map(type, values))):
+                                       and {bool, np.bool_} & set(map(type, values))):
         raise error(f"{what} must be real numbers, got {values!r}")
     return out.astype(float, copy=False)
 
