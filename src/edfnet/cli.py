@@ -6,13 +6,15 @@ conditioned-sampling pipeline with report export), compare (distances
 between two exported profile CSVs).  Solve, predict and experiment
 all use the prediction model the config sets (``prediction.weights``,
 ``prediction.normalize``); experiment needs count weights.  The module
-keeps no text rule of its own: ``harness._number`` reads each number
-flag and the config field's parser checks it (``--horizon`` and
-``--every`` by ``_as_positive``, ``--seed`` by ``_as_seed``, ``--grid``
-by ``_grid``), the harness reader reads every file, and the report's
-CSV writer writes the predict CSV.  Exit codes: 0 on success, 2 on bad
-input or config, 3 when an experiment hit its horizon cap and produced
-only partial results.
+keeps no text rule of its own and opens no file: ``harness._number``
+reads each number flag and the config field's parser checks it
+(``--horizon`` and ``--every`` by ``_as_positive``, ``--seed`` by
+``_as_seed``, ``--grid`` by ``_grid``), ``harness._read_text`` reads
+every file, the report's CSV writer formats the predict CSV and
+``harness._write_text`` writes it, and compare's columns are named by
+``harness.CSV_HEADER``.  Exit codes: 0 on success, 2 on bad input or
+config, 3 when an experiment hit its horizon cap and produced only
+partial results.
 """
 
 from __future__ import annotations
@@ -71,8 +73,7 @@ def _cmd_predict(args) -> int:
             for y, t in zip(grid, harness.theory_cdf(model, sol, j, grid).tolist())]
     text = harness._csv_text(("station", "y", "theory"), rows)
     if args.output:
-        with open(args.output, "w", newline="") as handle:
-            handle.write(text)
+        harness._write_text(args.output, text)
     else:
         sys.stdout.write(text)
     return 0
@@ -182,10 +183,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="distances between two profile CSVs")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--column-a", default="emp_mean",
-                   choices=("emp_min", "emp_mean", "emp_max", "theory"))
-    p.add_argument("--column-b", default="theory",
-                   choices=("emp_min", "emp_mean", "emp_max", "theory"))
+    p.add_argument("--column-a", default="emp_mean", choices=harness.CSV_HEADER[2:])
+    p.add_argument("--column-b", default="theory", choices=harness.CSV_HEADER[2:])
     p.set_defaults(func=_cmd_compare)
 
     return parser

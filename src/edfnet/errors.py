@@ -106,14 +106,18 @@ def _whole(value, what: str) -> int:
 
 
 def _real(value, what: str) -> float:
-    """A Python or numpy real as a float; a bool, a string or anything
-    else raises ValueError naming the value, where ``float()`` would
-    have read it."""
+    """A Python or numpy real as a float; a bool, a string, an int too
+    large for a float or anything else raises ValueError naming the
+    value, where ``float()`` would have read the first two and raised
+    OverflowError on the third."""
     if type(value) is float:   # the common case, read on every prediction
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValueError(f"{what} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValueError(f"{what} must be a real number, got {value!r}")
 
 
 def _positive(value, what: str, error=ValueError) -> float:
@@ -127,11 +131,15 @@ def _positive(value, what: str, error=ValueError) -> float:
 def _reals(values, what: str, error=ValueError) -> np.ndarray:
     """A real or a sequence of reals as a float64 array; ``error`` names
     a bool, a string or anything else ``np.asarray`` would have cast, a
-    bool among numbers too.  An ndarray's dtype says whether it holds
-    bools, so only the items of other sequences are looked at."""
+    bool among numbers at any depth too.  An ndarray's dtype says whether
+    it holds bools, so only the items of other sequences are looked at:
+    a flat one's directly, a nested one's through an object array."""
     out = np.asarray(values)
-    if out.dtype.kind not in "iuf" or (out.ndim and not isinstance(values, np.ndarray)
-                                       and {bool, np.bool_} & set(map(type, values))):
+    items = None
+    if out.ndim and not isinstance(values, np.ndarray):
+        items = values if out.ndim == 1 else np.asarray(values, dtype=object).flat
+    if out.dtype.kind not in "iuf" or (items is not None
+                                       and {bool, np.bool_} & set(map(type, items))):
         raise error(f"{what} must be real numbers, got {values!r}")
     return out.astype(float, copy=False)
 

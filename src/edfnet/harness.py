@@ -12,11 +12,13 @@ machine-dependent enters them, so repeated runs export byte-identical
 files.  The CSV flavour holds the per-station curves in the fixed
 column order ``station,y,emp_min,emp_mean,emp_max,theory``; the YAML
 flavour holds the full report and parses back to an equal object.
+``_write_text`` writes every file as UTF-8 with newline line ends and
+``_read_text`` reads every file; ``read_profile_csv`` reads exactly the
+unquoted lines ``_csv_text`` writes.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
 import json
@@ -123,6 +125,12 @@ def _read_text(path) -> str:
             return handle.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
+def _write_text(path, text: str) -> None:
+    """Write a report or profile file as UTF-8, its newlines untranslated."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
 
 
 def _number(text: str, what: str, parse=None, kind=float):
@@ -701,11 +709,9 @@ def export_report(
     reports.  A partial report carries a '# partial=true' comment line
     above the CSV header and a partial flag in the YAML."""
     if csv_path is not None:
-        with open(csv_path, "w", newline="") as handle:
-            handle.write(render_report_csv(report))
+        _write_text(csv_path, render_report_csv(report))
     if yaml_path is not None:
-        with open(yaml_path, "w") as handle:
-            handle.write(render_report_yaml(report))
+        _write_text(yaml_path, render_report_yaml(report))
 
 
 def parse_report(yaml_path: str) -> ProfileReport:
@@ -717,18 +723,19 @@ def read_profile_csv(path: str) -> Tuple[Dict[int, Dict[str, List[float]]], bool
 
     Returns (stations, partial) where stations[j] maps each column
     name (y, emp_min, emp_mean, emp_max, theory) to its values in file
-    order.  The header must match the export format exactly.
+    order.  Lines read as ``_csv_text`` writes them (blank and ``#``
+    lines skipped, the exact header, unquoted fields split on ``,``);
+    ParseError names the line and column of a field that does not read.
     """
     lines = _read_text(path).split("\n")
     partial = any(line.startswith("#") and "partial=true" in line for line in lines)
-    reader = csv.reader(line for line in lines if not line.startswith("#"))
-    header = tuple(next(reader, ()))
+    rows = [(lineno, line.split(",")) for lineno, line in enumerate(lines, start=1)
+            if line and not line.startswith("#")]
+    header = tuple(rows[0][1]) if rows else ()
     if header != CSV_HEADER:
         raise ParseError(f"{path}: header {header} does not match {CSV_HEADER}")
     stations: Dict[int, Dict[str, List[float]]] = {}
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
+    for lineno, row in rows[1:]:
         where = f"{path}: line {lineno}"
         if len(row) != len(CSV_HEADER):
             raise ParseError(f"{where}: expected {len(CSV_HEADER)} fields, got {len(row)}")

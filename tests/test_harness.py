@@ -35,6 +35,7 @@ from edfnet import (
     run_experiment,
 )
 from edfnet import harness
+from edfnet.cli import main
 from edfnet.harness import (
     config_hash,
     render_report_csv,
@@ -309,6 +310,8 @@ def test_unknown_fields_rejected(mutate):
             {"id": 1, "route": [1], "arrival_rate": 0.5, "lead_time": {"value": 10.0}}]}},
          "network.classes[0].lead_time: missing required field 'kind'"),
         ({"prediction": {"weights": 1}}, "prediction.weights: expected a string, got 1"),
+        # an int too large for a float, which float() raises as OverflowError
+        ({"experiment": {"threshold": 10**400}}, "experiment.threshold: expected a number"),
     ],
 )
 def test_invalid_fields_rejected(patch, field):
@@ -715,16 +718,30 @@ def test_undecodable_file_raises_parse_error(tmp_path, read):
         read(str(path))
 
 
-def test_read_profile_csv_names_the_bad_field(tmp_path):
-    """Every field is read by one number reader, which names the line and
-    column and skips no empty field."""
+def test_read_profile_csv_names_the_bad_field(tmp_path, capsys):
+    """Every field is read by one number reader, which names the line, as
+    counted in the file, and the column, and skips no empty field.  A
+    field of any length and a quoted field fail the same way, and
+    ``edfnet compare`` exits 2 with that message."""
     path = tmp_path / "bad.csv"
-    header = ",".join(harness.CSV_HEADER)
-    for row, where in [("1,0.0,0.0,,0.0,1.0", "line 2: emp_mean: expected a number, got ''"),
-                       ("1.5,0.0,0.0,0.0,0.0,1.0", "line 2: station: expected an integer")]:
-        path.write_text(f"{header}\n{row}\n")
+    header = ",".join(harness.CSV_HEADER) + "\n"
+    for text, where in [
+            (header + "1,0.0,0.0,,0.0,1.0", "line 2: emp_mean: expected a number, got ''"),
+            (header + "1.5,0.0,0.0,0.0,0.0,1.0", "line 2: station: expected an integer"),
+            # the comment line counts, as an editor numbers the lines
+            ("# partial=true\n" + header + "1,0.0,x,0.0,0.0,1.0",
+             "line 3: emp_min: expected a number, got 'x'"),
+            # past the csv module's 131,072-character field limit
+            (header + "9" * 200_000 + ",0.0,0.0,0.0,0.0,1.0",
+             "line 2: station: expected an integer"),
+            # edfnet writes no quoted field, so none is unquoted on reading
+            (header + '1,"0.0",0.0,0.0,0.0,1.0', """line 2: y: expected a number, got '"0.0"'"""),
+    ]:
+        path.write_text(text + "\n")
         with pytest.raises(ParseError, match=re.escape(f"{path}: {where}")):
             read_profile_csv(str(path))
+        assert main(["compare", str(path), str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: {where}")
 
 
 def test_report_from_dict_names_the_bad_field():

@@ -151,34 +151,35 @@ def test_one_yaml_reader():
     assert found == []
 
 
-def _opens_for_reading(node):
-    """Whether a call opens a file for reading: ``open`` or a ``.open``
-    method with no mode or a mode without w, a or x, or a path's
-    ``read_text``/``read_bytes``."""
+def _file_access(node):
+    """"write" for a call that opens a file for writing: ``open`` or an
+    ``.open`` method with a mode holding w, a or x, or a path's
+    ``write_text``/``write_bytes``; "read" for any other ``open`` call
+    or a path's ``read_text``/``read_bytes``; None for anything else."""
     if not isinstance(node, ast.Call):
-        return False
+        return None
     func = node.func
     name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if name in ("read_text", "read_bytes"):
-        return True
+    if name in ("read_text", "read_bytes", "write_text", "write_bytes"):
+        return name.split("_")[0]
     if name != "open":
-        return False
+        return None
     modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
-    return not (modes and isinstance(modes[0], ast.Constant)
-                and set("wax") & set(str(modes[0].value)))
+    writes = (modes and isinstance(modes[0], ast.Constant)
+              and set("wax") & set(str(modes[0].value)))
+    return "write" if writes else "read"
 
 
-def test_one_file_reader():
-    """Only ``harness._read_text`` opens a file for reading, so every
-    config, report and profile file decodes one way, and a file that is
-    not text fails as ParseError naming it."""
-    found = []
+def _openers(access):
+    """The (module, function) pairs in the package whose body opens a
+    file for ``access``."""
+    found = set()
 
     def visit(node, module, function):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if _opens_for_reading(node) and (module, function) != ("harness.py", "_read_text"):
-            found.append(f"{module}:{node.lineno} in {function}")
+        if _file_access(node) == access:
+            found.add((module, function))
         for child in ast.iter_child_nodes(node):
             visit(child, module, function)
 
@@ -186,6 +187,31 @@ def test_one_file_reader():
     assert paths
     for path in paths:
         visit(ast.parse(path.read_text(), str(path)), path.name, None)
+    return found
+
+
+def test_one_file_reader():
+    """Only ``harness._read_text`` opens a file for reading, so every
+    config, report and profile file decodes one way, and a file that is
+    not text fails as ParseError naming it."""
+    assert _openers("read") == {("harness.py", "_read_text")}
+
+
+def test_one_file_writer():
+    """Only ``harness._write_text`` opens a file for writing, so every
+    report and profile file edfnet writes is UTF-8 with newline line
+    ends, whatever the locale or platform."""
+    assert _openers("write") == {("harness.py", "_write_text")}
+
+
+def test_no_csv_module():
+    """No module imports ``csv``: ``read_profile_csv`` reads the unquoted
+    text ``harness._csv_text`` writes, with no second dialect and no
+    field size limit."""
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Import) and "csv" in {a.name.split(".")[0] for a in node.names}
+             or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "csv"]
     assert found == []
 
 

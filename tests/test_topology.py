@@ -311,17 +311,18 @@ _RATES, _DEADLINES = (0.32,) * 4, (400.0, 300.0, 200.0, 100.0)
     pytest.param("horizon_cap", 500.0, lambda v: _sample(horizon_cap=v),
                  id="conditional_sample-horizon_cap"),
 ])
-@pytest.mark.parametrize("kind", ["string", "bool", "numpy"])
+@pytest.mark.parametrize("kind", ["string", "bool", "overflow", "numpy"])
 def test_call_arguments_read_like_spec_fields(what, good, call, kind):
     """A real call argument is read by ``errors._real`` as spec fields
     are: ``float()`` would have read ``"50.0"`` as 50.0 and ``True`` as
-    1.0, so each raises ValueError naming the argument.  A numpy scalar
-    gives the result of the float, bit for bit (repr shows each float's
-    type and every digit)."""
+    1.0, and raised OverflowError on an int too large for a float, so
+    each raises ValueError naming the argument.  A numpy scalar gives
+    the result of the float, bit for bit (repr shows each float's type
+    and every digit)."""
     if kind == "numpy":
         assert repr(call(np.float64(good))) == repr(call(good))
         return
-    bad = str(good) if kind == "string" else True
+    bad = {"string": str(good), "bool": True, "overflow": 10**400}[kind]
     named = rf"^{re.escape(what)} must be a real number, got {re.escape(repr(bad))}$"
     with pytest.raises(ValueError, match=named):
         call(bad)
