@@ -8,16 +8,17 @@ at station j equals a weighted sum over visiting classes of integrated
 lead-time tails, clipped between the station's own frontier and the
 smallest frontier among the class's upstream stations.
 
-That sum is written once: ``_term`` builds one class's term, ``_terms``
-a station's table of them, floors read from the routes, and
-``_mass_above`` evaluates a table at a lead level.  ``solve_frontiers``
-inverts it station by station, placing at each stage the station whose
-stage-local inverse is largest and checking that the values do not
-rise along the order it builds; ``predict_profile`` evaluates it above
-a level, giving the predicted queue mass that the experiment harness
-compares against simulated profiles (at -inf, the station load), and
-sums the terms only at levels strictly between the frontier and the
-top cut.
+That sum is written once: ``_term`` builds one class's term from the
+model's row for that (class, station) visit, made once per model,
+``_terms`` a station's table of them, floors read from the rows' route
+prefixes, and ``_mass_above`` evaluates a table at a lead level.
+``solve_frontiers`` inverts it station by station, placing at each
+stage the station whose stage-local inverse is largest and checking
+that the values do not rise along the order it builds;
+``predict_profile`` evaluates it above a level, giving the predicted
+queue mass that the experiment harness compares against simulated
+profiles (at -inf, the station load), and sums the terms only at
+levels strictly between the frontier and the top cut.
 
 All of this is exact piecewise-polynomial arithmetic: every lead-time
 law is a piecewise-linear CDF, whose integrated tail is piecewise
@@ -26,6 +27,9 @@ quadratic whose coefficients the laws give.  Its roundoff scales with
 weight times level, not with the load.
 Both solvers read loads by ``_read_loads`` and check a frontier vector
 by ``_fit``: per station, one table gives the miss and its ``_roundoff``.
+The staged solver keeps those final tables on its solution, and
+``predict_profile`` reads them when given the model they were built
+for, so a prediction from the solver's own model builds no table.
 """
 
 from __future__ import annotations
@@ -86,13 +90,21 @@ class WeightedModel:
     def __post_init__(self):
         topo = self.topology
         w = dict(self.weights)
-        for j in topo.spec.stations:
-            for k in topo.visiting[j]:
+        # station -> visiting class id, ascending -> (weight, lead law, the
+        # stations before this one on its route): the rows ``_term`` and
+        # ``_terms`` read
+        rows: Dict[int, Dict[int, tuple]] = {j: {} for j in topo.spec.stations}
+        for c in sorted(topo.spec.classes, key=lambda c: c.id):
+            k = c.id
+            for at, j in enumerate(c.route):
                 if (k, j) not in w:
                     raise ValueError(f"missing weight for class {k} at station {j}")
                 w[(k, j)] = _positive(w[(k, j)], f"weight for class {k} at station {j}",
                                       ZeroIntensity)
+                rows[j][k] = (w[(k, j)], c.lead_time, c.route[:at])
         object.__setattr__(self, "weights", w)
+        # not a field: equality, repr and replace() ignore it
+        object.__setattr__(self, "_rows", rows)
 
 
 def count_model(topo: Topology) -> WeightedModel:
@@ -136,21 +148,16 @@ class _Term(NamedTuple):
 def _term(model: WeightedModel, k: int, j: int, floor: float) -> _Term:
     """Class k's term at station j, clipped at ``floor``: the smallest
     frontier it clears before j, or +inf (tail zero) if it enters here."""
-    dist = model.topology.lead_dist(k)
-    return _Term(model.weights[(k, j)], dist, dist.integrated_tail(floor),
-                 min(dist.upper_support, floor))
+    weight, dist, _ = model._rows[j][k]
+    return _Term(weight, dist, dist.integrated_tail(floor), min(dist.upper_support, floor))
 
 
 def _terms(model: WeightedModel, j: int, y: Mapping[int, float]) -> List[_Term]:
     """Terms at station j in ascending class id.  Each visiting class's
     floor is the smallest level ``y`` (station -> level) gives the
     stations before j on its route, the rule the stage loop walks."""
-    terms = []
-    for k in sorted(model.topology.visiting[j]):
-        route = model.topology.spec.class_by_id(k).route
-        terms.append(_term(model, k, j, min((y[i] for i in route[:route.index(j)]),
-                                            default=math.inf)))
-    return terms
+    return [_term(model, k, j, min((y[i] for i in before), default=math.inf))
+            for k, (_, _, before) in model._rows[j].items()]
 
 
 def _mass_above(terms: List[_Term], y: float) -> float:
@@ -185,11 +192,13 @@ def _roundoff(terms: List[_Term], y: float) -> Tuple[float, float]:
 
 
 def _fit(model: WeightedModel, y: Mapping[int, float],
-         loads: Sequence[float]) -> List[Tuple[float, float, float]]:
+         loads: Sequence[float]) -> List[Tuple[float, float, float, List[_Term]]]:
     """Per station, the miss |``_mass_above`` - load| of frontier vector y
-    (station -> level) and its ``_roundoff`` allowances, from one table."""
+    (station -> level), its ``_roundoff`` allowances, and the one table
+    all three are read from."""
     tables = ((j, _terms(model, j, y)) for j in model.topology.spec.stations)
-    return [(abs(_mass_above(t, y[j]) - loads[j - 1]), *_roundoff(t, y[j])) for j, t in tables]
+    return [(abs(_mass_above(t, y[j]) - loads[j - 1]), *_roundoff(t, y[j]), t)
+            for j, t in tables]
 
 
 def _read_loads(count: int, loads: Sequence[float]) -> List[float]:
@@ -226,6 +235,13 @@ class FrontierSolution:
     residual      max abs difference between the map at the solution
                   and the requested loads
     loads         the requested loads, echoed
+
+    A solution ``solve_frontiers`` returns also keeps, outside its
+    fields, the model it was solved for and each station's term table at
+    its frontiers, from the closing residual check.  ``predict_profile``
+    given that same model object reads those tables; any other model, a
+    bare frontier tuple or a solution made by ``dataclasses.replace``
+    builds them anew, to the same numbers.
     """
 
     frontiers: Tuple[float, ...]
@@ -233,6 +249,9 @@ class FrontierSolution:
     stage_bounds: Tuple[float, ...]
     residual: float
     loads: Tuple[float, ...]
+
+    # not a field: (model, one table per station), set by solve_frontiers
+    _tables = (None, ())
 
 
 def _stage_inverse(terms: List[_Term], target: float) -> Tuple[float, float]:
@@ -337,16 +356,18 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
         moving = waiting.pop(j)
 
     fit = _fit(model, assigned, vec)
-    for j, (miss, allowed, _) in zip(topo.spec.stations, fit):
+    for j, (miss, allowed, _, _) in zip(topo.spec.stations, fit):
         if miss > allowed:
             raise SolverDivergence(f"inversion residual {miss} at station {j}")
-    return FrontierSolution(
+    sol = FrontierSolution(
         frontiers=tuple(assigned[j] for j in topo.spec.stations),
         permutation=tuple(assigned),
         stage_bounds=tuple(bounds),
-        residual=max(miss for miss, _, _ in fit),
+        residual=max(miss for miss, _, _, _ in fit),
         loads=tuple(vec),
     )
+    object.__setattr__(sol, "_tables", (model, [table for *_, table in fit]))
+    return sol
 
 
 # -------- profile prediction --------
@@ -367,16 +388,22 @@ def predict_profile(
     per-class terms are built and the saturated total computed once,
     and the saturated levels and those at or above every cut are filled
     in one array pass, so only the levels in between sum the terms.
+    Given the solution ``solve_frontiers`` returned for this same model
+    object, the terms are the solver's own table at its frontiers.
     """
     topo = model.topology
     fr = solution.frontiers if isinstance(solution, FrontierSolution) else solution
-    vals = _station_frontiers(topo, fr)
     j = _station_id(topo, j)
+    own, tables = getattr(solution, "_tables", (None, ()))
+    if own is model:
+        terms, floor = tables[j - 1], fr[j - 1]
+    else:
+        vals = _station_frontiers(topo, fr)
+        terms, floor = _terms(model, j, vals), vals[j]
     levels = _reals(y, "levels")
     if np.isnan(levels).any():
         raise ValueError(f"levels must not be NaN, got {y!r}")
-    terms = _terms(model, j, vals)
-    floor, top = vals[j], max(t.cut for t in terms)
+    top = max(t.cut for t in terms)
     out = np.where(levels <= floor, _mass_above(terms, floor), 0.0)
     live = np.flatnonzero((levels > floor) & (levels < top))
     out.flat[live] = [_mass_above(terms, v) for v in levels.flat[live].tolist()]
@@ -475,7 +502,8 @@ def two_station_closed_form(
     model = count_model(build_topology(_crossing_spec((l1, l2, l3, l4),
                                                       (d1, d2, d3, d4))))
     for region, a, b in candidates:
-        (miss1, load1, level1), (miss2, load2, level2) = _fit(model, {1: a, 2: b}, (q1, q2))
+        (miss1, load1, level1, _), (miss2, load2, level2, _) = _fit(model, {1: a, 2: b},
+                                                                    (q1, q2))
         if (_in_crossing_domain(a, b, d1, d2, max(level1, level2))
                 and miss1 <= load1 and miss2 <= load2):
             return TwoStationSolution(region, (a, b))

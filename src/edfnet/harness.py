@@ -133,21 +133,30 @@ def _write_text(path, text: str) -> None:
         handle.write(text)
 
 
+_ECHO = 40   # characters of a text that does not read echoed in its error
+
+
 def _number(text: str, what: str, parse=None, kind=float):
     """``kind(text)`` for a profile-CSV field or a CLI flag, checked by the codec
-    parser ``parse`` if given; ParseError names a text that does not read."""
+    parser ``parse`` if given; ParseError names a text that does not read,
+    clipped to its first ``_ECHO`` characters and its length if longer."""
     try:
         value = kind(text)
     except ValueError:
         expected = "an integer" if kind is int else "a number"
-        raise ParseError(f"{what}: expected {expected}, got {text!r}") from None
+        shown = (repr(text) if len(text) <= _ECHO
+                 else f"{text[:_ECHO]!r}... ({len(text)} characters)")
+        raise ParseError(f"{what}: expected {expected}, got {shown}") from None
     return value if parse is None else parse(value, what)
 
 
 def _load_yaml(path) -> Dict:
+    text = _read_text(path)
     try:
-        raw = yaml.load(_read_text(path), Loader=_LOADER)
-    except yaml.YAMLError as exc:
+        raw = yaml.load(text, Loader=_LOADER)
+    except (yaml.YAMLError, ValueError) as exc:
+        # PyYAML's int and date constructors raise ValueError, e.g. on an
+        # integer past Python's 4,300-digit string-conversion limit
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}" if mark is not None else ""
         raise ParseError(f"{path}: invalid YAML{where}: {exc}")

@@ -126,6 +126,17 @@ def test_solve_malformed_config(tmp_path, capsys):
     assert "experiment.seeds" in capsys.readouterr().err
 
 
+def test_solve_config_integer_past_the_conversion_limit(tmp_path, capsys):
+    """An integer longer than Python's 4,300-digit conversion limit fails
+    in PyYAML's int constructor; it exits 2 naming the file, not with a
+    traceback."""
+    path = tmp_path / "huge.yaml"
+    path.write_text(textwrap.dedent(CROSSING_CONFIG) + "  threshold: 1" + "0" * 5000 + "\n")
+    assert main(["solve", "-c", str(path), "--loads", "50,58"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: invalid YAML") and len(err) < 400
+
+
 def test_solve_route_outside_network(tmp_path, capsys):
     """A route naming a station the network lacks fails at parse time."""
     path = tmp_path / "bad.yaml"

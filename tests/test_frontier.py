@@ -9,6 +9,7 @@ frozen as oracles.
 
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from edfnet import (
     ClassSpec,
+    FrontierSolution,
     NegativeWorkload,
     NetworkSpec,
     NoConsistentRegion,
@@ -29,6 +31,7 @@ from edfnet import (
     build_topology,
     count_model,
     normalize_by_intensity,
+    parse_config,
     predict_profile,
     solve_frontiers,
     two_station_closed_form,
@@ -36,7 +39,7 @@ from edfnet import (
 )
 from edfnet import frontier
 from edfnet.frontier import _stage_inverse, _Term
-from edfnet.harness import theory_cdf
+from edfnet.harness import prediction_model, theory_cdf
 from conftest import (fifo_lead_cdf, in_piece, logged_solve, reaching, station_loads,
                       valid_random_spec)
 
@@ -522,6 +525,95 @@ def test_predict_profile_validates_input():
             predict_profile(model, (250.0, 188.0), 1, levels)
 
 
+# -------- the solver's own tables --------
+
+DESK = pathlib.Path(__file__).resolve().parent.parent / "configs" / "desk_experiment.yaml"
+
+
+def _predictions(model, solution, levels):
+    """Each station's prediction at ``levels``, as bytes."""
+    return [predict_profile(model, solution, j, levels).tobytes()
+            for j in model.topology.spec.stations]
+
+
+def _reuse_cases(random_network):
+    """(model, loads, levels): the desk's prediction model at the desk
+    totals and at three drawn load vectors, then the count and work
+    models of 20 random networks at drawn loads.  The levels hold -inf,
+    +inf, every frontier and 40 drawn levels."""
+    rng = np.random.default_rng(24680)
+    cfg = parse_config(DESK)
+    desk = prediction_model(cfg)
+    for loads in [(50.0, 58.0), *rng.uniform(0.0, 120.0, (3, 2)).tolist()]:
+        yield desk, loads, cfg.grid
+    for _ in range(20):
+        topo = build_topology(random_network(rng, max_stations=5, max_classes=8))
+        loads = rng.uniform(0.0, 40.0, topo.station_count).tolist()
+        for model in (count_model(topo), work_model(topo)):
+            yield model, loads, rng.uniform(-50.0, 150.0, 40).tolist()
+
+
+def _levels(levels, solution):
+    return [-math.inf, math.inf, *solution.frontiers, *levels]
+
+
+def test_prediction_from_the_solution_equals_the_tuple_path(random_network):
+    """A solution predicts, bit for bit, what its bare frontier tuple
+    predicts, whether the model is the one it was solved for, an equal
+    model object or, for a solution of the count model, the work model."""
+    for model, loads, levels in _reuse_cases(random_network):
+        sol = solve_frontiers(model, loads)
+        at = _levels(levels, sol)
+        want = _predictions(model, sol.frontiers, at)
+        assert _predictions(model, sol, at) == want
+        assert _predictions(WeightedModel(model.topology, model.weights), sol, at) == want
+        topo = model.topology
+        work = work_model(topo)
+        count_sol = solve_frontiers(count_model(topo), loads)
+        at = _levels(levels, count_sol)
+        assert _predictions(work, count_sol, at) == _predictions(work, count_sol.frontiers, at)
+
+
+def test_replaced_solution_predicts_from_its_own_frontiers(random_network):
+    """``dataclasses.replace`` gives a solution that predicts from its new
+    frontiers, not from the tables kept for the old ones; the kept tables
+    change neither equality nor repr."""
+    for model, loads, levels in _reuse_cases(random_network):
+        sol = solve_frontiers(model, loads)
+        other = solve_frontiers(model, [2.0 * v + 1.0 for v in loads])
+        moved = dataclasses.replace(sol, frontiers=other.frontiers)
+        at = _levels(levels, sol) + _levels(levels, other)
+        assert _predictions(model, moved, at) == _predictions(model, other.frontiers, at)
+        assert _predictions(model, moved, at) != _predictions(model, sol, at)
+        assert moved == dataclasses.replace(other, permutation=sol.permutation,
+                                            stage_bounds=sol.stage_bounds,
+                                            residual=sol.residual, loads=sol.loads)
+        fields = {f.name: getattr(sol, f.name) for f in dataclasses.fields(sol)}
+        assert sol == FrontierSolution(**fields)
+        assert repr(sol) == repr(FrontierSolution(**fields))
+
+
+def test_theory_cdf_on_the_solvers_model_builds_no_table(monkeypatch):
+    """On the model it was solved for, ``theory_cdf`` builds no term and
+    reads no frontier vector back; an equal model object builds each
+    station's table, to the same curves."""
+    cfg = parse_config(DESK)
+    model = prediction_model(cfg)
+    sol = solve_frontiers(model, (50.0, 58.0))
+    built, read = [], []
+    term, station_frontiers = frontier._term, frontier._station_frontiers
+    monkeypatch.setattr(frontier, "_term", lambda *args: built.append(args) or term(*args))
+    monkeypatch.setattr(frontier, "_station_frontiers",
+                        lambda *args: read.append(args) or station_frontiers(*args))
+    stations = model.topology.spec.stations
+    curves = [theory_cdf(model, sol, j, cfg.grid).tobytes() for j in stations]
+    assert built == [] and read == []
+    other = WeightedModel(model.topology, model.weights)
+    assert [theory_cdf(other, sol, j, cfg.grid).tobytes() for j in stations] == curves
+    assert len(built) == sum(len(model.topology.visiting[j]) for j in stations)
+    assert len(read) == len(stations)
+
+
 # -------- two-station closed forms --------
 
 CASE_A = ((THIRD,) * 4, (400.0, 300.0, 200.0, 100.0))
@@ -631,7 +723,7 @@ def test_closed_form_without_a_consistent_candidate(monkeypatch):
     rates, deadlines = CASE_A
     exact = frontier._fit
     monkeypatch.setattr(frontier, "_fit", lambda model, y, loads: [
-        (miss + 1.0, load, level) for miss, load, level in exact(model, y, loads)])
+        (miss + 1.0, *rest) for miss, *rest in exact(model, y, loads)])
     with pytest.raises(NoConsistentRegion):
         two_station_closed_form(rates, deadlines, 50.0, 58.0)
 

@@ -744,6 +744,23 @@ def test_read_profile_csv_names_the_bad_field(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"error: {path}: {where}")
 
 
+def test_bad_field_error_clips_the_echoed_text(tmp_path, capsys):
+    """A field that does not read is echoed by its first 40 characters
+    and its length, so a 200,000-digit field gives a short error line
+    that still names the line and the field; a short field is echoed
+    whole."""
+    path = tmp_path / "long.csv"
+    header = ",".join(harness.CSV_HEADER) + "\n"
+    path.write_text(header + "9" * 200_000 + ",0.0,0.0,0.0,0.0,1.0\n")
+    assert main(["compare", str(path), str(path)]) == 2
+    err = capsys.readouterr().err
+    want = f"error: {path}: line 2: station: expected an integer, got '{'9' * 40}'..."
+    assert err.startswith(want) and "(200000 characters)" in err
+    assert len(err) < len(want) + 40
+    with pytest.raises(ParseError, match=re.escape(f"got '{'x' * 40}'") + "$"):
+        harness._number("x" * 40, "--loads")
+
+
 def test_report_from_dict_names_the_bad_field():
     raw = report_to_dict(run_experiment(scripted_config()))
     raw["stations"][0]["theory"][3] = "x"

@@ -334,3 +334,20 @@ def test_one_roundoff_constant_in_the_solvers():
             and [getattr(t, "id", None) for t in node.targets] == ["_ULPS"]]
     assert len(small) == 1 and len(ulps) == 1
     assert small[0] in list(ast.walk(ulps[0]))
+
+
+def test_terms_built_only_by_term():
+    """``_Term`` is constructed in one place, ``frontier._term``, so every
+    table the solvers and the prediction read comes from one builder and
+    one "mass above a level" routine reads it."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        scopes = [(node.name, node) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "_Term"):
+                inside = [name for name, scope in scopes if node in list(ast.walk(scope))]
+                found.append((path.name, inside))
+    assert found == [("frontier.py", ["_term"])]
