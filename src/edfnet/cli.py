@@ -25,7 +25,7 @@ import sys
 from typing import List, Optional
 
 from . import harness
-from .errors import EdfnetError
+from .errors import EdfnetError, _echo
 from .frontier import solve_frontiers
 from .simulator import (
     behind_frontier_stats,
@@ -65,7 +65,7 @@ def _cmd_predict(args) -> int:
     if args.grid:
         parts = args.grid.split(":")
         if len(parts) != 3:
-            raise EdfnetError(f"--grid: expected lo:hi:points, got {args.grid!r}")
+            raise EdfnetError(f"--grid: expected lo:hi:points, got {_echo(args.grid)}")
         span = {key: harness._number(part, f"--grid.{key}", kind=kind)
                 for key, kind, part in zip(("lo", "hi", "points"), (float, float, int), parts)}
         grid = harness._grid(span, "--grid")
@@ -132,7 +132,7 @@ def _cmd_compare(args) -> int:
     right, _ = harness.read_profile_csv(args.second)
     if sorted(left) != sorted(right):
         raise harness.GridMismatch(
-            f"station sets differ: {sorted(left)} vs {sorted(right)}")
+            f"station sets differ: {_echo(sorted(left))} vs {_echo(sorted(right))}")
     for j in sorted(left):
         grid_a, grid_b = left[j]["y"], right[j]["y"]
         if grid_a != grid_b:

@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .errors import _positive, _real
+from .errors import _echo, _positive, _real
 
 __all__ = ["SamplingLaw", "Exponential", "Deterministic", "UniformLaw", "Sequence"]
 
@@ -135,9 +135,9 @@ class Sequence(SamplingLaw):
         object.__setattr__(self, "values", tuple(_real(v, "value") for v in self.values))
         object.__setattr__(self, "then", _real(self.then, "then"))
         if not all(v >= 0.0 for v in self.values):
-            raise ValueError(f"scripted draws must be >= 0, got {self.values!r}")
+            raise ValueError(f"scripted draws must be >= 0, got {_echo(self.values)}")
         if not self.then > 0.0:
-            raise ValueError(f"then must be positive, got {self.then!r}")
+            raise ValueError(f"then must be positive, got {_echo(self.then)}")
 
     def draws(self, rng: np.random.Generator) -> Iterator[float]:
         return chain(self.values, repeat(self.then))

@@ -8,8 +8,8 @@ the config parser reports such values as ValidationError naming their
 path.
 
 The number readers ``_whole``, ``_real``, ``_positive``, ``_reals`` and
-``_flag`` live here too: this module imports no other package module, so
-every module reads its spec fields and call arguments through them.
+``_flag``, and ``_echo``, the one clip on a bad value an error message
+shows, live here too: this module imports no other package module.
 """
 
 import numpy as np
@@ -96,12 +96,24 @@ class GridMismatch(EdfnetError):
 
 # -------- scalar readers --------
 
+_ECHO = 40   # characters of a bad value an error message shows
+
+
+def _echo(value) -> str:
+    """``repr(value)``, past ``_ECHO`` characters its first ``_ECHO`` and
+    its length; a string is clipped before it is quoted."""
+    text, show = (value, repr) if isinstance(value, str) else (repr(value), str)
+    if len(text) <= _ECHO:
+        return show(text)
+    return f"{show(text[:_ECHO])}... ({len(text)} characters)"
+
+
 def _whole(value, what: str) -> int:
     """A Python or numpy integer as an int; a float, a bool or anything
     else raises ValueError naming the value, where ``int()`` would
     have truncated it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {_echo(value)}")
     return int(value)
 
 
@@ -117,14 +129,14 @@ def _real(value, what: str) -> float:
             return float(value)
     except OverflowError:
         pass
-    raise ValueError(f"{what} must be a real number, got {value!r}")
+    raise ValueError(f"{what} must be a real number, got {_echo(value)}")
 
 
 def _positive(value, what: str, error=ValueError) -> float:
     """``_real(value)``; ``error`` names it unless positive and finite."""
     value = _real(value, what)
     if not 0.0 < value < np.inf:
-        raise error(f"{what} must be positive and finite, got {value!r}")
+        raise error(f"{what} must be positive and finite, got {_echo(value)}")
     return value
 
 
@@ -140,7 +152,7 @@ def _reals(values, what: str, error=ValueError) -> np.ndarray:
         items = values if out.ndim == 1 else np.asarray(values, dtype=object).flat
     if out.dtype.kind not in "iuf" or (items is not None
                                        and {bool, np.bool_} & set(map(type, items))):
-        raise error(f"{what} must be real numbers, got {values!r}")
+        raise error(f"{what} must be real numbers, got {_echo(values)}")
     return out.astype(float, copy=False)
 
 
@@ -148,5 +160,5 @@ def _flag(value, what: str) -> bool:
     """``True`` or ``False`` itself; anything else, a numpy bool or a
     truthy number or string too, raises ValueError naming the value."""
     if value is not True and value is not False:
-        raise ValueError(f"{what} must be True or False, got {value!r}")
+        raise ValueError(f"{what} must be True or False, got {_echo(value)}")
     return value

@@ -8,10 +8,10 @@ at station j equals a weighted sum over visiting classes of integrated
 lead-time tails, clipped between the station's own frontier and the
 smallest frontier among the class's upstream stations.
 
-That sum is written once: ``_term`` builds one class's term from the
-model's row for that (class, station) visit, made once per model,
-``_terms`` a station's table of them, floors read from the rows' route
-prefixes, and ``_mass_above`` evaluates a table at a lead level.
+That sum is written once: ``_term`` builds one class's term from its
+row of the topology's visit table and its weight, ``_terms`` a
+station's table of them, floors read from the rows' route prefixes,
+and ``_mass_above`` evaluates a table at a lead level.
 ``solve_frontiers`` inverts it station by station, placing at each
 stage the station whose stage-local inverse is largest and checking
 that the values do not rise along the order it builds;
@@ -45,6 +45,7 @@ from .errors import (
     NoConsistentRegion,
     SolverDivergence,
     ZeroIntensity,
+    _echo,
     _positive,
     _real,
     _reals,
@@ -88,23 +89,14 @@ class WeightedModel:
     weights: Mapping[Tuple[int, int], float]
 
     def __post_init__(self):
-        topo = self.topology
         w = dict(self.weights)
-        # station -> visiting class id, ascending -> (weight, lead law, the
-        # stations before this one on its route): the rows ``_term`` and
-        # ``_terms`` read
-        rows: Dict[int, Dict[int, tuple]] = {j: {} for j in topo.spec.stations}
-        for c in sorted(topo.spec.classes, key=lambda c: c.id):
-            k = c.id
-            for at, j in enumerate(c.route):
+        for j, row in self.topology.visiting.items():
+            for k in row:
                 if (k, j) not in w:
                     raise ValueError(f"missing weight for class {k} at station {j}")
                 w[(k, j)] = _positive(w[(k, j)], f"weight for class {k} at station {j}",
                                       ZeroIntensity)
-                rows[j][k] = (w[(k, j)], c.lead_time, c.route[:at])
         object.__setattr__(self, "weights", w)
-        # not a field: equality, repr and replace() ignore it
-        object.__setattr__(self, "_rows", rows)
 
 
 def count_model(topo: Topology) -> WeightedModel:
@@ -148,8 +140,9 @@ class _Term(NamedTuple):
 def _term(model: WeightedModel, k: int, j: int, floor: float) -> _Term:
     """Class k's term at station j, clipped at ``floor``: the smallest
     frontier it clears before j, or +inf (tail zero) if it enters here."""
-    weight, dist, _ = model._rows[j][k]
-    return _Term(weight, dist, dist.integrated_tail(floor), min(dist.upper_support, floor))
+    dist = model.topology.visiting[j][k][0].lead_time
+    return _Term(model.weights[(k, j)], dist, dist.integrated_tail(floor),
+                 min(dist.upper_support, floor))
 
 
 def _terms(model: WeightedModel, j: int, y: Mapping[int, float]) -> List[_Term]:
@@ -157,7 +150,7 @@ def _terms(model: WeightedModel, j: int, y: Mapping[int, float]) -> List[_Term]:
     floor is the smallest level ``y`` (station -> level) gives the
     stations before j on its route, the rule the stage loop walks."""
     return [_term(model, k, j, min((y[i] for i in before), default=math.inf))
-            for k, (_, _, before) in model._rows[j].items()]
+            for k, (_, before) in model.topology.visiting[j].items()]
 
 
 def _mass_above(terms: List[_Term], y: float) -> float:
@@ -218,7 +211,7 @@ def _station_frontiers(topo: Topology, y: Sequence[float]) -> Dict[int, float]:
     if len(vals) != topo.station_count:
         raise ValueError(f"expected {topo.station_count} frontier values, got {len(vals)}")
     if any(math.isnan(v) for v in vals):
-        raise ValueError(f"frontier values must not be NaN, got {tuple(vals)}")
+        raise ValueError(f"frontier values must not be NaN, got {_echo(tuple(vals))}")
     return dict(zip(topo.spec.stations, vals))
 
 
@@ -402,7 +395,7 @@ def predict_profile(
         terms, floor = _terms(model, j, vals), vals[j]
     levels = _reals(y, "levels")
     if np.isnan(levels).any():
-        raise ValueError(f"levels must not be NaN, got {y!r}")
+        raise ValueError(f"levels must not be NaN, got {_echo(y)}")
     top = max(t.cut for t in terms)
     out = np.where(levels <= floor, _mass_above(terms, floor), 0.0)
     live = np.flatnonzero((levels > floor) & (levels < top))
@@ -466,7 +459,7 @@ def two_station_closed_form(
     d1, d2, d3, d4 = (_real(v, f"deadline of class {i}")
                       for i, v in enumerate(deadlines, start=1))
     if not (d1 >= d2 >= d3 >= d4):
-        raise ValueError(f"deadlines must be nonincreasing by class, got {deadlines!r}")
+        raise ValueError(f"deadlines must be nonincreasing by class, got {_echo(deadlines)}")
     q1, q2 = _read_loads(2, (q1, q2))
 
     # each station's frontier with its own classes alone, for the chained ones

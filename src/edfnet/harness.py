@@ -39,6 +39,7 @@ from .errors import (
     ParseError,
     RouteRepeatsStation,
     ValidationError,
+    _echo,
     _flag,
     _positive,
     _real,
@@ -115,6 +116,7 @@ class ExperimentConfig:
 # resolver, so a file parses to the same dict either way; libyaml only
 # makes the read several times faster.
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_DEPTH = 100   # deepest nesting of lists and mappings a YAML file may hold
 
 
 def _read_text(path) -> str:
@@ -133,26 +135,40 @@ def _write_text(path, text: str) -> None:
         handle.write(text)
 
 
-_ECHO = 40   # characters of a text that does not read echoed in its error
-
-
 def _number(text: str, what: str, parse=None, kind=float):
     """``kind(text)`` for a profile-CSV field or a CLI flag, checked by the codec
-    parser ``parse`` if given; ParseError names a text that does not read,
-    clipped to its first ``_ECHO`` characters and its length if longer."""
+    parser ``parse`` if given; ParseError echoes a text that does not read."""
     try:
         value = kind(text)
     except ValueError:
         expected = "an integer" if kind is int else "a number"
-        shown = (repr(text) if len(text) <= _ECHO
-                 else f"{text[:_ECHO]!r}... ({len(text)} characters)")
-        raise ParseError(f"{what}: expected {expected}, got {shown}") from None
+        raise ParseError(f"{what}: expected {expected}, got {_echo(text)}") from None
     return value if parse is None else parse(value, what)
+
+
+def _check_depth(text: str, path) -> None:
+    """ParseError if a value nests lists and mappings past ``_DEPTH``, an alias as
+    deep as its anchor's: read from events, before libyaml's recursive composer."""
+    heights = {}          # anchor -> how deep its value nests
+    open_ = [[None, 0]]   # per open collection: its anchor, how deep its values nest
+    for event in yaml.parse(text, Loader=_LOADER):
+        if isinstance(event, yaml.CollectionStartEvent):
+            open_.append([event.anchor, 0])
+        elif isinstance(event, yaml.CollectionEndEvent):
+            anchor, inner = open_.pop()
+            heights[anchor] = inner + 1
+            open_[-1][1] = max(open_[-1][1], inner + 1)
+        elif isinstance(event, yaml.AliasEvent):
+            open_[-1][1] = max(open_[-1][1], heights.get(event.anchor, 0))
+        if len(open_) - 1 + open_[-1][1] > _DEPTH:
+            raise ParseError(f"{path}: YAML nested more than {_DEPTH} levels deep "
+                             f"at line {event.start_mark.line + 1}")
 
 
 def _load_yaml(path) -> Dict:
     text = _read_text(path)
     try:
+        _check_depth(text, path)
         raw = yaml.load(text, Loader=_LOADER)
     except (yaml.YAMLError, ValueError) as exc:
         # PyYAML's int and date constructors raise ValueError, e.g. on an
@@ -188,7 +204,7 @@ def _require(mapping: Mapping, key: str, where: str):
 def _reject_unknown(mapping: Mapping, allowed: Sequence[str], where: str) -> None:
     unknown = sorted(set(mapping) - set(allowed), key=str)
     if unknown:
-        raise ValidationError(f"{where}: unknown fields {unknown}")
+        raise ValidationError(f"{where}: unknown fields {_echo(unknown)}")
 
 
 def _as(reader, expected: str):
@@ -198,7 +214,7 @@ def _as(reader, expected: str):
         try:
             return reader(value, where)
         except ValueError as exc:
-            raise ValidationError(f"{where}: expected {expected}, got {value!r}") from exc
+            raise ValidationError(f"{where}: expected {expected}, got {_echo(value)}") from exc
     return parse
 
 
@@ -213,13 +229,13 @@ def _as_positive(value, where: str) -> float:
 
 def _as_str(value, where: str) -> str:
     if not isinstance(value, str):
-        raise ValidationError(f"{where}: expected a string, got {value!r}")
+        raise ValidationError(f"{where}: expected a string, got {_echo(value)}")
     return value
 
 
 def _as_mapping(value, where: str) -> Dict:
     if not isinstance(value, dict):
-        raise ValidationError(f"{where}: expected a mapping, got {value!r}")
+        raise ValidationError(f"{where}: expected a mapping, got {_echo(value)}")
     return value
 
 
@@ -228,7 +244,7 @@ def _list_of(item, length: Optional[int] = None):
     def parse(value, where):
         if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
             shape = "a list" if length is None else f"a list of {length}"
-            raise ValidationError(f"{where}: expected {shape}, got {value!r}")
+            raise ValidationError(f"{where}: expected {shape}, got {_echo(value)}")
         return tuple(item(v, f"{where}[{i}]") for i, v in enumerate(value))
     return parse
 
@@ -245,7 +261,7 @@ def _checked(parse, ok, problem: str):
     def run(value, where):
         out = parse(value, where)
         if not ok(out):
-            raise ValidationError(f"{where}: {problem}, got {value!r}")
+            raise ValidationError(f"{where}: {problem}, got {_echo(value)}")
         return out
     return run
 
@@ -323,7 +339,7 @@ def _kind_of(table: Mapping, what: str):
     def parse(node, where):
         kind = _require(_as_mapping(node, where), "kind", where)
         if not isinstance(kind, str) or kind not in table:
-            raise ValidationError(f"{where}: unknown {what} kind {kind!r}")
+            raise ValidationError(f"{where}: unknown {what} kind {_echo(kind)}")
         cls = table[kind][0]
         return _build(cls, _read_fields(node, _TAGGED[cls][1], where, ("kind",)), where)
     return parse
@@ -549,7 +565,7 @@ class ProfileReport:
         for sp in self.stations:
             if sp.station == j:
                 return sp
-        raise ValueError(f"station {j!r} is not in the report")
+        raise ValueError(f"station {_echo(j)} is not in the report")
 
 
 def _conditioning_loads(condition: Condition, network: NetworkSpec) -> List[float]:
@@ -557,12 +573,11 @@ def _conditioning_loads(condition: Condition, network: NetworkSpec) -> List[floa
     (``condition.totals()``) in station order.  Every station must be
     covered; ``_fit_condition`` checks the rest of the fit."""
     totals = condition.totals()
-    station_count = network.station_count
-    missing = [j for j in range(1, station_count + 1) if j not in totals]
+    missing = [j for j in network.stations if j not in totals]
     if missing:
         raise ValidationError(
-            f"condition must cover every station for prediction; missing {missing}")
-    return [totals[j] for j in range(1, station_count + 1)]
+            f"condition must cover every station for prediction; missing {_echo(missing)}")
+    return [totals[j] for j in network.stations]
 
 
 def prediction_model(cfg: ExperimentConfig) -> WeightedModel:
@@ -605,13 +620,12 @@ def run_experiment(cfg: ExperimentConfig) -> ProfileReport:
     if cfg.weight_kind != "count":
         raise ValidationError(
             f"prediction.weights: an experiment conditions on customer counts, "
-            f"so it needs 'count', got {cfg.weight_kind!r}")
-    J = cfg.network.station_count
+            f"so it needs 'count', got {_echo(cfg.weight_kind)}")
     loads = _conditioning_loads(cfg.condition, cfg.network)
     quota = -(-cfg.snapshot_count // len(cfg.seeds))  # ceil division
 
     pool: List[Snapshot] = []
-    behind: Dict[int, List[float]] = {j: [] for j in range(1, J + 1)}
+    behind: Dict[int, List[float]] = {j: [] for j in cfg.network.stations}
     partial = False
     sim_time = 0.0
     for seed in cfg.seeds:
@@ -622,7 +636,7 @@ def run_experiment(cfg: ExperimentConfig) -> ProfileReport:
         pool.extend(result.snapshots)
         partial = partial or result.exhausted
         sim_time += sim.clock
-        for j in range(1, J + 1):
+        for j in cfg.network.stations:
             behind[j].append(behind_frontier_stats(sim, j).time_avg_fraction)
     if not pool:
         raise NoSnapshots("horizon expired before any snapshot was taken")
@@ -630,7 +644,7 @@ def run_experiment(cfg: ExperimentConfig) -> ProfileReport:
     model = prediction_model(cfg)
     solution = solve_frontiers(model, loads)
     stations = []
-    for j in range(1, J + 1):
+    for j in cfg.network.stations:
         lo, mean, hi = empirical_bands(pool, j, cfg.grid)
         theory = theory_cdf(model, solution, j, cfg.grid)
         sup, l1 = compare_profiles(cfg.grid, mean, theory)

@@ -64,7 +64,8 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import dists
-from .errors import ClassDoesNotVisitStation, ValidationError, _flag, _positive, _real, _whole
+from .errors import (ClassDoesNotVisitStation, ValidationError, _echo, _flag, _positive, _real,
+                     _whole)
 from .topology import NetworkSpec, Topology, _station_id, build_topology
 
 __all__ = [
@@ -111,7 +112,7 @@ class _Station:
                  "class_counts", "present", "last_t", "idle_time",
                  "arrived_work", "int_present", "int_behind")
 
-    def __init__(self, sid: int, class_count: int):
+    def __init__(self, sid: int, class_count: int, visits: Mapping[int, tuple]):
         self.sid = sid
         self.pending: List[tuple] = []
         self.pending_behind = 0
@@ -120,7 +121,9 @@ class _Station:
         self.serving_behind = False
         self.token = 0
         self.max_by_class = [-math.inf] * (class_count + 1)
-        self.max_admitted = -math.inf
+        for k, (c, _) in visits.items():   # the phantom frontier: the largest lead
+            self.max_by_class[k] = c.lead_time.upper_support
+        self.max_admitted = max(self.max_by_class)
         self.class_counts = [0] * (class_count + 1)
         self.present = 0
         self.last_t = 0.0
@@ -148,7 +151,7 @@ class SimState:
 
     def __init__(self, spec: NetworkSpec, *, seed: int, preemptive: bool = False):
         if isinstance(seed, bool) or _whole(seed, "seed") < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+            raise ValueError(f"seed must be a nonnegative integer, got {_echo(seed)}")
         self.topology: Topology = build_topology(spec)
         self.spec = spec
         self.seed = int(seed)
@@ -161,13 +164,7 @@ class SimState:
         self._arrival_counter = 0
         K = len(spec.classes)
         self.stations: List[Optional[_Station]] = [None] + [
-            _Station(j, K) for j in spec.stations]
-        for c in spec.classes:
-            for j in c.route:
-                self.stations[j].max_by_class[c.id] = c.lead_time.upper_support
-        for j in spec.stations:
-            st = self.stations[j]
-            st.max_admitted = max(st.max_by_class[1:])
+            _Station(j, K, row) for j, row in self.topology.visiting.items()]
 
         # one row per class id: (route, draw), where draw() returns the
         # services in route order, the lead and the next gap in one
@@ -325,7 +322,7 @@ class Snapshot:
     def leads(self, j: int) -> Tuple[float, ...]:
         """The lead times at station j; ValueError if the snapshot lacks j."""
         if j not in self.stations:
-            raise ValueError(f"station {j!r} is not in the snapshot")
+            raise ValueError(f"station {_echo(j)} is not in the snapshot")
         return tuple(lead for _, lead in self.stations[j])
 
 
@@ -349,7 +346,7 @@ def _stations(mapping) -> Dict[int, object]:
     """A condition's mapping with each key read by ``_whole`` as a
     station id; anything but a mapping raises ValueError naming it."""
     if not isinstance(mapping, Mapping):
-        raise ValueError(f"a condition maps station ids to counts, got {mapping!r}")
+        raise ValueError(f"a condition maps station ids to counts, got {_echo(mapping)}")
     return {_whole(j, "station id"): v for j, v in mapping.items()}
 
 
@@ -363,7 +360,7 @@ def _counts(value, j: int, what: str, size: Optional[int] = None) -> Tuple[int, 
         vec = None
     if vec is None or (size is not None and len(vec) != size):
         shape = "a sequence" if size is None else f"{size} counts"
-        raise ValueError(f"{what} at station {j} must be {shape}, got {value!r}")
+        raise ValueError(f"{what} at station {j} must be {shape}, got {_echo(value)}")
     return tuple(_whole(n, "count") for n in vec)
 
 
@@ -377,7 +374,7 @@ class ExactCounts:
         object.__setattr__(self, "targets", {
             j: _counts(vec, j, "counts") for j, vec in _stations(self.targets).items()})
         if any(n < 0 for vec in self.targets.values() for n in vec):
-            raise ValueError(f"counts must be nonnegative, got {self.targets}")
+            raise ValueError(f"counts must be nonnegative, got {_echo(self.targets)}")
 
     def distance(self, sim: SimState) -> int:
         """L1 distance from the per-class counts to the targets."""
@@ -399,7 +396,7 @@ class CountBands:
         object.__setattr__(self, "bands", {
             j: _counts(band, j, "band", 2) for j, band in _stations(self.bands).items()})
         if any(not 0 <= lo <= hi for lo, hi in self.bands.values()):
-            raise ValueError(f"bands must satisfy 0 <= lo <= hi, got {self.bands}")
+            raise ValueError(f"bands must satisfy 0 <= lo <= hi, got {_echo(self.bands)}")
 
     def distance(self, sim: SimState) -> int:
         """How far each station's total lies outside its band, summed."""
@@ -427,7 +424,7 @@ class TotalCounts(CountBands):
     def __init__(self, targets: Mapping[int, int]):
         targets = {j: _whole(n, "count") for j, n in _stations(targets).items()}
         if any(n < 0 for n in targets.values()):
-            raise ValueError(f"counts must be nonnegative, got {targets}")
+            raise ValueError(f"counts must be nonnegative, got {_echo(targets)}")
         super().__init__({j: (n, n) for j, n in targets.items()})
 
     def __repr__(self) -> str:
@@ -517,7 +514,7 @@ def conditional_sample(
     threshold = _positive(threshold, "threshold")
     count = _whole(count, "count")
     if count < 1:
-        raise ValueError(f"count must be an integer of at least 1, got {count!r}")
+        raise ValueError(f"count must be an integer of at least 1, got {_echo(count)}")
     horizon_cap = _real(horizon_cap, "horizon_cap")
     if not (math.isfinite(horizon_cap) and horizon_cap >= sim.clock):
         raise ValueError(f"cannot sample to horizon_cap {horizon_cap} from {sim.clock}: "

@@ -3,10 +3,9 @@
 A network is a set of stations 1..J and a set of customer classes
 1..K.  Each class follows a fixed acyclic route (no station is visited
 twice) and carries an initial lead-time distribution.  From the routes
-we derive the station-level set other modules consume, the classes
-that visit each station (``Topology.visiting``), and check station ids
-against it (``_station_id``).  The stations a class clears before a
-station are its route's prefix there.
+we build the visit table other modules read (``Topology.visiting``):
+per station, its visiting classes in ascending id, each with its spec
+and its route's prefix there.  ``_station_id`` checks ids against it.
 
 One rule links the routes to the solver: a class waits at the first
 unplaced station on its route and moves on when that station is placed.
@@ -20,11 +19,11 @@ two-station closed form writes out the crossing network's two pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from . import dists
-from .errors import (DisconnectedNetwork, EmptyStation, RouteRepeatsStation, _positive,
-                     _real, _whole)
+from .errors import (DisconnectedNetwork, EmptyStation, RouteRepeatsStation, _echo,
+                     _positive, _real, _whole)
 from .leadtime import LeadTimeDist
 
 __all__ = [
@@ -60,7 +59,7 @@ class ClassSpec:
     def __post_init__(self):
         object.__setattr__(self, "id", _whole(self.id, "class id"))
         if self.id < 1:
-            raise ValueError(f"class id must be a positive integer, got {self.id!r}")
+            raise ValueError(f"class id must be a positive integer, got {_echo(self.id)}")
         route = tuple(_whole(j, f"class {self.id}: station id") for j in self.route)
         object.__setattr__(self, "route", route)
         rates, what = self.service_rates, f"class {self.id}: service rate"
@@ -121,37 +120,28 @@ class NetworkSpec:
             raise ValueError("need at least one station")
         ids = [c.id for c in self.classes]
         if sorted(ids) != list(range(1, len(ids) + 1)):
-            raise ValueError(f"class ids must be 1..K without gaps, got {sorted(ids)}")
-        # not a field: equality, hashing, replace() and digests ignore it
-        object.__setattr__(self, "_by_id", {c.id: c for c in self.classes})
+            raise ValueError(f"class ids must be 1..K without gaps, got {_echo(sorted(ids))}")
 
     @property
     def stations(self) -> range:
         return range(1, self.station_count + 1)
 
-    def class_by_id(self, k: int) -> ClassSpec:
-        """The class with id k; KeyError for an unknown id."""
-        return self._by_id[k]
-
 
 @dataclass(frozen=True)
 class Topology:
-    """Validated network; ``visiting[j]`` holds the classes whose route
-    passes through station j."""
+    """Validated network; ``visiting[j]`` maps each class visiting
+    station j, in ascending id, to (its spec, its route before j)."""
 
     spec: NetworkSpec
-    visiting: Mapping[int, FrozenSet[int]]
+    visiting: Mapping[int, Mapping[int, Tuple[ClassSpec, Tuple[int, ...]]]]
 
     @property
     def station_count(self) -> int:
         return self.spec.station_count
 
-    def lead_dist(self, k: int) -> LeadTimeDist:
-        return self.spec.class_by_id(k).lead_time
-
 
 def build_topology(spec: NetworkSpec) -> Topology:
-    """Validate a NetworkSpec and derive its route sets.
+    """Validate a NetworkSpec and build its visit table.
 
     Raises RouteRepeatsStation if any route revisits a station,
     EmptyStation if some station is on no route, and
@@ -159,41 +149,35 @@ def build_topology(spec: NetworkSpec) -> Topology:
     consecutive route hops does not connect all stations.
     """
     J = spec.station_count
-    for c in spec.classes:
+    visiting: Dict[int, Dict[int, tuple]] = {j: {} for j in spec.stations}
+    for c in sorted(spec.classes, key=lambda c: c.id):
         if len(set(c.route)) != len(c.route):
-            raise RouteRepeatsStation(f"class {c.id} route {c.route} repeats a station")
-        for j in c.route:
+            raise RouteRepeatsStation(f"class {c.id} route {_echo(c.route)} repeats a station")
+        for at, j in enumerate(c.route):
             if j > J:
                 raise ValueError(f"class {c.id} route visits station {j}, "
                                  f"but the network has only {J}")
-
-    visiting: Dict[int, set] = {j: set() for j in spec.stations}
-    for c in spec.classes:
-        for j in c.route:
-            visiting[j].add(c.id)
+            visiting[j][c.id] = (c, c.route[:at])
 
     for j in spec.stations:
         if not visiting[j]:
             raise EmptyStation(f"station {j} is visited by no class")
 
-    # connectivity over the undirected hop graph
-    adjacency: Dict[int, set] = {j: set() for j in spec.stations}
-    for c in spec.classes:
-        for a, b in zip(c.route, c.route[1:]):
-            adjacency[a].add(b)
-            adjacency[b].add(a)
-    seen = {1}
-    stack = [1]
+    # connectivity over the undirected hop graph, whose hops join each
+    # route's stations: a class visiting a reached station reaches its route
+    seen, stack, joined = {1}, [1], set()
     while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
+        for k, (c, _) in visiting[stack.pop()].items():
+            if k not in joined:
+                joined.add(k)
+                fresh = set(c.route) - seen
+                seen |= fresh
+                stack.extend(fresh)
     if len(seen) != J:
         missing = sorted(set(spec.stations) - seen)
-        raise DisconnectedNetwork(f"stations {missing} are not connected to station 1")
+        raise DisconnectedNetwork(f"stations {_echo(missing)} are not connected to station 1")
 
-    return Topology(spec=spec, visiting={j: frozenset(v) for j, v in visiting.items()})
+    return Topology(spec=spec, visiting=visiting)
 
 
 def _station_id(topo: Topology, j) -> int:
@@ -206,8 +190,7 @@ def _station_id(topo: Topology, j) -> int:
 
 
 def traffic_intensity(topo: Topology, j: int) -> float:
-    """Offered load at a station: sum over visiting classes of
-    arrival rate divided by service rate there."""
+    """Offered load at a station: sum over visiting classes, in ascending
+    id, of arrival rate divided by service rate there."""
     j = _station_id(topo, j)
-    classes = (topo.spec.class_by_id(k) for k in topo.visiting[j])
-    return sum(c.arrival_rate / c.service_rate(j) for c in classes)
+    return sum(c.arrival_rate / c.service_rate(j) for c, _ in topo.visiting[j].values())

@@ -170,7 +170,8 @@ def admissible_permutations(topo):
 
 
 def _stage_bound(topo, j, placed):
-    return max(topo.lead_dist(k).upper_support for k in reaching(topo, j, placed))
+    return max(c.lead_time.upper_support for c in topo.spec.classes
+               if c.id in reaching(topo, j, placed))
 
 
 def in_piece(topo, y, pi, atol=1e-9):

@@ -14,7 +14,7 @@ import warnings
 
 import pytest
 
-from edfnet import ValidationError, parse_config, parse_report, read_profile_csv
+from edfnet import ParseError, ValidationError, parse_config, parse_report, read_profile_csv
 from edfnet.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -135,6 +135,57 @@ def test_solve_config_integer_past_the_conversion_limit(tmp_path, capsys):
     assert main(["solve", "-c", str(path), "--loads", "50,58"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: invalid YAML") and len(err) < 400
+
+
+def _with_threshold(tmp_path, threshold):
+    path = tmp_path / "threshold.yaml"
+    path.write_text(textwrap.dedent(CROSSING_CONFIG) + f"  threshold: {threshold}\n")
+    return path
+
+
+def test_config_nested_too_deep_is_a_parse_error(tmp_path):
+    """Nesting past 100 levels fails with a ParseError naming the file
+    and the line, before anything is composed: at 10,000 levels the
+    codec's echo of the loaded value overflowed Python's recursion limit.
+    An alias counts as deep as the value its anchor names, so a chain of
+    anchors cannot build the same depth.  The threshold sits two levels
+    down, so 98 brackets are the deepest that still reach the codec."""
+    path = _with_threshold(tmp_path, "[" * 98 + "]" * 98)
+    with pytest.raises(ValidationError, match=r"^experiment\.threshold: expected a number"):
+        parse_config(path)
+    chain = ", ".join(f"&a{i} " + "[" * 90 + (f"*a{i - 1}" if i else "0") + "]" * 90
+                      for i in range(12))
+    for threshold in ("[" * 99 + "]" * 99, "[" * 10_000 + "]" * 10_000, f"[{chain}]"):
+        path = _with_threshold(tmp_path, threshold)
+        line = path.read_text().count("\n")   # the threshold's, the last
+        with pytest.raises(ParseError, match=re.escape(
+                f"{path}: YAML nested more than 100 levels deep at line {line}")):
+            parse_config(path)
+
+
+def test_config_nested_past_the_composer_exits_2(tmp_path):
+    """At 30,000 levels libyaml's composer crashed the process (SIGSEGV);
+    the depth check stops the read first, so the command exits 2."""
+    path = _with_threshold(tmp_path, "[" * 30_000 + "]" * 30_000)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "edfnet", "solve", "-c", str(path),
+                           "--loads", "50,58"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    line = path.read_text().count("\n")
+    assert proc.stderr == f"error: {path}: YAML nested more than 100 levels deep at line {line}\n"
+
+
+def test_huge_bad_value_gives_a_short_error(tmp_path, capsys):
+    """A threshold of 100,000 zeros is echoed by the first 40 characters
+    of its repr and its length, where the whole 300,000-character list
+    was printed."""
+    path = _with_threshold(tmp_path, "[" + ", ".join(["0"] * 100_000) + "]")
+    assert main(["solve", "-c", str(path), "--loads", "50,58"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: experiment.threshold: expected a number, got "
+                   "[0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, ... (300000 characters)\n")
+    assert len(err.encode()) < 200
 
 
 def test_solve_route_outside_network(tmp_path, capsys):

@@ -34,6 +34,7 @@ from edfnet import (
     parse_config,
     predict_profile,
     solve_frontiers,
+    traffic_intensity,
     two_station_closed_form,
     work_model,
 )
@@ -358,8 +359,10 @@ def _load_from_routes(model, fr, j):
     class's integrated tail at fr[j] less its tail at its floor (the
     smallest frontier before j on its route), clipped at 0."""
     total = 0.0
-    for k in sorted(model.topology.visiting[j]):
-        c = model.topology.spec.class_by_id(k)
+    for c in sorted(model.topology.spec.classes, key=lambda c: c.id):
+        if j not in c.route:
+            continue
+        k = c.id
         floor = min((fr[i - 1] for i in c.route[:c.route.index(j)]), default=math.inf)
         tail = c.lead_time.integrated_tail
         total += model.weights[(k, j)] * max(0.0, tail(fr[j - 1]) - tail(floor))
@@ -389,6 +392,39 @@ def test_load_map_and_prediction_share_one_sum(random_network):
             total = predict_profile(model, sol, j, -math.inf)
             expected = [1.0 - m / total for m in scalar] if total > 0.0 else [1.0] * len(levels)
             assert theory_cdf(model, sol, j, levels).tolist() == expected
+
+
+def test_station_sums_add_classes_in_ascending_id():
+    """Station 2 is visited by classes {1, 3, 4, 8}, a set that iterates
+    as 8, 1, 3, 4.  The rates and the frontier vector are chosen so that
+    the two addition orders round differently, and both the offered load
+    and the prediction at -inf add their terms in ascending class id,
+    bit for bit."""
+    assert list(frozenset({1, 3, 4, 8})) == [8, 1, 3, 4]
+    routes = {1: (1, 2), 3: (2,), 4: (2,), 8: (2,)}
+    rates = {1: 0.1, 3: 0.2, 4: 0.3, 8: 0.15}
+    spec = NetworkSpec(2, tuple(
+        ClassSpec(id=k, route=routes.get(k, (1,)), arrival_rate=rates.get(k, 0.1),
+                  lead_time=PointMass(10.0 - k))
+        for k in range(1, 9)))
+    model = count_model(build_topology(spec))
+    fr = (3.0, 0.5)
+
+    def added(order, term):
+        total = 0.0
+        for k in order:
+            total += term(k)
+        return total
+
+    def mass(k):
+        floor = fr[0] if k == 1 else math.inf
+        return rates[k] * (max(0.0, 10.0 - k - fr[1]) - max(0.0, 10.0 - k - floor))
+
+    ascending, hashed = (1, 3, 4, 8), (8, 1, 3, 4)
+    for term, got in ((rates.get, traffic_intensity(model.topology, 2)),
+                      (mass, predict_profile(model, fr, 2, -math.inf))):
+        assert added(ascending, term) != added(hashed, term)
+        assert got == added(ascending, term)
 
 
 @pytest.mark.parametrize("n", [10, 40, 160, 640])

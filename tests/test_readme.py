@@ -49,7 +49,7 @@ def test_documented_commands_parse():
 def test_package_layout_names_resolve():
     """Every ``edfnet.<module>`` row of the README's package-layout table
     imports, and every backticked dotted name in a row's contents (such
-    as ``Topology.lead_dist``) resolves in that module, so a deleted
+    as ``Topology.station_count``) resolves in that module, so a deleted
     public name cannot linger in the table."""
     section = README.read_text().split("## Package layout", 1)[1]
     rows = re.findall(r"^\| `(edfnet\.\w+)` +\|(.*)\|$", section, re.M)

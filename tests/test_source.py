@@ -351,3 +351,22 @@ def test_terms_built_only_by_term():
                 inside = [name for name, scope in scopes if node in list(ast.walk(scope))]
                 found.append((path.name, inside))
     assert found == [("frontier.py", ["_term"])]
+
+
+def test_error_messages_echo_values_through_one_clip():
+    """A message shows a caller's value only through ``errors._echo``,
+    which clips it past 40 characters, so a huge bad value still gives a
+    short error line: no f-string in ``errors.py`` or ``harness.py``
+    formats a value with ``!r`` outside ``_echo``, and no raise
+    statement anywhere in the package does."""
+    found = []
+    for name, tree in _modules().items():
+        echo = {id(node) for function in ast.walk(tree)
+                if isinstance(function, ast.FunctionDef) and function.name == "_echo"
+                for node in ast.walk(function)}
+        scopes = ([tree] if name in ("errors.py", "harness.py")
+                  else [node for node in ast.walk(tree) if isinstance(node, ast.Raise)])
+        found += [f"{name}:{node.lineno}" for scope in scopes for node in ast.walk(scope)
+                  if isinstance(node, ast.FormattedValue) and node.conversion == ord("r")
+                  and id(node) not in echo]
+    assert found == []

@@ -49,9 +49,19 @@ def crossing(deadlines=(400.0, 300.0, 200.0, 100.0), lam=0.32, mu=1.0):
 
 
 def test_crossing_sets():
-    topo = build_topology(crossing())
-    assert topo.visiting[1] == frozenset({1, 2, 3})
-    assert topo.visiting[2] == frozenset({1, 2, 4})
+    """Each station's visit table holds its visiting classes in
+    ascending id, each with its spec and the stations before it on the
+    class's route."""
+    spec = crossing()
+    c1, c2, c3, c4 = spec.classes
+    topo = build_topology(spec)
+    assert list(topo.visiting) == [1, 2]
+    assert list(topo.visiting[1].items()) == [(1, (c1, ())), (2, (c2, (2,))), (3, (c3, ()))]
+    assert list(topo.visiting[2].items()) == [(1, (c1, (1,))), (2, (c2, ())), (4, (c4, ()))]
+    # classes listed out of id order still give an ascending table
+    shuffled = build_topology(dataclasses.replace(spec, classes=(c4, c2, c3, c1)))
+    assert shuffled.visiting == topo.visiting
+    assert [list(row) for row in shuffled.visiting.values()] == [[1, 2, 3], [1, 2, 4]]
 
 
 def test_reaching_empty_prefix():
@@ -94,8 +104,9 @@ def test_reaching_matches_routes_on_random_networks(random_network):
                     assert held == {j: reaching(topo, j, perm[:m])
                                     for j in topo.spec.stations
                                     if j not in perm[:m] and reaching(topo, j, perm[:m])}
+                routes = {c.id: c.route for c in topo.spec.classes}
                 for k, j, floor in builds:
-                    route = topo.spec.class_by_id(k).route
+                    route = routes[k]
                     assert floor == min((sol.frontiers[i - 1] for i in route[:route.index(j)]),
                                         default=math.inf)
 
@@ -316,14 +327,15 @@ def test_call_arguments_read_like_spec_fields(what, good, call, kind):
     """A real call argument is read by ``errors._real`` as spec fields
     are: ``float()`` would have read ``"50.0"`` as 50.0 and ``True`` as
     1.0, and raised OverflowError on an int too large for a float, so
-    each raises ValueError naming the argument.  A numpy scalar gives
-    the result of the float, bit for bit (repr shows each float's type
-    and every digit)."""
+    each raises ValueError naming the argument, its echo clipped to 40
+    characters and its length.  A numpy scalar gives the result of the
+    float, bit for bit (repr shows each float's type and every digit)."""
     if kind == "numpy":
         assert repr(call(np.float64(good))) == repr(call(good))
         return
     bad = {"string": str(good), "bool": True, "overflow": 10**400}[kind]
-    named = rf"^{re.escape(what)} must be a real number, got {re.escape(repr(bad))}$"
+    shown = "1" + "0" * 39 + "... (401 characters)" if kind == "overflow" else repr(bad)
+    named = rf"^{re.escape(what)} must be a real number, got {re.escape(shown)}$"
     with pytest.raises(ValueError, match=named):
         call(bad)
 
@@ -435,19 +447,6 @@ def test_network_spec_requires_contiguous_ids():
         NetworkSpec(0, ())
 
 
-def test_class_by_id_lookup():
-    c1 = ClassSpec(id=1, route=(1,), arrival_rate=0.5, lead_time=PointMass(5.0))
-    c2 = ClassSpec(id=2, route=(1,), arrival_rate=0.3, lead_time=PointMass(7.0))
-    spec = NetworkSpec(1, (c2, c1))
-    assert spec.class_by_id(1) is c1 and spec.class_by_id(2) is c2
-    with pytest.raises(KeyError):
-        spec.class_by_id(3)
-    # the lookup is not a field: equality, hashing and replace() ignore it
-    assert spec == NetworkSpec(1, (c2, c1)) and hash(spec) == hash(NetworkSpec(1, (c2, c1)))
-    assert dataclasses.replace(spec, classes=(c1,)).class_by_id(1) is c1
-    assert [f.name for f in dataclasses.fields(spec)] == ["station_count", "classes"]
-
-
 def _crossing_witness(topo, y):
     """The first domain piece of the crossing network that holds ``y``,
     or None, after checking that the closed form's piece test agrees."""
@@ -498,4 +497,4 @@ def test_service_rate_lookup():
     assert c.service_rate(1) == 2.0
     assert c.service_rate(2) == 1.5
     topo = build_topology(NetworkSpec(2, (c,)))
-    assert topo.lead_dist(1) == PointMass(9.0)
+    assert topo.visiting[2][1] == (c, (1,))
