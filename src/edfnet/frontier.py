@@ -8,10 +8,11 @@ at station j equals a weighted sum over visiting classes of integrated
 lead-time tails, clipped between the station's own frontier and the
 smallest frontier among the class's upstream stations.
 
-That sum is written once: ``_term`` builds one class's term from its
-row of the topology's visit table and its weight, ``_terms`` a
-station's table of them, floors read from the rows' route prefixes,
-and ``_mass_above`` evaluates a table at a lead level.
+That sum is written once: ``_clip`` builds one class's term from its
+weight, its lead law and its floor, ``_term`` reads the first two
+from the model (the weight and the topology's visit table), ``_terms``
+builds a station's table of them, floors read from the visit table's
+route prefixes, and ``_mass_above`` evaluates a table at a lead level.
 ``solve_frontiers`` inverts it station by station, placing at each
 stage the station whose stage-local inverse is largest and checking
 that the values do not rise along the order it builds;
@@ -26,10 +27,15 @@ quadratic, so a stage inverse is a breakpoint scan and the root of a
 quadratic whose coefficients the laws give.  Its roundoff scales with
 weight times level, not with the load.
 Both solvers read loads by ``_read_loads`` and check a frontier vector
-by ``_fit``: per station, one table gives the miss and its ``_roundoff``.
-The staged solver keeps those final tables on its solution, and
-``predict_profile`` reads them when given the model they were built
-for, so a prediction from the solver's own model builds no table.
+by ``_fit``, which reads per station one table they built: the miss
+and its ``_roundoff``.  Each builds every term it reads once.  The
+staged solver's closing tables are its stage tables plus the terms of
+classes that reached a station after it was placed, and it keeps them
+on its solution; ``predict_profile`` reads them when given the model
+they were built for, so a prediction from the solver's own model builds
+no table.  The closed form builds its four unclipped terms once per
+call and, per candidate, only the two crossing terms its frontiers
+clip, with no network, topology or model.
 """
 
 from __future__ import annotations
@@ -51,14 +57,7 @@ from .errors import (
     _reals,
 )
 from .leadtime import LeadTimeDist, PointMass
-from .topology import (
-    ClassSpec,
-    NetworkSpec,
-    Topology,
-    _station_id,
-    build_topology,
-    traffic_intensity,
-)
+from .topology import Topology, _station_id, traffic_intensity
 
 __all__ = [
     "WeightedModel",
@@ -137,12 +136,17 @@ class _Term(NamedTuple):
     cut: float    # lead level above which the term vanishes
 
 
+def _clip(weight: float, dist: LeadTimeDist, floor: float) -> _Term:
+    """The term of a visit with this weight and lead law, clipped at
+    ``floor``: the smallest frontier the class clears before the
+    station, or +inf (tail zero) if it enters there.  Every table is
+    built of these."""
+    return _Term(weight, dist, dist.integrated_tail(floor), min(dist.upper_support, floor))
+
+
 def _term(model: WeightedModel, k: int, j: int, floor: float) -> _Term:
-    """Class k's term at station j, clipped at ``floor``: the smallest
-    frontier it clears before j, or +inf (tail zero) if it enters here."""
-    dist = model.topology.visiting[j][k][0].lead_time
-    return _Term(model.weights[(k, j)], dist, dist.integrated_tail(floor),
-                 min(dist.upper_support, floor))
+    """Class k's term at station j, clipped at ``floor``."""
+    return _clip(model.weights[(k, j)], model.topology.visiting[j][k][0].lead_time, floor)
 
 
 def _terms(model: WeightedModel, j: int, y: Mapping[int, float]) -> List[_Term]:
@@ -184,14 +188,13 @@ def _roundoff(terms: List[_Term], y: float) -> Tuple[float, float]:
     return _ULPS * total, _ULPS * total / weight
 
 
-def _fit(model: WeightedModel, y: Mapping[int, float],
-         loads: Sequence[float]) -> List[Tuple[float, float, float, List[_Term]]]:
-    """Per station, the miss |``_mass_above`` - load| of frontier vector y
-    (station -> level), its ``_roundoff`` allowances, and the one table
-    all three are read from."""
-    tables = ((j, _terms(model, j, y)) for j in model.topology.spec.stations)
-    return [(abs(_mass_above(t, y[j]) - loads[j - 1]), *_roundoff(t, y[j]), t)
-            for j, t in tables]
+def _fit(tables: Sequence[List[_Term]], y: Sequence[float],
+         loads: Sequence[float]) -> List[Tuple[float, float, float]]:
+    """Per station, in station order, the miss |``_mass_above`` - load|
+    of its table at its level of y, and that sum's ``_roundoff``
+    allowances in load and in levels."""
+    return [(abs(_mass_above(t, v) - q), *_roundoff(t, v))
+            for t, v, q in zip(tables, y, loads)]
 
 
 def _read_loads(count: int, loads: Sequence[float]) -> List[float]:
@@ -304,40 +307,53 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
     placed before it on the route.  Each station some class waits at has
     a stage-local inverse of its own load over its waiting classes, and
     the largest value (ties to the smallest station id) is placed next.
-    Only the classes waiting there move on, so each (class, station)
-    term is built once, on arrival, and a stage is solved again only
-    when a class arrives.  Values must not rise along the order
+    Only the classes waiting there move on, so a stage is solved again
+    only when a class arrives.  Values must not rise along the order
     (SolverDivergence otherwise), so the vector lies in the order's
     domain piece, reproduces the loads (checked by ``_fit``, as in the
     closed form) and is the componentwise smallest such vector, each to
     the roundoff allowance (``_roundoff``) of the sums involved.
+
+    Each (class, station) term is built once: on arrival at a waiting
+    station, or, for a class that reaches a station placed before it
+    got there, after the last pick, at the floor it carries there.  A
+    station's final table is its stage table plus those late terms, in
+    ascending class id, which is ``_terms`` at the solved frontiers; the
+    closing check and the solution's kept tables read it.
     """
     topo = model.topology
     vec = _read_loads(topo.station_count, loads)
 
     assigned: Dict[int, float] = {}   # placed stations in placing order
     bounds: List[float] = []
-    # unplaced station -> its waiting classes as (class id, route, position,
-    # floor, term); sorted by class id, every sum adds its terms in one order
-    waiting: Dict[int, list] = {j: [] for j in topo.spec.stations}
+    # station -> its visiting classes met so far as (class id, route,
+    # position, floor, term); an unplaced station's are the classes waiting
+    # there, sorted by class id, so every sum adds its terms in one order
+    held: Dict[int, list] = {j: [] for j in topo.spec.stations}
     stages: Dict[int, Tuple[List[_Term], float, float]] = {}   # -> (terms, value, bound)
-    moving = [(c.id, c.route, 0, math.inf, None) for c in topo.spec.classes]
+    late = []   # (class id, route, position, floor): visits to stations placed first
+    moving = [(c.id, c.route, 0, math.inf) for c in topo.spec.classes]
     last = math.inf
-    for _ in range(topo.station_count):
+    while True:
         arrived = set()
-        for k, route, at, floor, _ in moving:
+        for k, route, at, floor in moving:
             while at < len(route) and route[at] in assigned:
+                late.append((k, route, at, floor))
                 floor = min(floor, assigned[route[at]])
                 at += 1
             if at < len(route):
                 j = route[at]
-                waiting[j].append((k, route, at, floor, _term(model, k, j, floor)))
+                held[j].append((k, route, at, floor, _term(model, k, j, floor)))
                 arrived.add(j)
         for j in arrived:
-            terms = [entry[4] for entry in sorted(waiting[j])]
+            held[j].sort()
+            terms = [entry[4] for entry in held[j]]
             stages[j] = (terms, *_stage_inverse(terms, vec[j - 1]))
-        # never empty: a class waits at the first unplaced station on a
-        # route.  max keeps the first of tied values: ties to the smallest id
+        # empty only once every station is placed: until then a class waits
+        # at the first unplaced station on a route
+        if not stages:
+            break
+        # max keeps the first of tied values: ties to the smallest id
         j = max(sorted(stages), key=lambda i: stages[i][1])
         terms, value, b_j = stages.pop(j)
         # every stage has waiting classes and a value within its bound, so
@@ -346,20 +362,25 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
             raise SolverDivergence(f"station {j} placed at {value}, above {last}")
         assigned[j] = last = value
         bounds.append(b_j)
-        moving = waiting.pop(j)
+        moving = [(k, route, at + 1, min(floor, value))
+                  for k, route, at, floor, _ in held[j]]
 
-    fit = _fit(model, assigned, vec)
-    for j, (miss, allowed, _, _) in zip(topo.spec.stations, fit):
+    for k, route, at, floor in late:
+        held[route[at]].append((k, route, at, floor, _term(model, k, route[at], floor)))
+    tables = [[entry[4] for entry in sorted(held[j])] for j in topo.spec.stations]
+    frontiers = tuple(assigned[j] for j in topo.spec.stations)
+    fit = _fit(tables, frontiers, vec)
+    for j, (miss, allowed, _) in zip(topo.spec.stations, fit):
         if miss > allowed:
             raise SolverDivergence(f"inversion residual {miss} at station {j}")
     sol = FrontierSolution(
-        frontiers=tuple(assigned[j] for j in topo.spec.stations),
+        frontiers=frontiers,
         permutation=tuple(assigned),
         stage_bounds=tuple(bounds),
-        residual=max(miss for miss, _, _, _ in fit),
+        residual=max(miss for miss, _, _ in fit),
         loads=tuple(vec),
     )
-    object.__setattr__(sol, "_tables", (model, [table for *_, table in fit]))
+    object.__setattr__(sol, "_tables", (model, tables))
     return sol
 
 
@@ -410,16 +431,6 @@ class TwoStationSolution(NamedTuple):
     frontiers: Tuple[float, float]
 
 
-def _crossing_spec(rates: Sequence[float], tops: Sequence[float]) -> NetworkSpec:
-    routes = [(1, 2), (2, 1), (1,), (2,)]
-    classes = tuple(
-        ClassSpec(id=i + 1, route=routes[i], arrival_rate=rates[i],
-                  lead_time=PointMass(tops[i]))
-        for i in range(4)
-    )
-    return NetworkSpec(station_count=2, classes=classes)
-
-
 def _in_crossing_domain(a: float, b: float, d1: float, d2: float, atol: float) -> bool:
     """Whether frontiers (a, b) lie, within ``atol``, in the domain piece
     of order (1, 2), b <= a <= d1, or of order (2, 1), a <= b <= d2 and
@@ -451,6 +462,10 @@ def two_station_closed_form(
     checks its answer: it must land in the domain's two pieces and
     reproduce (q1, q2), each to the ``_roundoff`` allowance of its sums;
     the first that does is returned, else NoConsistentRegion is raised.
+    The tables checked are the count model's (weights the rates, class
+    k's lead time ``PointMass(deadlines[k-1])``), built term by term
+    with no network or model: the four terms the frontiers do not clip
+    once per call, the two crossing terms per candidate.
     """
     if len(rates) != 4 or len(deadlines) != 4:
         raise ValueError("need exactly four rates and four deadlines")
@@ -492,11 +507,15 @@ def two_station_closed_form(
         ("VIII", f1["with_local"], f2["chained_local"]),
     ]
 
-    model = count_model(build_topology(_crossing_spec((l1, l2, l3, l4),
-                                                      (d1, d2, d3, d4))))
+    # the count model's terms, in ascending class id: (1, 2, 3) at station
+    # 1 and (1, 2, 4) at station 2; only the crossing classes' floors, class
+    # 2's at station 1 (b) and class 1's at station 2 (a), vary by candidate
+    p1, p2, p3, p4 = (PointMass(d) for d in (d1, d2, d3, d4))
+    t11, t31 = _clip(l1, p1, math.inf), _clip(l3, p3, math.inf)
+    t22, t42 = _clip(l2, p2, math.inf), _clip(l4, p4, math.inf)
     for region, a, b in candidates:
-        (miss1, load1, level1, _), (miss2, load2, level2, _) = _fit(model, {1: a, 2: b},
-                                                                    (q1, q2))
+        tables = ([t11, _clip(l2, p2, b), t31], [_clip(l1, p1, a), t22, t42])
+        (miss1, load1, level1), (miss2, load2, level2) = _fit(tables, (a, b), (q1, q2))
         if (_in_crossing_domain(a, b, d1, d2, max(level1, level2))
                 and miss1 <= load1 and miss2 <= load2):
             return TwoStationSolution(region, (a, b))

@@ -756,7 +756,7 @@ def read_profile_csv(path: str) -> Tuple[Dict[int, Dict[str, List[float]]], bool
             if line and not line.startswith("#")]
     header = tuple(rows[0][1]) if rows else ()
     if header != CSV_HEADER:
-        raise ParseError(f"{path}: header {header} does not match {CSV_HEADER}")
+        raise ParseError(f"{path}: header {_echo(header)} does not match {CSV_HEADER}")
     stations: Dict[int, Dict[str, List[float]]] = {}
     for lineno, row in rows[1:]:
         where = f"{path}: line {lineno}"

@@ -47,14 +47,19 @@ from conftest import (fifo_lead_cdf, in_piece, logged_solve, reaching, station_l
 THIRD = 1.0 / 3.0
 
 
-def crossing_model(deadlines, lam=THIRD):
+def crossing_spec(rates, deadlines):
+    """The two-station crossing network the closed form solves: class 1
+    runs stations 1 then 2, class 2 stations 2 then 1, classes 3 and 4
+    only 1 and 2, each with its rate and a point-mass deadline.  Its
+    count model is the oracle for the closed form's tables."""
     routes = [(1, 2), (2, 1), (1,), (2,)]
-    classes = tuple(
-        ClassSpec(id=i + 1, route=r, arrival_rate=lam,
-                  lead_time=PointMass(float(d)))
-        for i, (r, d) in enumerate(zip(routes, deadlines))
-    )
-    return count_model(build_topology(NetworkSpec(2, classes)))
+    return NetworkSpec(2, tuple(
+        ClassSpec(id=i + 1, route=r, arrival_rate=lam, lead_time=PointMass(float(d)))
+        for i, (r, lam, d) in enumerate(zip(routes, rates, deadlines))))
+
+
+def crossing_model(deadlines, lam=THIRD):
+    return count_model(build_topology(crossing_spec((lam,) * 4, deadlines)))
 
 
 # -------- the load map --------
@@ -294,6 +299,61 @@ def test_each_stage_solved_once_per_reach_set(random_network, monkeypatch):
             sol, builds, _ = logged_solve(model, rng.uniform(0.0, 40.0, spec.station_count))
             assert len(calls) == len(_distinct_stages(topo, sol.permutation))
             assert len(builds) == len({(k, j) for k, j, _ in builds})
+
+
+def _solve_cases(random_network):
+    """(topology, model, loads) on 30 random networks under the count and
+    the normalised work model, two load vectors each, and the crossing
+    network at loads whose solve places station 1 first, downstream of
+    class 2's station 2."""
+    rng = np.random.default_rng(20261022)
+    specs = [random_network(rng, max_stations=6, max_classes=8) for _ in range(30)]
+    for spec in [crossing_spec(*CASE_A)] + specs:
+        topo = build_topology(spec)
+        for model in (count_model(topo), normalize_by_intensity(work_model(topo))):
+            for _ in range(2):
+                yield topo, model, rng.uniform(0.0, 40.0, topo.station_count)
+
+
+def _places_downstream_first(topo, perm):
+    """Whether some class's route visits a station that ``perm`` places
+    before a station earlier on that route."""
+    rank = {j: m for m, j in enumerate(perm)}
+    return any(rank[a] > rank[b] for c in topo.spec.classes
+               for a, b in zip(c.route, c.route[1:]))
+
+
+def test_each_solve_builds_each_term_once(random_network, monkeypatch):
+    """A solve builds each (class, station) term exactly once, the
+    closing residual check included: the term builder runs once per
+    visit of the visit table."""
+    terms, built = [], []
+    term, clip = frontier._term, frontier._clip
+    monkeypatch.setattr(frontier, "_term", lambda *args: terms.append(args[1:3]) or term(*args))
+    monkeypatch.setattr(frontier, "_clip", lambda *args: built.append(args) or clip(*args))
+    for topo, model, loads in _solve_cases(random_network):
+        terms.clear()
+        built.clear()
+        solve_frontiers(model, loads)
+        visits = sorted((k, j) for j, row in topo.visiting.items() for k in row)
+        assert len(built) == sum(len(row) for row in topo.visiting.values())
+        assert sorted(terms) == visits
+
+
+def test_solution_tables_are_the_terms_at_its_frontiers(random_network):
+    """Each station's kept table equals, bit for bit, ``_terms`` at the
+    solved frontiers, on solves that place a station before one upstream
+    of it on a route as well as on those that do not."""
+    downstream = 0
+    for topo, model, loads in _solve_cases(random_network):
+        sol = solve_frontiers(model, loads)
+        own, tables = sol._tables
+        y = dict(zip(topo.spec.stations, sol.frontiers))
+        assert own is model
+        assert [_bits(t) for t in tables] == [_bits(frontier._terms(model, j, y))
+                                              for j in topo.spec.stations]
+        downstream += _places_downstream_first(topo, sol.permutation)
+    assert downstream >= 20
 
 
 def test_solver_witnesses_its_own_domain_piece(random_network):
@@ -670,16 +730,59 @@ REGIONS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII")
     ],
 )
 def test_closed_form_regions(loads, region, frontiers, monkeypatch):
-    """Each region's hand-solved frontiers, with one table per station
-    built for each candidate tried, in order, up to the one returned."""
+    """Each region's hand-solved frontiers, with one ``_fit`` check per
+    candidate tried, in order, up to the one returned.  The four terms no
+    frontier clips are built once per call, and only the two crossing
+    terms per candidate."""
     rates, deadlines = CASE_A
-    tables = []
-    exact = frontier._terms
-    monkeypatch.setattr(frontier, "_terms", lambda *args: tables.append(args[1]) or exact(*args))
+    fits, built = [], []
+    fit, clip = frontier._fit, frontier._clip
+    monkeypatch.setattr(frontier, "_fit", lambda *args: fits.append(args[1]) or fit(*args))
+    monkeypatch.setattr(frontier, "_clip", lambda *args: built.append(args) or clip(*args))
     sol = two_station_closed_form(rates, deadlines, *loads)
     assert sol.region == region
     assert sol.frontiers == pytest.approx(frontiers, abs=1e-8)
-    assert len(tables) == 2 * (REGIONS.index(region) + 1)
+    tried = REGIONS.index(region) + 1
+    assert len(fits) == tried and fits[-1] == sol.frontiers
+    assert len(built) == 4 + 2 * tried
+
+
+def _bits(table):
+    """A term table with every float as its exact bits."""
+    return [(t.weight.hex(), t.dist, t.cap.hex(), t.cut.hex()) for t in table]
+
+
+def test_closed_form_tables_equal_the_crossing_models(monkeypatch):
+    """For every candidate tried, the tables the closed form checks are,
+    bit for bit, ``_terms`` of the crossing network's count model at the
+    candidate's frontiers: on each hand-solved region, on random rates
+    and deadlines, and at extreme magnitudes."""
+    checked = []
+    fit = frontier._fit
+    monkeypatch.setattr(frontier, "_fit",
+                        lambda tables, y, loads: checked.append((tables, y)) or fit(tables, y, loads))
+    rng = np.random.default_rng(24680)
+    cases = [(*CASE_A, q) for q in ((2.0, 2.0), (40.0, 2.0), (2.0, 40.0), (2.0, 200.0),
+                                    (80.0, 40.0), (80.0, 60.0), (160.0, 80.0), (80.0, 120.0))]
+    for _ in range(30):
+        rates = tuple(float(v) for v in rng.uniform(0.1, 1.0, 4))
+        deadlines = tuple(sorted((float(v) for v in rng.uniform(0.0, 400.0, 4)), reverse=True))
+        cases.append((rates, deadlines, tuple(float(v) for v in rng.uniform(0.0, 200.0, 2))))
+    cases += [_log_uniform_crossing(rng) for _ in range(30)]
+    regions = set()
+    for rates, deadlines, loads in cases:
+        checked.clear()
+        try:
+            regions.add(two_station_closed_form(rates, deadlines, *loads).region)
+        except NoConsistentRegion:
+            pass
+        model = count_model(build_topology(crossing_spec(rates, deadlines)))
+        assert checked
+        for tables, (a, b) in checked:
+            y = {1: a, 2: b}
+            assert [_bits(t) for t in tables] == [_bits(frontier._terms(model, j, y))
+                                                  for j in (1, 2)]
+    assert regions == set(REGIONS)
 
 
 def test_closed_form_matches_oracle_cases():
@@ -753,6 +856,18 @@ def test_closed_form_validates_input():
         two_station_closed_form(rates, deadlines, 5.0, math.inf)
 
 
+@pytest.mark.parametrize("deadlines", [(math.inf, 300.0, 200.0, 100.0),
+                                       (400.0, 300.0, 200.0, -math.inf)])
+def test_closed_form_rejects_a_non_finite_deadline(deadlines):
+    """A deadline is a point-mass lead time, so an infinite one fails as
+    ``PointMass`` fails, once the loads have been read."""
+    rates = CASE_A[0]
+    with pytest.raises(ValueError, match="^point mass location must be finite$"):
+        two_station_closed_form(rates, deadlines, 1.0, 1.0)
+    with pytest.raises(NegativeWorkload, match="station 1"):
+        two_station_closed_form(rates, deadlines, -1.0, 1.0)
+
+
 def test_closed_form_without_a_consistent_candidate(monkeypatch):
     """Every candidate is checked by the solvers' one fit check, so when
     no candidate reproduces the loads the closed form says so."""
@@ -818,7 +933,7 @@ def _solve_crossing_both_ways(rates, deadlines, loads):
     """Both solvers on one crossing input.  Each answers and reproduces
     both loads within the allowance, and the two agree to 64 ulps of the
     largest deadline or frontier.  Returns the closed form's answer."""
-    model = count_model(build_topology(frontier._crossing_spec(rates, deadlines)))
+    model = count_model(build_topology(crossing_spec(rates, deadlines)))
     staged = solve_frontiers(model, loads).frontiers
     closed = two_station_closed_form(rates, deadlines, *loads)
     for y in (staged, closed.frontiers):

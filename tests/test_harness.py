@@ -761,6 +761,22 @@ def test_bad_field_error_clips_the_echoed_text(tmp_path, capsys):
         harness._number("x" * 40, "--loads")
 
 
+def test_wrong_header_error_clips_the_echoed_header(tmp_path, capsys):
+    """A wrong header is echoed through the one clip: a 100,000-field
+    header gives one short error line from ``edfnet compare``, where the
+    whole header was printed, and a short one is echoed whole."""
+    path = tmp_path / "wide.csv"
+    path.write_text(",".join(["x"] * 100_000) + "\n1,0.0,0.0,0.0,0.0,1.0\n")
+    assert main(["compare", str(path), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: header ('x', 'x', ") and err.count("\n") == 1
+    assert "(500000 characters) does not match" in err
+    assert len(err) < len(str(path)) + 200
+    path.write_text("wrong,header\n1,2\n")
+    with pytest.raises(ParseError, match=re.escape("header ('wrong', 'header') does not")):
+        read_profile_csv(str(path))
+
+
 def test_report_from_dict_names_the_bad_field():
     raw = report_to_dict(run_experiment(scripted_config()))
     raw["stations"][0]["theory"][3] = "x"

@@ -337,7 +337,7 @@ def test_one_roundoff_constant_in_the_solvers():
 
 
 def test_terms_built_only_by_term():
-    """``_Term`` is constructed in one place, ``frontier._term``, so every
+    """``_Term`` is constructed in one place, ``frontier._clip``, so every
     table the solvers and the prediction read comes from one builder and
     one "mass above a level" routine reads it."""
     found = []
@@ -350,7 +350,20 @@ def test_terms_built_only_by_term():
                     and node.func.id == "_Term"):
                 inside = [name for name, scope in scopes if node in list(ast.walk(scope))]
                 found.append((path.name, inside))
-    assert found == [("frontier.py", ["_term"])]
+    assert found == [("frontier.py", ["_clip"])]
+
+
+def test_closed_form_builds_no_network():
+    """``two_station_closed_form`` builds its terms from the rates and
+    deadlines alone: it makes no class, network, topology or model."""
+    tree = ast.parse((SRC / "frontier.py").read_text())
+    [closed] = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+                and node.name == "two_station_closed_form"]
+    called = {node.func.id for node in ast.walk(closed)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert "_clip" in called
+    assert not called & {"ClassSpec", "NetworkSpec", "Topology", "build_topology",
+                         "count_model", "WeightedModel"}
 
 
 def test_error_messages_echo_values_through_one_clip():
