@@ -69,7 +69,7 @@ def _cmd_predict(args) -> int:
         span = {key: harness._number(part, f"--grid.{key}", kind=kind)
                 for key, kind, part in zip(("lo", "hi", "points"), (float, float, int), parts)}
         grid = harness._grid(span, "--grid")
-    rows = [(j, y, t) for j in range(1, cfg.network.station_count + 1)
+    rows = [(j, y, t) for j in cfg.network.stations
             for y, t in zip(grid, harness.theory_cdf(model, sol, j, grid).tolist())]
     text = harness._csv_text(("station", "y", "theory"), rows)
     if args.output:
@@ -100,7 +100,7 @@ def _cmd_simulate(args) -> int:
         t = min(t + every, horizon)
         run_until(sim, t)
         parts = []
-        for j in range(1, cfg.network.station_count + 1):
+        for j in cfg.network.stations:
             stats = behind_frontier_stats(sim, j)
             parts.append(
                 f"j{j} n={queue_length(sim, j)} w={workload(sim, j):.2f} "

@@ -141,17 +141,16 @@ def _positive(value, what: str, error=ValueError) -> float:
 
 
 def _reals(values, what: str, error=ValueError) -> np.ndarray:
-    """A real or a sequence of reals as a float64 array; ``error`` names
-    a bool, a string or anything else ``np.asarray`` would have cast, a
-    bool among numbers at any depth too.  An ndarray's dtype says whether
-    it holds bools, so only the items of other sequences are looked at:
-    a flat one's directly, a nested one's through an object array."""
+    """A real or a flat sequence of reals as a float64 array; ``error``
+    names a nested sequence, and a bool, a string or anything else
+    ``np.asarray`` would have cast, a bool among numbers too.  An
+    ndarray's dtype says whether it holds bools, so only the items of
+    other sequences are looked at."""
     out = np.asarray(values)
-    items = None
-    if out.ndim and not isinstance(values, np.ndarray):
-        items = values if out.ndim == 1 else np.asarray(values, dtype=object).flat
-    if out.dtype.kind not in "iuf" or (items is not None
-                                       and {bool, np.bool_} & set(map(type, items))):
+    if out.ndim > 1:
+        raise error(f"{what} must be a real or a flat sequence of reals, got {_echo(values)}")
+    if out.dtype.kind not in "iuf" or (out.ndim and not isinstance(values, np.ndarray)
+                                       and {bool, np.bool_} & set(map(type, values))):
         raise error(f"{what} must be real numbers, got {_echo(values)}")
     return out.astype(float, copy=False)
 

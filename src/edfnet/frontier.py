@@ -29,13 +29,14 @@ weight times level, not with the load.
 Both solvers read loads by ``_read_loads`` and check a frontier vector
 by ``_fit``, which reads per station one table they built: the miss
 and its ``_roundoff``.  Each builds every term it reads once.  The
-staged solver's closing tables are its stage tables plus the terms of
-classes that reached a station after it was placed, and it keeps them
-on its solution; ``predict_profile`` reads them when given the model
-they were built for, so a prediction from the solver's own model builds
-no table.  The closed form builds its four unclipped terms once per
-call and, per candidate, only the two crossing terms its frontiers
-clip, with no network, topology or model.
+staged solver builds a class's term where the class reaches a
+station, reads its stage and closing tables from those terms in
+visit-table order and keeps the closing tables on its solution;
+``predict_profile`` reads them when given the model they were built
+for, so a prediction from the solver's own model builds no table.  The
+closed form builds its four unclipped terms once per call and, per
+candidate, only the two crossing terms its frontiers clip, with no
+network, topology or model.
 """
 
 from __future__ import annotations
@@ -314,40 +315,36 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
     closed form) and is the componentwise smallest such vector, each to
     the roundoff allowance (``_roundoff``) of the sums involved.
 
-    Each (class, station) term is built once: on arrival at a waiting
-    station, or, for a class that reaches a station placed before it
-    got there, after the last pick, at the floor it carries there.  A
-    station's final table is its stage table plus those late terms, in
-    ascending class id, which is ``_terms`` at the solved frontiers; the
-    closing check and the solution's kept tables read it.
+    Each (class, station) term is built once, where the class reaches
+    the station, at the floor it carries there; a class walks on through
+    placed stations and stops at the first unplaced one.  Stage and
+    closing tables list a station's terms in visit-table order (ascending
+    class id), so its closing table is ``_terms`` at the solved
+    frontiers, which the closing check and the kept tables read.
     """
     topo = model.topology
     vec = _read_loads(topo.station_count, loads)
 
     assigned: Dict[int, float] = {}   # placed stations in placing order
     bounds: List[float] = []
-    # station -> its visiting classes met so far as (class id, route,
-    # position, floor, term); an unplaced station's are the classes waiting
-    # there, sorted by class id, so every sum adds its terms in one order
-    held: Dict[int, list] = {j: [] for j in topo.spec.stations}
+    # station -> class id -> (floor, term) for each visiting class that has
+    # reached it; an unplaced station's are the classes waiting there
+    met: Dict[int, Dict[int, Tuple[float, _Term]]] = {j: {} for j in topo.spec.stations}
     stages: Dict[int, Tuple[List[_Term], float, float]] = {}   # -> (terms, value, bound)
-    late = []   # (class id, route, position, floor): visits to stations placed first
-    moving = [(c.id, c.route, 0, math.inf) for c in topo.spec.classes]
+    moving = [(c.id, c.route, math.inf) for c in topo.spec.classes]   # (class, route ahead, floor)
     last = math.inf
     while True:
         arrived = set()
-        for k, route, at, floor in moving:
-            while at < len(route) and route[at] in assigned:
-                late.append((k, route, at, floor))
-                floor = min(floor, assigned[route[at]])
-                at += 1
-            if at < len(route):
-                j = route[at]
-                held[j].append((k, route, at, floor, _term(model, k, j, floor)))
-                arrived.add(j)
+        for k, ahead, floor in moving:
+            for j in ahead:
+                met[j][k] = (floor, _term(model, k, j, floor))
+                if j not in assigned:
+                    arrived.add(j)
+                    break
+                floor = min(floor, assigned[j])
         for j in arrived:
-            held[j].sort()
-            terms = [entry[4] for entry in held[j]]
+            # in visit-table order, so every sum adds its terms in one order
+            terms = [met[j][k][1] for k in topo.visiting[j] if k in met[j]]
             stages[j] = (terms, *_stage_inverse(terms, vec[j - 1]))
         # empty only once every station is placed: until then a class waits
         # at the first unplaced station on a route
@@ -362,12 +359,12 @@ def solve_frontiers(model: WeightedModel, loads: Sequence[float]) -> FrontierSol
             raise SolverDivergence(f"station {j} placed at {value}, above {last}")
         assigned[j] = last = value
         bounds.append(b_j)
-        moving = [(k, route, at + 1, min(floor, value))
-                  for k, route, at, floor, _ in held[j]]
+        visits = topo.visiting[j]
+        moving = [(k, visits[k][0].route[len(visits[k][1]) + 1:], min(floor, value))
+                  for k, (floor, _) in met[j].items()]
 
-    for k, route, at, floor in late:
-        held[route[at]].append((k, route, at, floor, _term(model, k, route[at], floor)))
-    tables = [[entry[4] for entry in sorted(held[j])] for j in topo.spec.stations]
+    tables = [[met[j][k][1] for k in topo.visiting[j] if k in met[j]]
+              for j in topo.spec.stations]
     frontiers = tuple(assigned[j] for j in topo.spec.stations)
     fit = _fit(tables, frontiers, vec)
     for j, (miss, allowed, _) in zip(topo.spec.stations, fit):

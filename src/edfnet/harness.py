@@ -484,13 +484,15 @@ def empirical_bands(
     Each snapshot's station content defines one empirical CDF on the
     grid; a snapshot with nothing at the station counts as the
     constant CDF 1 (all of nothing is below every level).  ValueError
-    when a snapshot lacks station j or a grid value is not a real.
+    when a snapshot lacks station j or a grid value is NaN or not a real.
     """
     if len(snapshots) == 0:
         raise NoSnapshots(f"no snapshots to build bands for station {j}")
     if any(j not in snap.stations for snap in snapshots):
         raise ValueError(f"station {j} is not held by every snapshot")
     pts = _reals(grid, "grid")
+    if np.isnan(pts).any():
+        raise ValueError(f"grid must not be NaN, got {_echo(grid)}")
     curves = np.empty((len(snapshots), len(pts)))
     for i, snap in enumerate(snapshots):
         leads = np.sort(np.asarray(snap.leads(j), dtype=float))

@@ -105,12 +105,13 @@ def station_loads(model, y):
 def logged_solve(model, loads):
     """``solve_frontiers`` with its stage bookkeeping read out.
 
-    Returns the solution, every stage term the stage loop built as
-    (class, station, floor) in build order, and per stage m the classes
-    in each unplaced station's table when the m-th station was picked
-    (stations with an empty table left out).  The stage loop checks
-    each pick's order by one ``_roundoff`` call, which marks the picks;
-    the terms and allowances of the final ``_fit`` are not logged."""
+    Returns the solution, every term the stage loop built as (class,
+    station, floor) in build order, those at placed stations included,
+    and per stage m the classes in each unplaced station's table when
+    the m-th station was picked (stations with an empty table left
+    out).  The stage loop checks each pick's order by one ``_roundoff``
+    call, which marks the picks; the terms and allowances of the final
+    ``_fit`` are not logged."""
     log, fitting = [], []
     term, roundoff, fit = frontier._term, frontier._roundoff, frontier._fit
 
@@ -138,7 +139,7 @@ def logged_solve(model, loads):
         if entry is None:
             tables.append({j: frozenset(ks) for j, ks in held.items()})
             held.pop(sol.permutation[len(tables) - 1], None)
-        else:
+        elif entry[1] not in sol.permutation[:len(tables)]:   # a station not yet placed
             held.setdefault(entry[1], set()).add(entry[0])
     return sol, [entry for entry in log if entry is not None], tables
 

@@ -615,9 +615,13 @@ def test_predict_profile_validates_input():
         predict_profile(model, (250.0, 188.0), 1, (0.0, math.nan))
     with pytest.raises(ValueError, match="NaN"):
         station_loads(model, (math.nan, 1.0))
-    # a bool among numbers too, at any depth, which np.asarray would have read as 1.0
-    for levels in (["300"], "300", True, [True, False], (True, 300.0), [[True, 300.0]]):
+    # a bool among numbers too, which np.asarray would have read as 1.0
+    for levels in (["300"], "300", True, [True, False], (True, 300.0)):
         with pytest.raises(ValueError, match="levels must be real numbers"):
+            predict_profile(model, (250.0, 188.0), 1, levels)
+    # levels are one real or a flat sequence: a nested one gave a 2-D array
+    for levels in ([[0.0, 300.0]], [[True, 300.0]], np.zeros((2, 2))):
+        with pytest.raises(ValueError, match="levels must be a real or a flat sequence of reals"):
             predict_profile(model, (250.0, 188.0), 1, levels)
 
 

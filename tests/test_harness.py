@@ -501,7 +501,8 @@ def test_empirical_bands_need_snapshots():
 def test_empirical_bands_name_a_station_the_snapshots_lack():
     """A station some snapshot does not hold fails by name, where it
     raised a bare KeyError; so does a grid of strings or bools, which
-    ``np.asarray(grid, dtype=float)`` would have read."""
+    ``np.asarray(grid, dtype=float)`` would have read, or one holding
+    NaN, as ``theory_cdf`` does."""
     with pytest.raises(ValueError, match="station 2 is not held by every snapshot"):
         empirical_bands([snap((1.0,))], 2, [0.0, 1.0])
     with pytest.raises(ValueError, match="station 2 is not held by every snapshot"):
@@ -511,6 +512,9 @@ def test_empirical_bands_name_a_station_the_snapshots_lack():
     for grid in (["0", "1"], [False, True], [False, 1.0]):
         with pytest.raises(ValueError, match="grid must be real numbers"):
             empirical_bands([snap((1.0,))], 1, grid)
+    # searchsorted sorts NaN last, so a NaN point read a CDF of 1
+    with pytest.raises(ValueError, match="grid must not be NaN"):
+        empirical_bands([snap((1.0,))], 1, [0.0, math.nan, 10.0])
 
 
 def test_compare_profiles_hand_case():
